@@ -42,6 +42,8 @@ from .symmetry import (
     InvariancePattern,
     OrbitStats,
     binary_orbit_representatives,
+    binary_orbit_sizes,
+    canonical_binary_vectors,
     canonicalize,
     critical_node_count,
     group_order,
@@ -97,6 +99,8 @@ __all__ = [
     "WeightSchedule",
     "apply_rule",
     "binary_orbit_representatives",
+    "binary_orbit_sizes",
+    "canonical_binary_vectors",
     "canonicalize",
     "check_weight_supermultiplicativity",
     "constraint_matrix",

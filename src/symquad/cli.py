@@ -37,9 +37,10 @@ from .fooling import construct_certificate
 from .fourier import FourierPolynomial, random_polynomial
 from .symmetry import (
     InvariancePattern,
-    binary_orbit_representatives,
+    binary_orbit_sizes,
+    canonical_binary_vectors,
     critical_node_count,
-    orbit_stats,
+    group_order,
     parse_coordinate_set,
     parse_groups,
     symmetrize,
@@ -61,6 +62,7 @@ def _load_json(path):
 
 
 def _emit(args, payload, table_lines):
+    """Write the JSON payload, or the lines (maybe a lazy generator) for tables."""
     if getattr(args, "format", "json") == "table":
         text = "\n".join(table_lines) + "\n"
     else:
@@ -84,22 +86,15 @@ def _pattern_from_args(args, dim):
     return InvariancePattern.trivial(dim)
 
 
-def _complex_dict(z):
-    return {"re": z.real, "im": z.imag}
-
-
 def _cmd_nabla(args):
     pattern = _pattern_from_args(args, args.dim)
-    rows = []
-    for rep in binary_orbit_representatives(pattern, cap=args.cap):
-        stats = orbit_stats(rep, pattern)
-        rows.append(
-            {
-                "k": list(rep),
-                "orbit_size": stats.orbit_size,
-                "stabilizer_size": stats.stabilizer_size,
-            }
-        )
+    vectors, ones = canonical_binary_vectors(pattern, cap=args.cap)
+    sizes = binary_orbit_sizes(pattern, ones)
+    stabs = group_order(pattern) // sizes
+    rows = [
+        {"k": k, "orbit_size": size, "stabilizer_size": stab}
+        for k, size, stab in zip(vectors.tolist(), sizes.tolist(), stabs.tolist())
+    ]
     payload = {
         "dim": pattern.dim,
         "pattern": pattern.to_json_dict(),
@@ -107,13 +102,15 @@ def _cmd_nabla(args):
         "orbit_size_total": sum(r["orbit_size"] for r in rows),
         "rows": rows,
     }
-    lines = [f"{'k':<{3 * pattern.dim + 2}} orbit stabilizer"]
-    for r in rows:
-        lines.append(
-            f"{str(tuple(r['k'])):<{3 * pattern.dim + 2}} {r['orbit_size']:>5} {r['stabilizer_size']:>10}"
-        )
-    lines.append(f"count {len(rows)}, orbit sizes sum {payload['orbit_size_total']}")
-    _emit(args, payload, lines)
+
+    def table():
+        width = 3 * pattern.dim + 2
+        yield f"{'k':<{width}} orbit stabilizer"
+        for r in rows:
+            yield f"{str(tuple(r['k'])):<{width}} {r['orbit_size']:>5} {r['stabilizer_size']:>10}"
+        yield f"count {len(rows)}, orbit sizes sum {payload['orbit_size_total']}"
+
+    _emit(args, payload, table())
     return 0
 
 
@@ -125,11 +122,13 @@ def _cmd_rule(args):
     else:
         pattern = _pattern_from_args(args, args.dim)
         rule = folded_rectangle_rule(pattern, node_cap=args.cap)
-    payload = rule.to_json_dict()
-    lines = [f"{'node':<{8 * rule.dim}} weight"]
-    for node, w in zip(rule.nodes, rule.weights):
-        lines.append(f"{str(tuple(float(v) for v in node)):<{8 * rule.dim}} {w.real:.12g}")
-    _emit(args, payload, lines)
+
+    def table():
+        yield f"{'node':<{8 * rule.dim}} weight"
+        for node, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+            yield f"{str(tuple(node)):<{8 * rule.dim}} {w.real:.12g}"
+
+    _emit(args, rule.to_json_dict(), table())
     return 0
 
 
@@ -137,7 +136,7 @@ def _cmd_integrate(args):
     rule = CubatureRule.from_json_dict(_load_json(args.rule))
     poly = FourierPolynomial.from_json_dict(_load_json(args.poly))
     value = apply_rule(rule, poly)
-    payload = {"value": _complex_dict(value), "n_nodes": rule.n_nodes}
+    payload = {"value": {"re": value.real, "im": value.imag}, "n_nodes": rule.n_nodes}
     _emit(args, payload, [f"value {value.real:.15g} {value.imag:+.15g}i"])
     return 0
 
@@ -195,9 +194,6 @@ def _cmd_weights(args):
         "ordering": [list(k) for k in ordered.ordering],
         "weights": [float(w) for w in ordered.weights],
     }
-    lines = [f"{'rank':>4} {'weight':>18}  k"]
-    for n, (k, w) in enumerate(zip(ordered.ordering, ordered.weights)):
-        lines.append(f"{n:>4} {float(w):>18.12g}  {tuple(k)}")
     if args.kappa is not None:
         sums = weight_power_sum(pattern, schedule, args.kappa)
         payload["power_sum"] = {
@@ -206,11 +202,18 @@ def _cmd_weights(args):
             "closed": sums.closed,
             "closed_form_applicable": sums.closed_form_applicable,
         }
-        lines.append(
-            f"power sum (exponent {args.kappa}): brute {sums.brute:.12g}, "
-            f"closed {sums.closed:.12g}, closed form applicable: {sums.closed_form_applicable}"
-        )
-    _emit(args, payload, lines)
+
+    def table():
+        yield f"{'rank':>4} {'weight':>18}  k"
+        for n, (k, w) in enumerate(zip(ordered.ordering, ordered.weights)):
+            yield f"{n:>4} {float(w):>18.12g}  {tuple(k)}"
+        if args.kappa is not None:
+            yield (
+                f"power sum (exponent {args.kappa}): brute {sums.brute:.12g}, "
+                f"closed {sums.closed:.12g}, closed form applicable: {sums.closed_form_applicable}"
+            )
+
+    _emit(args, payload, table())
     return 0
 
 
@@ -447,7 +450,7 @@ def main(argv=None) -> int:
     except (NullspaceError, CertificateError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

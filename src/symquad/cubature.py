@@ -12,6 +12,7 @@ invariant integrands.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,8 @@ from .fourier import FourierPolynomial, evaluate_at_points
 from .korobov import require_alpha, riemann_zeta
 from .symmetry import (
     InvariancePattern,
-    binary_orbit_representatives,
-    critical_node_count,
-    orbit_stats,
+    binary_orbit_sizes,
+    canonical_binary_vectors,
 )
 
 #: Rectangle rules beyond this dimension are refused (2^d nodes).
@@ -88,16 +88,19 @@ class CubatureRule:
     def to_json_dict(self) -> dict:
         return {
             "dim": self._dim,
-            "nodes": [[float(v) for v in row] for row in self._nodes],
-            "weights": [{"re": w.real, "im": w.imag} for w in self._weights],
+            "nodes": self._nodes.tolist(),
+            "weights": [{"re": w.real, "im": w.imag} for w in self._weights.tolist()],
         }
 
     @classmethod
     def from_json_dict(cls, data) -> "CubatureRule":
-        if "dim" not in data or "nodes" not in data or "weights" not in data:
+        if not isinstance(data, Mapping) or not {"dim", "nodes", "weights"} <= data.keys():
             raise ValueError("rule JSON must carry 'dim', 'nodes' and 'weights'")
-        weights = [complex(float(w["re"]), float(w["im"])) for w in data["weights"]]
-        return cls(int(data["dim"]), data["nodes"], weights)
+        try:
+            weights = [complex(float(w["re"]), float(w["im"])) for w in data["weights"]]
+            return cls(int(data["dim"]), data["nodes"], weights)
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed rule JSON: {exc!r}") from exc
 
 
 def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
@@ -116,19 +119,14 @@ def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
 
 
 def rectangle_rule(dim, dim_cap=DEFAULT_RECTANGLE_DIM_CAP) -> CubatureRule:
-    """Product rectangle rule: ``2^d`` nodes ``j/2``, equal weights ``2^-d``."""
+    """Product rectangle rule: ``2^d`` nodes ``j/2``, equal weights ``2^-d``.
+
+    The folded rule of the trivial pattern, whose orbits are single points.
+    """
     dim = int(dim)
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
     if dim > dim_cap:
         raise CapExceededError(f"rectangle rule in dimension {dim} exceeds cap {dim_cap}")
-    n = 1 << dim
-    nodes = np.zeros((n, dim))
-    for j in range(n):
-        for m in range(dim):
-            nodes[j, m] = 0.5 * ((j >> (dim - 1 - m)) & 1)
-    weights = np.full(n, 1.0 / n, dtype=np.complex128)
-    return CubatureRule(dim, nodes, weights)
+    return folded_rectangle_rule(InvariancePattern.trivial(dim), node_cap=1 << dim)
 
 
 def folded_rectangle_rule(
@@ -141,17 +139,9 @@ def folded_rectangle_rule(
     rational, so the weights sum to 1 without rounding, and the rule agrees
     with the full rectangle rule on all invariant integrands.
     """
-    count = critical_node_count(pattern)
-    if count > node_cap:
-        raise CapExceededError(f"folded rule with {count} nodes exceeds cap {node_cap}")
-    dim = pattern.dim
-    scale = float(1 << dim)
-    nodes = np.zeros((count, dim))
-    weights = np.zeros(count, dtype=np.complex128)
-    for idx, rep in enumerate(binary_orbit_representatives(pattern, cap=node_cap)):
-        nodes[idx] = np.array(rep, dtype=np.float64) * 0.5
-        weights[idx] = orbit_stats(rep, pattern).orbit_size / scale
-    return CubatureRule(dim, nodes, weights)
+    vectors, ones = canonical_binary_vectors(pattern, cap=node_cap)
+    weights = binary_orbit_sizes(pattern, ones).astype(np.float64) / float(1 << pattern.dim)
+    return CubatureRule(pattern.dim, vectors * 0.5, weights)
 
 
 def initial_error(alpha) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .fourier import FourierPolynomial, MultiIndex
 from .korobov import korobov_norm, require_alpha
 from .symmetry import (
     InvariancePattern,
-    binary_orbit_representatives,
+    canonical_binary_vectors,
     canonicalize,
     critical_node_count,
     group_order,
@@ -278,10 +277,10 @@ def construct_certificate(
         raise RefusalError(n_nodes, threshold, upper_bound_error=upper)
 
     if mode_order is None:
-        psi = list(islice(binary_orbit_representatives(pattern, cap=None), n_nodes + 1))
+        vectors, _ = canonical_binary_vectors(pattern, stop=n_nodes + 1, cap=None)
+        psi = list(map(tuple, vectors.tolist()))
     else:
         psi = [tuple(int(v) for v in k) for k in mode_order]
-        _validate_mode_order(psi, pattern, n_nodes)
 
     matrix = constraint_matrix(rule, pattern, psi)
     solution = nullspace_solution(matrix, residual_tol=check_tol)
@@ -340,16 +339,6 @@ def construct_certificate(
         norm_value=norm_value,
         residuals=residuals,
     )
-
-
-def canonical_mode_rank(h, pattern: InvariancePattern, rank_of) -> int | None:
-    """Position of a 0/1 vector's canonical form in a mode-order prefix.
-
-    ``rank_of`` maps canonical vectors to their index.  Returns ``None``
-    when the canonical form lies beyond the prefix, exactly the terms the
-    certificate formula discards.
-    """
-    return rank_of.get(canonicalize(h, pattern))
 
 
 @dataclass(frozen=True)

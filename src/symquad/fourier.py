@@ -26,17 +26,26 @@ MAX_INDEX_MAGNITUDE = 2**31 - 1
 
 
 def validate_multi_index(k, dim=None) -> MultiIndex:
-    """Coerce ``k`` to a tuple of ints and check dimension and magnitude."""
-    key = tuple(int(e) for e in k)
+    """Coerce ``k`` to a tuple of ints and check dimension and magnitude.
+
+    Entries must be integral (``2.0`` is accepted, ``1.7``, NaN and
+    infinities are not); anything else raises ``ValueError``.
+    """
+    raw = tuple(k)
+    try:
+        key = tuple(map(int, raw))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"frequency vector {raw!r} has a non-integer entry") from exc
+    if key != raw:
+        raise ValueError(f"frequency vector {raw!r} has a non-integral entry")
     if len(key) == 0:
         raise ValueError("frequency vector must have dimension >= 1")
     if dim is not None and len(key) != dim:
         raise DimensionMismatchError(
             f"frequency vector has dimension {len(key)}, expected {dim}"
         )
-    for e in key:
-        if abs(e) > MAX_INDEX_MAGNITUDE:
-            raise ValueError(f"frequency entry {e} exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
+    if max(key) > MAX_INDEX_MAGNITUDE or min(key) < -MAX_INDEX_MAGNITUDE:
+        raise ValueError(f"frequency vector {key} exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
     return key
 
 
@@ -49,7 +58,7 @@ class FourierPolynomial:
         Coordinate dimension ``d >= 1``.
     terms : mapping or iterable of pairs
         Frequency vector -> complex coefficient.  Zero coefficients are
-        dropped; duplicate keys are rejected.
+        dropped; duplicate keys and non-finite coefficients are rejected.
     """
 
     __slots__ = ("_dim", "_terms", "_arrays")
@@ -65,6 +74,8 @@ class FourierPolynomial:
             if key in cleaned:
                 raise ValueError(f"duplicate frequency vector {key}")
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c!r} at {key} is not finite")
             if c != 0:
                 cleaned[key] = c
         self._dim = dim
@@ -176,15 +187,19 @@ class FourierPolynomial:
     def from_json_dict(cls, data) -> "FourierPolynomial":
         if not isinstance(data, Mapping) or "dim" not in data or "terms" not in data:
             raise ValueError("polynomial JSON must carry 'dim' and 'terms'")
-        dim = int(data["dim"])
-        pairs = []
-        for entry in data["terms"]:
-            pairs.append((tuple(entry["k"]), complex(float(entry["re"]), float(entry["im"]))))
-        seen = set()
-        for k, _ in pairs:
-            if k in seen:
-                raise ValueError(f"duplicate frequency vector {k} in JSON terms")
-            seen.add(k)
+        try:
+            dim = int(data["dim"])
+            pairs = [
+                (tuple(entry["k"]), complex(float(entry["re"]), float(entry["im"])))
+                for entry in data["terms"]
+            ]
+            seen = set()
+            for k, _ in pairs:
+                if k in seen:
+                    raise ValueError(f"duplicate frequency vector {k} in JSON terms")
+                seen.add(k)
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed polynomial JSON: {exc!r}") from exc
         return cls(dim, pairs)
 
     def to_json(self) -> str:

@@ -56,16 +56,10 @@ def korobov_weight(k, alpha) -> float:
     """
     a = require_alpha(alpha)
     key = validate_multi_index(k)
-    prod = 1
-    for e in key:
-        prod *= max(1, abs(e))
-    return float(prod) ** a
+    return float(math.prod(max(1, abs(e)) for e in key)) ** a
 
 
 def korobov_norm(f: FourierPolynomial, alpha) -> float:
     """Largest weighted coefficient modulus of ``f`` (0 for the zero series)."""
     a = require_alpha(alpha)
-    best = 0.0
-    for k, c in f.terms.items():
-        best = max(best, abs(c) * korobov_weight(k, a))
-    return best
+    return max((abs(c) * korobov_weight(k, a) for k, c in f.terms.items()), default=0.0)

@@ -12,8 +12,12 @@ projection onto invariant polynomials.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
 from .fourier import FourierPolynomial, MultiIndex, validate_multi_index
@@ -74,11 +78,6 @@ class InvariancePattern:
     def invariant_count(self) -> int:
         return sum(len(g) for g in self.groups)
 
-    @property
-    def free_positions(self) -> tuple[int, ...]:
-        grouped = {i for g in self.groups for i in g}
-        return tuple(i for i in range(1, self.dim + 1) if i not in grouped)
-
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "groups": [list(g) for g in self.groups]}
 
@@ -90,9 +89,6 @@ class InvariancePattern:
 def parse_coordinate_set(spec: str) -> tuple[int, ...]:
     """Parse ``"1-3,5"`` into the coordinate tuple ``(1, 2, 3, 5)``."""
     members: list[int] = []
-    spec = spec.strip()
-    if not spec:
-        return ()
     for part in spec.split(","):
         part = part.strip()
         if "-" in part:
@@ -118,10 +114,7 @@ def parse_groups(spec: str) -> tuple[tuple[int, ...], ...]:
 
 def group_order(pattern: InvariancePattern) -> int:
     """Number of coordinate permutations in the pattern's group (exact int)."""
-    order = 1
-    for g in pattern.groups:
-        order *= math.factorial(len(g))
-    return order
+    return math.prod(math.factorial(len(g)) for g in pattern.groups)
 
 
 def canonicalize(k, pattern: InvariancePattern) -> MultiIndex:
@@ -157,41 +150,31 @@ def orbit_stats(k, pattern: InvariancePattern) -> OrbitStats:
     the group order.
     """
     key = validate_multi_index(k, pattern.dim)
-    stab = 1
-    for g in pattern.groups:
-        counts: dict[int, int] = {}
-        for i in g:
-            v = key[i - 1]
-            counts[v] = counts.get(v, 0) + 1
-        for c in counts.values():
-            stab *= math.factorial(c)
-    total = group_order(pattern)
-    return OrbitStats(canonicalize(key, pattern), stab, total // stab)
+    stab = math.prod(
+        math.factorial(c) for g in pattern.groups for c in Counter(key[i - 1] for i in g).values()
+    )
+    return OrbitStats(canonicalize(key, pattern), stab, group_order(pattern) // stab)
 
 
-def _distinct_arrangements(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All distinct arrangements of a multiset, in lexicographic order."""
-    pool = sorted(values)
-    n = len(pool)
-    out: list[int] = []
-    remaining: dict[int, int] = {}
-    for v in pool:
-        remaining[v] = remaining.get(v, 0) + 1
-    distinct = sorted(remaining)
+def _distinct_arrangements(values: Sequence[int]) -> list[tuple[int, ...]]:
+    """All distinct arrangements of a multiset, in lexicographic order.
 
-    def rec():
-        if len(out) == n:
-            yield tuple(out)
-            return
-        for v in distinct:
-            if remaining[v]:
-                remaining[v] -= 1
-                out.append(v)
-                yield from rec()
-                out.pop()
-                remaining[v] += 1
-
-    yield from rec()
+    Next-permutation steps (Knuth, TAOCP 7.2.1.2, Algorithm L).
+    """
+    a = sorted(values)
+    out = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
+        out.append(tuple(a))
 
 
 def orbit(k, pattern: InvariancePattern) -> Iterator[MultiIndex]:
@@ -203,21 +186,13 @@ def orbit(k, pattern: InvariancePattern) -> Iterator[MultiIndex]:
     """
     key = validate_multi_index(k, pattern.dim)
     groups = pattern.groups
-    if not groups:
-        yield key
-        return
-
-    def rec(idx: int, current: list[int]) -> Iterator[MultiIndex]:
-        if idx == len(groups):
-            yield tuple(current)
-            return
-        g = groups[idx]
-        for arrangement in _distinct_arrangements([key[i - 1] for i in g]):
+    per_group = [_distinct_arrangements([key[i - 1] for i in g]) for g in groups]
+    current = list(key)
+    for arrangements in product(*per_group):
+        for g, arrangement in zip(groups, arrangements):
             for i, v in zip(g, arrangement):
                 current[i - 1] = v
-            yield from rec(idx + 1, current)
-
-    yield from rec(0, list(key))
+        yield tuple(current)
 
 
 def critical_node_count(pattern: InvariancePattern) -> int:
@@ -228,55 +203,78 @@ def critical_node_count(pattern: InvariancePattern) -> int:
     fewer nodes cannot improve on the zero algorithm, and the folded
     rectangle rule shows this many suffice to do better.
     """
-    count = 1 << (pattern.dim - pattern.invariant_count)
-    for g in pattern.groups:
-        count *= len(g) + 1
-    return count
+    free = 1 << (pattern.dim - pattern.invariant_count)
+    return math.prod((len(g) + 1 for g in pattern.groups), start=free)
+
+
+def canonical_binary_vectors(
+    pattern: InvariancePattern, stop=None, cap=DEFAULT_ENUMERATION_CAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``stop`` (default: all) canonical 0/1 vectors, lexicographically.
+
+    Returns a ``uint8`` array of shape ``(n, d)`` and each vector's
+    ones-count per block, shape ``(n, len(groups))``.  The vectors grow one
+    coordinate at a time: a free coordinate splits every row into a 0 row
+    and a 1 row; a block member splits only rows whose block has no 1 yet
+    (zeros precede ones in a canonical block) and appends 1 to the rest.
+    Children keep their parents' order, so cutting every level to ``n``
+    rows keeps the lexicographic prefix.  ``cap`` bounds ``n`` when set.
+    """
+    count = critical_node_count(pattern)
+    if stop is not None:
+        count = min(count, max(0, int(stop)))
+    if cap is not None and count > cap:
+        raise CapExceededError(f"enumeration of {count} representatives exceeds cap {cap}")
+    group_of = {i: gi for gi, g in enumerate(pattern.groups) for i in g}
+    vectors = np.zeros((1, 0), dtype=np.uint8)
+    ones = np.zeros((1, len(pattern.groups)), dtype=np.intp)
+    for gi in (group_of.get(i, -1) for i in range(1, pattern.dim + 1)):
+        split = ones[:, gi] == 0 if gi >= 0 else np.ones(len(vectors), dtype=bool)
+        parent = np.repeat(np.arange(len(vectors)), np.where(split, 2, 1))[:count]
+        # a split row's first child takes 0, every other child takes 1
+        first = np.ones(len(parent), dtype=bool)
+        first[1:] = parent[1:] != parent[:-1]
+        bit = (~(split[parent] & first)).astype(np.uint8)
+        vectors = np.concatenate([vectors[parent], bit[:, None]], axis=1)
+        ones = ones[parent]
+        if gi >= 0:
+            ones[:, gi] += bit
+    return vectors, ones
+
+
+def binary_orbit_sizes(pattern: InvariancePattern, ones) -> np.ndarray:
+    """Exact orbit sizes of 0/1 vectors from their per-block ones-counts.
+
+    ``j_r`` ones in block ``r`` of size ``g_r`` give ``prod_r C(g_r, j_r)``,
+    read from a table over the ones-count combinations; the result is an
+    object array of Python ints, exact for any block size.
+    """
+    blocks = [len(g) for g in pattern.groups]
+    combos = product(*(range(g + 1) for g in blocks))
+    table = [math.prod(map(math.comb, blocks, js)) for js in combos]
+    code = np.zeros(len(ones), dtype=np.intp)
+    for r, g in enumerate(blocks):
+        code = code * (g + 1) + ones[:, r]
+    return np.array(table, dtype=object)[code]
 
 
 def binary_orbit_representatives(
     pattern: InvariancePattern, cap: int | None = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[MultiIndex]:
-    """Stream the canonical 0/1 vectors in lexicographic order.
+    """Stream the canonical 0/1 vectors in lexicographic order, as tuples.
 
-    Within each group a canonical vector has its zeros before its ones, so
-    the stream walks coordinates left to right and, once a group member is
-    set to 1, forces the group's remaining members to 1.  The stream has
-    exactly ``critical_node_count(pattern)`` elements; a ``cap`` (when not
-    None) rejects patterns whose full enumeration would exceed it.
+    Built from ``canonical_binary_vectors`` prefixes of doubling length, so
+    ``cap=None`` streams enumerations too large to hold.  A ``cap`` (when
+    not None) rejects patterns whose full enumeration would exceed it.
     """
-    if cap is not None and critical_node_count(pattern) > cap:
-        raise CapExceededError(
-            f"enumeration of {critical_node_count(pattern)} representatives exceeds cap {cap}"
-        )
-    dim = pattern.dim
-    group_of = {}
-    for gi, g in enumerate(pattern.groups):
-        for i in g:
-            group_of[i - 1] = gi
-
-    entries = [0] * dim
-    forced = [False] * len(pattern.groups)
-
-    def rec(pos: int) -> Iterator[MultiIndex]:
-        if pos == dim:
-            yield tuple(entries)
-            return
-        gi = group_of.get(pos)
-        if gi is not None and forced[gi]:
-            entries[pos] = 1
-            yield from rec(pos + 1)
-            return
-        entries[pos] = 0
-        yield from rec(pos + 1)
-        entries[pos] = 1
-        if gi is not None:
-            forced[gi] = True
-        yield from rec(pos + 1)
-        if gi is not None:
-            forced[gi] = False
-
-    yield from rec(0)
+    count = critical_node_count(pattern)
+    if cap is not None and count > cap:
+        raise CapExceededError(f"enumeration of {count} representatives exceeds cap {cap}")
+    done, stop = 0, 1024
+    while done < count:
+        vectors, _ = canonical_binary_vectors(pattern, stop, cap=None)
+        yield from map(tuple, vectors[done:].tolist())
+        done, stop = len(vectors), 2 * stop
 
 
 def symmetrize(f: FourierPolynomial, pattern: InvariancePattern) -> FourierPolynomial:
@@ -296,8 +294,7 @@ def symmetrize(f: FourierPolynomial, pattern: InvariancePattern) -> FourierPolyn
         buckets[canon] = buckets.get(canon, 0j) + c
     out: dict[MultiIndex, complex] = {}
     for canon in sorted(buckets):
-        stats = orbit_stats(canon, pattern)
-        avg = buckets[canon] / stats.orbit_size
+        avg = buckets[canon] / orbit_stats(canon, pattern).orbit_size
         if avg == 0:
             continue
         for member in orbit(canon, pattern):

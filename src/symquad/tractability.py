@@ -63,7 +63,10 @@ class InvarianceProfile:
 
     @classmethod
     def from_json_dict(cls, data) -> "InvarianceProfile":
-        return cls(tuple((row[0], row[1]) for row in data["samples"]), data.get("tag"))
+        try:
+            return cls(tuple((row[0], row[1]) for row in data["samples"]), data.get("tag"))
+        except (TypeError, KeyError, IndexError) as exc:
+            raise ValueError(f"malformed profile JSON: {exc!r}") from exc
 
     def to_json_dict(self) -> dict:
         out = {"samples": [list(row) for row in self.samples]}

@@ -63,7 +63,10 @@ class WeightSchedule:
 
     @classmethod
     def from_json_dict(cls, data) -> "WeightSchedule":
-        return cls(int(data["dim"]), tuple(data["gammas"]))
+        try:
+            return cls(int(data["dim"]), tuple(data["gammas"]))
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed weight schedule JSON: {exc!r}") from exc
 
 
 def _single_group(pattern: InvariancePattern) -> tuple[int, ...]:
@@ -120,8 +123,7 @@ def order_weights(
     _single_group(pattern)
     reps = list(binary_orbit_representatives(pattern, cap=cap))
     mus = {rep: min_product_weight(rep, pattern, schedule) for rep in reps}
-    reps.sort(key=lambda rep: rep)
-    reps.sort(key=lambda rep: mus[rep], reverse=True)
+    reps.sort(key=lambda rep: mus[rep], reverse=True)  # stable: ties stay lexicographic
     return OrderedWeights(tuple(reps), tuple(mus[rep] for rep in reps))
 
 

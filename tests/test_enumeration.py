@@ -1,0 +1,132 @@
+"""The array enumeration core against brute force, and the rules built on it."""
+
+import itertools
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symquad import (
+    CapExceededError,
+    InvariancePattern,
+    binary_orbit_representatives,
+    binary_orbit_sizes,
+    canonical_binary_vectors,
+    canonicalize,
+    critical_node_count,
+    folded_rectangle_rule,
+    group_order,
+    orbit_stats,
+    rectangle_rule,
+)
+
+
+@st.composite
+def patterns(draw, max_dim=10):
+    """Random patterns with up to ``max_dim`` coordinates and any number of blocks."""
+    dim = draw(st.integers(1, max_dim))
+    coords = draw(st.permutations(range(1, dim + 1)))
+    groups = []
+    rest = list(coords)
+    while rest and draw(st.booleans()):
+        size = draw(st.integers(1, len(rest)))
+        groups.append(rest[:size])
+        rest = rest[size:]
+    return InvariancePattern(dim, groups)
+
+
+def brute_canonical(pattern):
+    return [
+        v
+        for v in itertools.product((0, 1), repeat=pattern.dim)
+        if canonicalize(v, pattern) == v
+    ]
+
+
+def as_tuples(vectors):
+    return list(map(tuple, vectors.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns())
+def test_core_equals_brute_force_filter(pattern):
+    vectors, ones = canonical_binary_vectors(pattern)
+    assert vectors.dtype == np.uint8
+    assert vectors.shape == (critical_node_count(pattern), pattern.dim)
+    assert as_tuples(vectors) == brute_canonical(pattern)
+    for r, g in enumerate(pattern.groups):
+        assert ones[:, r].tolist() == [sum(v[i - 1] for i in g) for v in as_tuples(vectors)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(patterns(max_dim=8))
+def test_every_stop_gives_the_prefix(pattern):
+    full = brute_canonical(pattern)
+    for stop in range(len(full) + 2):
+        vectors, ones = canonical_binary_vectors(pattern, stop=stop)
+        assert as_tuples(vectors) == full[:stop]
+        assert ones.shape == (min(stop, len(full)), len(pattern.groups))
+
+
+@settings(max_examples=40, deadline=None)
+@given(patterns())
+def test_orbit_sizes_equal_orbit_stats(pattern):
+    vectors, ones = canonical_binary_vectors(pattern)
+    sizes = binary_orbit_sizes(pattern, ones).tolist()
+    stats = [orbit_stats(v, pattern) for v in as_tuples(vectors)]
+    assert sizes == [s.orbit_size for s in stats]
+    assert all(type(s) is int for s in sizes)
+    assert sum(sizes) == 2**pattern.dim
+
+
+def test_orbit_sizes_exact_for_a_block_of_100():
+    pattern = InvariancePattern.full(100)
+    vectors, ones = canonical_binary_vectors(pattern)
+    assert as_tuples(vectors) == [(0,) * (100 - j) + (1,) * j for j in range(101)]
+    sizes = binary_orbit_sizes(pattern, ones).tolist()
+    assert sizes == [math.comb(100, j) for j in range(101)]
+    assert sizes[50] > 2**63
+    assert sum(sizes) == 2**100
+    stabs = (group_order(pattern) // binary_orbit_sizes(pattern, ones)).tolist()
+    assert stabs == [math.factorial(j) * math.factorial(100 - j) for j in range(101)]
+
+
+def test_core_cap_counts_the_requested_rows():
+    pattern = InvariancePattern.trivial(30)
+    with pytest.raises(CapExceededError):
+        canonical_binary_vectors(pattern, cap=1 << 26)
+    vectors, _ = canonical_binary_vectors(pattern, stop=5, cap=8)
+    assert as_tuples(vectors) == [(0,) * 27 + tuple(map(int, f"{j:03b}")) for j in range(5)]
+
+
+def test_stream_crosses_prefix_boundaries():
+    for pattern in (InvariancePattern.trivial(12), InvariancePattern(13, [(2, 3, 4), (7, 9)])):
+        streamed = list(binary_orbit_representatives(pattern, cap=None))
+        assert streamed == as_tuples(canonical_binary_vectors(pattern)[0])
+
+
+@pytest.mark.parametrize("dim", [1, 5, 10, 14])
+def test_rectangle_rule_is_the_folded_trivial_rule(dim):
+    full = rectangle_rule(dim)
+    folded = folded_rectangle_rule(InvariancePattern.trivial(dim))
+    assert full.nodes.tobytes() == folded.nodes.tobytes()
+    assert full.weights.tobytes() == folded.weights.tobytes()
+    bits = np.array(list(itertools.product((0, 1), repeat=dim)), dtype=np.float64)
+    assert np.array_equal(full.nodes, 0.5 * bits)
+    assert np.all(full.weights == 2.0**-dim)
+
+
+def test_rule_json_uses_plain_floats():
+    rule = folded_rectangle_rule(InvariancePattern(5, [(1, 2), (3, 4, 5)]))
+    data = rule.to_json_dict()
+    assert all(type(v) is float for row in data["nodes"] for v in row)
+    assert all(type(w["re"]) is float and type(w["im"]) is float for w in data["weights"])
+    elementwise = {
+        "dim": rule.dim,
+        "nodes": [[float(v) for v in row] for row in rule.nodes],
+        "weights": [{"re": float(w.real), "im": float(w.imag)} for w in rule.weights],
+    }
+    assert json.dumps(data, sort_keys=True) == json.dumps(elementwise, sort_keys=True)

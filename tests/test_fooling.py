@@ -14,6 +14,7 @@ from symquad import (
     RefusalError,
     UnsupportedPatternError,
     apply_rule,
+    canonicalize,
     constraint_matrix,
     construct_certificate,
     critical_node_count,
@@ -22,7 +23,6 @@ from symquad import (
     nullspace_solution,
     orbit,
 )
-from symquad.fooling import canonical_mode_rank
 
 
 def random_rule(rng, dim, n_nodes):
@@ -230,7 +230,7 @@ def test_mode_rank_matches_brute_force():
             ]
             assert len(matches) <= 1
             brute = matches[0] if matches else None
-            assert canonical_mode_rank(bits, pattern, rank_of) == brute
+            assert rank_of.get(canonicalize(bits, pattern)) == brute
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,170 @@
+"""Rejection of non-finite and non-integral input, in the library and the CLI."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symquad import CubatureRule, FourierPolynomial
+from symquad.cli import main
+from symquad.fourier import validate_multi_index
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), non_finite, finite, st.booleans())
+def test_non_finite_coefficients_are_rejected(dim, bad, good, bad_in_real):
+    c = complex(bad, good) if bad_in_real else complex(good, bad)
+    with pytest.raises(ValueError):
+        FourierPolynomial(dim, {(0,) * dim: c})
+    with pytest.raises(ValueError):
+        FourierPolynomial.from_json_dict(
+            {"dim": dim, "terms": [{"k": [0] * dim, "re": c.real, "im": c.imag}]}
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=5),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).filter(lambda x: x != int(x)),
+    st.data(),
+)
+def test_non_integral_frequencies_are_rejected(key, frac, data):
+    pos = data.draw(st.integers(0, len(key) - 1))
+    bad = list(key)
+    bad[pos] = frac
+    with pytest.raises(ValueError):
+        validate_multi_index(bad)
+    with pytest.raises(ValueError):
+        FourierPolynomial.from_json_dict(
+            {"dim": len(key), "terms": [{"k": bad, "re": 1.0, "im": 0.0}]}
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(2**31) + 1, 2**31 - 1), min_size=1, max_size=5))
+def test_integral_floats_equal_their_integers(key):
+    as_floats = [float(e) for e in key if abs(e) < 2**53]
+    if as_floats:
+        assert validate_multi_index(as_floats) == tuple(int(e) for e in as_floats)
+    assert validate_multi_index(key) == tuple(key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=4), non_finite)
+def test_non_finite_frequencies_are_rejected(key, bad):
+    with pytest.raises(ValueError):
+        validate_multi_index(key + [bad])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": 1, "terms": 5},
+        {"dim": 1, "terms": [[1, 2]]},
+        {"dim": 1, "terms": [{"k": 5, "re": 1.0, "im": 0.0}]},
+        {"dim": 1, "terms": [{"k": None, "re": 1.0, "im": 0.0}]},
+        {"dim": 1, "terms": [{"k": [1], "re": None, "im": 0.0}]},
+        {"dim": 1, "terms": [{"k": [[1]], "re": 1.0, "im": 0.0}]},
+        {"dim": None, "terms": []},
+    ],
+)
+def test_malformed_polynomial_json_raises_value_error(data):
+    with pytest.raises(ValueError):
+        FourierPolynomial.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        5,
+        {"dim": 1, "nodes": [[0.0]], "weights": 5},
+        {"dim": 1, "nodes": [[0.0]], "weights": [1.0]},
+        {"dim": 1, "nodes": [[0.0]], "weights": [{"re": None, "im": 0.0}]},
+        {"dim": None, "nodes": [[0.0]], "weights": [{"re": 1.0, "im": 0.0}]},
+    ],
+)
+def test_malformed_rule_json_raises_value_error(data):
+    with pytest.raises(ValueError):
+        CubatureRule.from_json_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+def run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def rule_file(tmp_path):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"dim": 1, "nodes": [[0.0], [0.5]],
+                                "weights": [{"re": 0.5, "im": 0.0}] * 2}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "poly_text",
+    [
+        '{"dim": 1, "terms": [{"k": [1.7], "re": 1.0, "im": 0.0}]}',
+        '{"dim": 1, "terms": [{"k": [Infinity], "re": 1.0, "im": 0.0}]}',
+        '{"dim": 1, "terms": [{"k": [NaN], "re": 1.0, "im": 0.0}]}',
+        '{"dim": 1, "terms": [{"k": 5, "re": 1.0, "im": 0.0}]}',
+        '{"dim": 1, "terms": [{"k": [0], "re": NaN, "im": 0.0}]}',
+        '{"dim": 1, "terms": [{"k": [0], "re": 1.0, "im": Infinity}]}',
+        '{"dim": 1, "terms": 5}',
+    ],
+)
+def test_integrate_rejects_bad_polynomials(capsys, tmp_path, rule_file, poly_text):
+    poly = tmp_path / "poly.json"
+    poly.write_text(poly_text)
+    code, out, err = run(capsys, ["integrate", "--rule", rule_file, "--poly", str(poly)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_integrate_rejects_malformed_rule(capsys, tmp_path):
+    rule = tmp_path / "rule.json"
+    rule.write_text('{"dim": 1, "nodes": [[0.0]], "weights": [1.0]}')
+    poly = tmp_path / "poly.json"
+    poly.write_text('{"dim": 1, "terms": [{"k": [0], "re": 1.0, "im": 0.0}]}')
+    code, _, err = run(capsys, ["integrate", "--rule", str(rule), "--poly", str(poly)])
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_overflow_maps_to_exit_1(capsys):
+    code, out, err = run(capsys, ["wce", "-d", "2", "--alpha", "1e5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "gammas_text",
+    ['{"dim": 3, "gammas": 5}', '{"dim": 3, "gammas": ["a", 1, 1]}', "[1, 2]"],
+)
+def test_weights_rejects_malformed_schedules(capsys, tmp_path, gammas_text):
+    gammas = tmp_path / "g.json"
+    gammas.write_text(gammas_text)
+    code, out, err = run(capsys, ["weights", "-d", "3", "--gammas", str(gammas)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("profile_text", ['{"samples": 5}', '{"samples": [[3]]}', "[[3, 1]]"])
+def test_tract_rejects_malformed_profiles(capsys, tmp_path, profile_text):
+    profile = tmp_path / "p.json"
+    profile.write_text(profile_text)
+    code, out, err = run(capsys, ["tract", "--profile", str(profile)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
