@@ -118,7 +118,7 @@ def _cmd_rule(args):
     if args.rectangle == args.folded:
         raise ValueError("choose exactly one of --rectangle / --folded")
     if args.rectangle:
-        rule = rectangle_rule(args.dim)
+        rule = rectangle_rule(args.dim, node_cap=args.cap)
     else:
         pattern = _pattern_from_args(args, args.dim)
         rule = folded_rectangle_rule(pattern, node_cap=args.cap)

@@ -118,15 +118,16 @@ def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
     return complex(np.dot(rule.weights, values))
 
 
-def rectangle_rule(dim, dim_cap=DEFAULT_RECTANGLE_DIM_CAP) -> CubatureRule:
+def rectangle_rule(dim, dim_cap=DEFAULT_RECTANGLE_DIM_CAP, node_cap=None) -> CubatureRule:
     """Product rectangle rule: ``2^d`` nodes ``j/2``, equal weights ``2^-d``.
 
-    The folded rule of the trivial pattern, whose orbits are single points.
+    The folded rule of the trivial pattern, whose orbits are single points;
+    refused beyond ``dim_cap`` dimensions or, when set, ``node_cap`` nodes.
     """
     dim = int(dim)
     if dim > dim_cap:
         raise CapExceededError(f"rectangle rule in dimension {dim} exceeds cap {dim_cap}")
-    return folded_rectangle_rule(InvariancePattern.trivial(dim), node_cap=1 << dim)
+    return folded_rectangle_rule(InvariancePattern.trivial(dim), node_cap=node_cap)
 
 
 def folded_rectangle_rule(

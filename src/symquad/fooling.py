@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     RefusalError,
     UnsupportedPatternError,
 )
-from .fourier import FourierPolynomial, MultiIndex
+from .fourier import FourierPolynomial, MultiIndex, exp_2pi_i
 from .korobov import korobov_norm, require_alpha
 from .symmetry import (
     InvariancePattern,
@@ -47,7 +47,6 @@ from .symmetry import (
     canonicalize,
     critical_node_count,
     group_order,
-    orbit,
     orbit_stats,
     symmetrize,
 )
@@ -76,7 +75,10 @@ def constraint_matrix(rule: CubatureRule, pattern: InvariancePattern, psi) -> np
     orbit of ``psi[n]``, divided by the group order; equivalently the orbit
     average of the exponential divided by the stabilizer count.  All
     moduli are at most 1.  ``psi`` must list ``rule.n_nodes + 1`` distinct
-    canonical 0/1 vectors.
+    canonical 0/1 vectors.  With ``z_m = exp(2*pi*i*t_m)``, the orbit sum of
+    a vector with free bits ``f`` and ``j_r`` ones in block ``B_r`` is
+    ``prod_{f_m=1} z_m * prod_r e_{j_r}(z_{B_r})`` (``e_j`` the elementary
+    symmetric polynomials, from ``e_j <- e_j + z_m e_{j-1}``).
     """
     if rule.dim != pattern.dim:
         raise DimensionMismatchError("rule and pattern dimensions differ")
@@ -86,14 +88,18 @@ def constraint_matrix(rule: CubatureRule, pattern: InvariancePattern, psi) -> np
         raise RefusalError(n_nodes, threshold)
     psi = [tuple(int(v) for v in k) for k in psi]
     _validate_mode_order(psi, pattern, n_nodes)
-    order = group_order(pattern)
-    matrix = np.zeros((n_nodes, n_nodes + 1), dtype=np.complex128)
-    if n_nodes == 0:
-        return matrix
-    for col, key in enumerate(psi):
-        members = np.array(list(orbit(key, pattern)), dtype=np.float64)
-        phases = rule.nodes @ members.T
-        matrix[:, col] = np.exp(2j * np.pi * phases).sum(axis=1) / float(order)
+    modes = np.array(psi, dtype=np.float64).reshape(n_nodes + 1, pattern.dim)
+    blocks = [[i - 1 for i in g] for g in pattern.groups]
+    free = sorted(set(range(pattern.dim)).difference(*blocks))
+    matrix = exp_2pi_i(rule.nodes[:, free] @ modes[:, free].T)
+    for cols in blocks:
+        z = exp_2pi_i(rule.nodes[:, cols])
+        elementary = np.zeros((n_nodes, len(cols) + 1), dtype=np.complex128)
+        elementary[:, 0] = 1.0
+        for m in range(len(cols)):
+            elementary[:, 1 : m + 2] += z[:, m : m + 1] * elementary[:, : m + 1]
+        matrix *= elementary[:, modes[:, cols].sum(axis=1).astype(np.intp)]
+    matrix /= float(group_order(pattern))
     return matrix
 
 
@@ -114,57 +120,26 @@ def _validate_mode_order(psi, pattern, n_nodes):
 
 
 def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolution:
-    """Nontrivial nullspace vector of an ``n x (n+1)`` complex matrix.
+    """Nontrivial nullspace vector of an ``n x (n+1)`` complex matrix ``A``.
 
-    Gaussian elimination with partial pivoting by maximal modulus; columns
-    whose remaining entries are numerically zero become free.  The first
-    free column is set to 1, pivots are back-substituted, and the vector is
-    rescaled by its first entry of maximal modulus, whose position becomes
-    ``pivot_index``.  Raises ``NullspaceError`` when the residual exceeds
+    One complete QR factorization ``A^T = QR`` (LAPACK; Golub & Van Loan,
+    *Matrix Computations*, 5.2).  ``R`` has a zero last row, so whatever
+    the rank of ``A``, the last column ``q`` of ``Q`` satisfies
+    ``A conj(q) = 0``.  That vector is divided by its first entry of
+    maximal modulus, whose position becomes ``pivot_index``.  Raises
+    ``NullspaceError`` when the residual ``max |A v|`` exceeds
     ``residual_tol`` (the caller may retry with a different mode order).
     """
-    a_mat = np.array(matrix, dtype=np.complex128)
+    a_mat = np.asarray(matrix, dtype=np.complex128)
     if a_mat.ndim != 2 or a_mat.shape[1] != a_mat.shape[0] + 1:
         raise ValueError(f"expected an n x (n+1) matrix, got shape {a_mat.shape}")
-    n_rows, n_cols = a_mat.shape
-    if n_rows == 0:
-        return NullspaceSolution(np.ones(1, dtype=np.complex128), 0, 0.0)
-
-    upper = a_mat.copy()
-    scale = max(1.0, float(np.max(np.abs(upper))))
-    pivot_eps = 8.0 * n_rows * np.finfo(np.float64).eps * scale
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n_cols):
-        if row == n_rows:
-            break
-        sub = np.abs(upper[row:, col])
-        best = int(np.argmax(sub))
-        if sub[best] <= pivot_eps:
-            continue
-        if best:
-            upper[[row, row + best]] = upper[[row + best, row]]
-        factors = upper[row + 1 :, col] / upper[row, col]
-        upper[row + 1 :] -= np.outer(factors, upper[row])
-        upper[row + 1 :, col] = 0.0
-        pivots.append((row, col))
-        row += 1
-
-    pivot_cols = {c for _, c in pivots}
-    free_col = next(c for c in range(n_cols) if c not in pivot_cols)
-    vec = np.zeros(n_cols, dtype=np.complex128)
-    vec[free_col] = 1.0
-    for prow, pcol in reversed(pivots):
-        vec[pcol] = -(np.dot(upper[prow], vec)) / upper[prow, pcol]
-
+    q_mat, _ = np.linalg.qr(a_mat.T, mode="complete")
+    vec = q_mat[:, -1].conj()
     pivot_index = int(np.argmax(np.abs(vec)))
     vec = vec / vec[pivot_index]
     vec[pivot_index] = 1.0
-    moduli = np.abs(vec)
-    oversized = moduli > 1.0
-    if np.any(oversized):
-        vec[oversized] /= moduli[oversized]
-    residual = float(np.max(np.abs(a_mat @ vec)))
+    vec /= np.maximum(np.abs(vec), 1.0)  # rounding may leave a modulus just above 1
+    residual = float(np.max(np.abs(a_mat @ vec), initial=0.0))
     if residual > residual_tol:
         raise NullspaceError(
             f"nullspace residual {residual:.3e} exceeds tolerance {residual_tol:.3e}",
@@ -277,39 +252,13 @@ def construct_certificate(
         raise RefusalError(n_nodes, threshold, upper_bound_error=upper)
 
     if mode_order is None:
-        vectors, _ = canonical_binary_vectors(pattern, stop=n_nodes + 1, cap=None)
-        psi = list(map(tuple, vectors.tolist()))
-    else:
-        psi = [tuple(int(v) for v in k) for k in mode_order]
+        mode_order = canonical_binary_vectors(pattern, stop=n_nodes + 1, cap=None)[0].tolist()
+    psi = [tuple(int(v) for v in k) for k in mode_order]
 
     matrix = constraint_matrix(rule, pattern, psi)
     solution = nullspace_solution(matrix, residual_tol=check_tol)
-    coeffs_a = solution.coefficients
-    pivot = solution.pivot_index
-
-    order = group_order(pattern)
-    orbits = [list(orbit(key, pattern)) for key in psi]
-    stab_pivot = orbit_stats(psi[pivot], pattern).stabilizer_size
-
-    # counts[k][n] = number of (v, h) pairs with v in the pivot orbit,
-    # h in the orbit of psi[n], and h - v = k.
-    counts: dict[MultiIndex, dict[int, int]] = {}
-    for v in orbits[pivot]:
-        for n, orb in enumerate(orbits):
-            for h in orb:
-                key = tuple(hm - vm for hm, vm in zip(h, v))
-                per_mode = counts.setdefault(key, {})
-                per_mode[n] = per_mode.get(n, 0) + 1
-
-    terms: dict[MultiIndex, complex] = {}
-    for key in sorted(counts):
-        acc = 0j
-        for n in sorted(counts[key]):
-            ratio = Fraction(counts[key][n] * stab_pivot, order)
-            acc += float(ratio) * coeffs_a[n]
-        if acc != 0:
-            terms[key] = acc
-    poly = FourierPolynomial(pattern.dim, terms)
+    terms = _certificate_terms(pattern, psi, solution.coefficients, solution.pivot_index)
+    poly = FourierPolynomial._from_valid_terms(pattern.dim, terms)
 
     rule_value = apply_rule(rule, poly)
     integral_value = poly.integral()
@@ -339,6 +288,49 @@ def construct_certificate(
         norm_value=norm_value,
         residuals=residuals,
     )
+
+
+def _certificate_terms(pattern: InvariancePattern, psi, coefficients, pivot) -> dict:
+    """Certificate coefficients from orbit convolution counts.
+
+    The coefficient at ``k`` is the sum over ascending ``n`` of
+    ``count_n(k) / |V| * a_n``: ``V`` is the pivot's orbit and ``count_n(k)``
+    counts pairs ``(v, h)`` in ``V x orbit(psi[n])`` with ``h - v = k``.
+    ``count / |V|`` is ``count * stabilizer / group_order``, one correctly
+    rounded division as ``V`` fits in memory.  Differences are coded in
+    base 3 (digit ``k_m + 1``), so codes sort like keys.
+    """
+    dim, n_modes = pattern.dim, len(psi)
+    modes = np.array(psi, dtype=np.int64).reshape(n_modes, dim)
+    owner = np.arange(n_modes)
+    if pattern.groups:  # orbit members: every j-subset of the block for a mode with j ones
+        cols = [i - 1 for i in pattern.groups[0]]
+        ones = modes[:, cols].sum(axis=1).tolist()
+        subsets = {
+            j: np.array([[int(m in c) for m in range(len(cols))]
+                         for c in combinations(range(len(cols)), j)])
+            for j in set(ones)
+        }
+        owner = np.repeat(owner, [len(subsets[j]) for j in ones])
+        modes = modes[owner]
+        modes[:, cols] = np.concatenate([subsets[j] for j in ones])
+    wide = 3**dim * n_modes >= 2**63  # codes then need Python ints
+    digits = 3 ** np.arange(dim - 1, -1, -1, dtype=object if wide else np.int64)
+    codes = modes @ digits
+    in_pivot = np.flatnonzero(owner == pivot)
+    # code(h - v) = code(h) - code(v) + code(1, ..., 1), times n_modes plus the mode of h
+    shifted = (codes + digits.sum()) * n_modes + owner
+    pair_code = shifted[None, :] - (codes[in_pivot] * n_modes)[:, None]
+    pair_code, first_pair, counts = np.unique(pair_code, return_index=True, return_counts=True)
+    v, h = np.divmod(first_pair, len(codes))  # one (v, h) pair of each (key, mode)
+    key_code = pair_code // n_modes
+    first = np.append(True, key_code[1:] != key_code[:-1])
+    parts = counts / len(in_pivot) * np.asarray(coefficients)[owner[h]]
+    slot = np.cumsum(first) - 1  # bincount adds in array order: ascending mode per key
+    values = np.bincount(slot, weights=parts.real) + 1j * np.bincount(slot, weights=parts.imag)
+    keep = values != 0
+    keys = modes[h[first][keep]] - modes[in_pivot[v[first][keep]]]
+    return dict(zip(map(tuple, keys.tolist()), values[keep].tolist()))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from typing import Mapping
 
 import numpy as np
@@ -73,14 +74,25 @@ class FourierPolynomial:
             key = validate_multi_index(k, dim)
             if key in cleaned:
                 raise ValueError(f"duplicate frequency vector {key}")
+            cleaned[key] = c
+        self._store(dim, ((k, cleaned[k]) for k in sorted(cleaned)))
+
+    @classmethod
+    def _from_valid_terms(cls, dim, terms) -> "FourierPolynomial":
+        """Polynomial from key-ordered terms whose keys are already valid for ``dim``."""
+        out = cls.__new__(cls)
+        out._store(dim, terms.items())
+        return out
+
+    def _store(self, dim, pairs):
+        """Keep the nonzero key-ordered terms; reject non-finite coefficients."""
+        self._dim, self._terms, self._arrays = dim, {}, None
+        for k, c in pairs:
             c = complex(c)
             if not cmath.isfinite(c):
-                raise ValueError(f"coefficient {c!r} at {key} is not finite")
+                raise ValueError(f"coefficient {c!r} at {k} is not finite")
             if c != 0:
-                cleaned[key] = c
-        self._dim = dim
-        self._terms = {k: cleaned[k] for k in sorted(cleaned)}
-        self._arrays = None
+                self._terms[k] = c
 
     def _term_arrays(self):
         """Cached (frequencies, coefficients) arrays in key order."""
@@ -138,6 +150,7 @@ class FourierPolynomial:
             phase = 0.0
             for km, xm in zip(k, point):
                 phase += km * xm
+            phase -= math.floor(phase)
             acc += c * cmath.exp(2j * cmath.pi * phase)
         return acc
 
@@ -168,8 +181,9 @@ class FourierPolynomial:
                     key = tuple(a + b for a, b in zip(k1, k2))
                     out[key] = out.get(key, 0j) + c1 * c2
             return FourierPolynomial(self._dim, out)
-        return FourierPolynomial(
-            self._dim, {k: complex(other) * c for k, c in self._terms.items()}
+        factor = complex(other)
+        return FourierPolynomial._from_valid_terms(
+            self._dim, {k: factor * c for k, c in self._terms.items()}
         )
 
     __rmul__ = __mul__
@@ -237,8 +251,23 @@ def evaluate_at_points(f: FourierPolynomial, points) -> np.ndarray:
     chunk = max(1, (1 << 22) // max(1, len(f)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        phases = pts[lo:hi] @ keys.T
-        out[lo:hi] = np.exp(2j * np.pi * phases) @ coeffs
+        out[lo:hi] = exp_2pi_i(pts[lo:hi] @ keys.T) @ coeffs
+    return out
+
+
+def exp_2pi_i(phases) -> np.ndarray:
+    """``exp(2*pi*i*phases)``, each phase first reduced mod 1 (an exact step).
+
+    So ``k.x`` at every rectangle-rule node, a whole multiple of 1/2 for
+    any allowed ``k``, gives ``+-1`` up to the ``1.2e-16`` of ``sin(pi)``.
+    """
+    phases = np.asarray(phases, dtype=np.float64)
+    turns = np.floor(phases)
+    np.subtract(phases, turns, out=turns)
+    turns *= 2.0 * np.pi
+    out = np.empty(turns.shape, dtype=np.complex128)
+    np.cos(turns, out=out.real)
+    np.sin(turns, out=out.imag)
     return out
 
 

@@ -55,11 +55,15 @@ def korobov_weight(k, alpha) -> float:
     power; an ``OverflowError`` is raised if it exceeds the float range.
     """
     a = require_alpha(alpha)
-    key = validate_multi_index(k)
-    return float(math.prod(max(1, abs(e)) for e in key)) ** a
+    return _weight(validate_multi_index(k), a)
+
+
+def _weight(key, a) -> float:
+    """``korobov_weight`` without the checks: the product of the nonzero ``|k_m|``."""
+    return float(math.prod(map(abs, filter(None, key)))) ** a
 
 
 def korobov_norm(f: FourierPolynomial, alpha) -> float:
     """Largest weighted coefficient modulus of ``f`` (0 for the zero series)."""
     a = require_alpha(alpha)
-    return max((abs(c) * korobov_weight(k, a) for k, c in f.terms.items()), default=0.0)
+    return max((abs(c) * _weight(k, a) for k, c in f.terms.items()), default=0.0)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cubature import CubatureRule, apply_rule
 from .errors import (
     CertificateError,
@@ -28,7 +30,7 @@ from .fourier import MultiIndex, validate_multi_index
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
-    binary_orbit_representatives,
+    canonical_binary_vectors,
     critical_node_count,
     orbit,
 )
@@ -69,14 +71,6 @@ class WeightSchedule:
             raise ValueError(f"malformed weight schedule JSON: {exc!r}") from exc
 
 
-def _single_group(pattern: InvariancePattern) -> tuple[int, ...]:
-    if len(pattern.groups) > 1:
-        raise UnsupportedPatternError(
-            "weighted operations support at most one coordinate group"
-        )
-    return pattern.groups[0] if pattern.groups else ()
-
-
 def min_product_weight(k, pattern: InvariancePattern, schedule: WeightSchedule):
     """Smallest schedule product over all in-group rearrangements of ``k``.
 
@@ -85,20 +79,34 @@ def min_product_weight(k, pattern: InvariancePattern, schedule: WeightSchedule):
     product of the ``c`` smallest in-group factors times the factors of the
     out-of-group support.  Exact for exact schedule entries.
     """
+    weigh = _product_weights(pattern, schedule)
+    key = validate_multi_index(k, pattern.dim)
+    return weigh(np.array([key]) != 0)[0]
+
+
+def _product_weights(pattern: InvariancePattern, schedule: WeightSchedule):
+    """``min_product_weight`` as a function of a support array (``key != 0``).
+
+    The in-group factors are formed once per count; every weight keeps the
+    scalar multiplication order, and the object array keeps exact types.
+    """
     if schedule.dim != pattern.dim:
         raise DimensionMismatchError("schedule and pattern dimensions differ")
-    key = validate_multi_index(k, pattern.dim)
-    group = _single_group(pattern)
-    in_group = set(group)
-    in_count = sum(1 for i in group if key[i - 1] != 0)
-    value = 1
-    smallest = sorted((schedule.gammas[i - 1] for i in group), reverse=True)
-    for g in smallest[len(group) - in_count :]:
-        value = value * g
-    for i in range(1, pattern.dim + 1):
-        if i not in in_group and key[i - 1] != 0:
-            value = value * schedule.gammas[i - 1]
-    return value
+    if len(pattern.groups) > 1:
+        raise UnsupportedPatternError("weighted operations support at most one coordinate group")
+    group = [i - 1 for i in pattern.groups[0]] if pattern.groups else []
+    smallest = sorted((schedule.gammas[i] for i in group), reverse=True)
+    block = np.array([math.prod(smallest[c:]) for c in range(len(group), -1, -1)], dtype=object)
+    outside = [(i, g) for i, g in enumerate(schedule.gammas) if i not in group]
+
+    def weigh(support):
+        values = block[support[:, group].sum(axis=1)]
+        for i, g in outside:
+            hit = support[:, i]
+            values[hit] = values[hit] * g
+        return values
+
+    return weigh
 
 
 @dataclass(frozen=True)
@@ -120,11 +128,12 @@ def order_weights(
     cap=DEFAULT_ENUMERATION_CAP,
 ) -> OrderedWeights:
     """Sort the canonical 0/1 vectors by descending effective weight."""
-    _single_group(pattern)
-    reps = list(binary_orbit_representatives(pattern, cap=cap))
-    mus = {rep: min_product_weight(rep, pattern, schedule) for rep in reps}
-    reps.sort(key=lambda rep: mus[rep], reverse=True)  # stable: ties stay lexicographic
-    return OrderedWeights(tuple(reps), tuple(mus[rep] for rep in reps))
+    weigh = _product_weights(pattern, schedule)
+    vectors, _ = canonical_binary_vectors(pattern, cap=cap)
+    mus = weigh(vectors != 0).tolist()
+    ranked = sorted(range(len(mus)), key=mus.__getitem__, reverse=True)  # ties stay in order
+    reps = vectors.tolist()
+    return OrderedWeights(tuple(tuple(reps[n]) for n in ranked), tuple(mus[n] for n in ranked))
 
 
 def error_lower_bound(n_nodes, pattern: InvariancePattern, schedule: WeightSchedule):
@@ -163,7 +172,7 @@ def construct_weighted_certificate(
     """
     if schedule.dim != rule.dim:
         raise DimensionMismatchError("schedule and rule dimensions differ")
-    _single_group(pattern)
+    weigh = _product_weights(pattern, schedule)
     n_nodes = rule.n_nodes
     ordered = order_weights(pattern, schedule)
     threshold = len(ordered.ordering)
@@ -180,28 +189,24 @@ def construct_weighted_certificate(
     poly = scale * base.polynomial
 
     residuals = dict(base.residuals)
-    worst_ball = 0.0
-    worst_product = 0.0
-    norm_value = 0.0
-    for key, coeff in poly.terms.items():
-        mu_k = float(min_product_weight(key, pattern, schedule))
-        worst_product = max(worst_product, scale * scale - mu_k)
-        bound = math.sqrt(mu_k)
-        if bound == 0.0:
-            worst_ball = max(worst_ball, abs(coeff))
-            if abs(coeff) > 1e-12:
-                residuals["weighted_ball_excess"] = abs(coeff)
-                raise CertificateError(
-                    "coefficient on a zero-weight frequency", residuals
-                )
-        else:
-            worst_ball = max(worst_ball, abs(coeff) - bound)
-            norm_value = max(norm_value, abs(coeff) / bound)
+    terms = poly.terms
+    support = np.array(list(terms), dtype=np.int64).reshape(len(terms), rule.dim) != 0
+    moduli = np.abs(np.array(list(terms.values()), dtype=np.complex128))
+    mus = weigh(support).astype(np.float64)
+    bounds = np.sqrt(mus)
+    stray = moduli[(bounds == 0.0) & (moduli > 1e-12)]
+    if stray.size:
+        residuals["weighted_ball_excess"] = float(stray[0])
+        raise CertificateError("coefficient on a zero-weight frequency", residuals)
+    worst_product = float(np.max(scale * scale - mus, initial=0.0))
     if worst_product > 1e-12:
         residuals["weight_product_excess"] = worst_product
         raise CertificateError(
             "weight product inequality violated on the support", residuals
         )
+    weighted = bounds > 0.0
+    worst_ball = float(np.max(np.where(weighted, moduli - bounds, moduli), initial=0.0))
+    norm_value = float(np.max(moduli[weighted] / bounds[weighted], initial=0.0))
 
     rule_value = apply_rule(rule, poly)
     integral_value = poly.integral()
@@ -263,22 +268,22 @@ def check_weight_supermultiplicativity(
         raise DimensionMismatchError(
             f"pattern dimension {pattern.dim} exceeds max_dim {max_dim}"
         )
-    reps = list(binary_orbit_representatives(pattern))
-    mus = {rep: min_product_weight(rep, pattern, schedule) for rep in reps}
-    orbits = {rep: list(orbit(rep, pattern)) for rep in reps}
+    weigh = _product_weights(pattern, schedule)
+    vectors, _ = canonical_binary_vectors(pattern)
+    reps = list(map(tuple, vectors.tolist()))
+    mus = dict(zip(reps, weigh(vectors != 0).tolist()))
+    orbits = {rep: np.array(list(orbit(rep, pattern))) for rep in reps}
     checked = 0
     for k1 in reps:
         for k2 in reps:
             lhs = mus[k1] * mus[k2]
-            for v in orbits[k1]:
-                for u in orbits[k2]:
-                    diff = tuple(a - b for a, b in zip(v, u))
-                    rhs = min_product_weight(diff, pattern, schedule)
-                    checked += 1
-                    if lhs > rhs + 1e-12:
-                        return SupermultiplicativityReport(
-                            False, checked, (k1, k2, diff, lhs, rhs)
-                        )
+            diffs = (orbits[k1][:, None, :] - orbits[k2][None, :, :]).reshape(-1, pattern.dim)
+            for diff, rhs in zip(diffs.tolist(), weigh(diffs != 0).tolist()):
+                checked += 1
+                if lhs > rhs + 1e-12:
+                    return SupermultiplicativityReport(
+                        False, checked, (k1, k2, tuple(diff), lhs, rhs)
+                    )
     return SupermultiplicativityReport(True, checked, None)
 
 
@@ -312,11 +317,10 @@ def weight_power_sum(
     exponent = float(exponent)
     if not exponent > 0:
         raise ValueError("exponent must be positive")
-    group = _single_group(pattern)
-    brute = math.fsum(
-        float(min_product_weight(rep, pattern, schedule)) ** exponent
-        for rep in binary_orbit_representatives(pattern, cap=cap)
-    )
+    weigh = _product_weights(pattern, schedule)
+    group = pattern.groups[0] if pattern.groups else ()
+    vectors, _ = canonical_binary_vectors(pattern, cap=cap)
+    brute = math.fsum(float(mu) ** exponent for mu in weigh(vectors != 0))
     in_group = set(group)
     applicable = all(schedule.gammas[i - 1] == 1 for i in group)
     closed = float(len(group) + 1)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,14 +15,17 @@ from symquad import (
     RefusalError,
     UnsupportedPatternError,
     apply_rule,
+    canonical_binary_vectors,
     canonicalize,
     constraint_matrix,
     construct_certificate,
     critical_node_count,
     crosscheck_coefficients,
+    group_order,
     is_invariant,
     nullspace_solution,
     orbit,
+    orbit_stats,
 )
 
 
@@ -64,8 +68,77 @@ def test_constraint_matrix_entries_bounded():
     assert np.all(np.abs(mat) <= 1.0 + 1e-12)
 
 
+def random_pattern(rng, dim, max_blocks):
+    coords = list(rng.permutation(np.arange(1, dim + 1)))
+    groups = []
+    while coords and len(groups) < max_blocks:
+        size = int(rng.integers(1, len(coords) + 1))
+        groups.append(coords[:size])
+        coords = coords[size:]
+    return InvariancePattern(dim, groups)
+
+
+@pytest.mark.parametrize("max_blocks", [1, 3])
+def test_constraint_matrix_matches_brute_force_orbit_sums(max_blocks):
+    rng = np.random.default_rng(20 + max_blocks)
+    for _ in range(25):
+        pattern = random_pattern(rng, int(rng.integers(1, 9)), max_blocks)
+        vectors, _ = canonical_binary_vectors(pattern)
+        n_nodes = int(rng.integers(0, len(vectors)))
+        psi = [tuple(v) for v in vectors[rng.permutation(len(vectors))[: n_nodes + 1]].tolist()]
+        rule = random_rule(rng, pattern.dim, n_nodes)
+        brute = np.array(
+            [
+                [
+                    sum(np.exp(2j * np.pi * np.dot(member, node)) for member in orbit(key, pattern))
+                    for key in psi
+                ]
+                for node in rule.nodes
+            ],
+            dtype=complex,
+        ).reshape(n_nodes, n_nodes + 1) / group_order(pattern)
+        mat = constraint_matrix(rule, pattern, psi)
+        assert mat.shape == brute.shape
+        assert np.max(np.abs(mat - brute), initial=0.0) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # nullspace
+
+
+def assert_nullspace_contract(mat, sol, tol):
+    coeffs = sol.coefficients
+    moduli = np.abs(coeffs)
+    assert coeffs[sol.pivot_index] == 1.0
+    assert np.max(moduli) <= 1.0
+    assert np.all(moduli[: sol.pivot_index] < 1.0)
+    assert sol.residual == np.max(np.abs(np.asarray(mat) @ coeffs))
+    assert sol.residual <= tol
+
+
+def test_nullspace_contract_with_nullity_above_one():
+    rng = np.random.default_rng(30)
+    for n_rows, rank in ((6, 1), (6, 4), (40, 20), (41, 39)):
+        left = rng.standard_normal((n_rows, rank)) + 1j * rng.standard_normal((n_rows, rank))
+        right = rng.standard_normal((rank, n_rows + 1)) + 1j * rng.standard_normal((rank, n_rows + 1))
+        mat = left @ right / rank
+        assert_nullspace_contract(mat, nullspace_solution(mat), 1e-12)
+    zero = np.zeros((5, 6), dtype=complex)
+    assert_nullspace_contract(zero, nullspace_solution(zero), 0.0)
+
+
+def test_nullspace_contract_on_near_singular_matrices():
+    rng = np.random.default_rng(31)
+    for n_rows in (5, 60):
+        for smallest in (1e-8, 1e-14, 1e-18):
+            u, _ = np.linalg.qr(rng.standard_normal((n_rows, n_rows)) + 1j * rng.standard_normal((n_rows, n_rows)))
+            v, _ = np.linalg.qr(
+                rng.standard_normal((n_rows + 1, n_rows + 1))
+                + 1j * rng.standard_normal((n_rows + 1, n_rows + 1))
+            )
+            sigma = np.logspace(0, np.log10(smallest), n_rows)
+            mat = (u * sigma) @ v[:, :n_rows].conj().T
+            assert_nullspace_contract(mat, nullspace_solution(mat), 1e-12)
 
 
 def test_nullspace_one_by_two():
@@ -231,6 +304,49 @@ def test_mode_rank_matches_brute_force():
             assert len(matches) <= 1
             brute = matches[0] if matches else None
             assert rank_of.get(canonicalize(bits, pattern)) == brute
+
+
+def reference_terms(cert, pattern):
+    """The closed coefficient formula as a plain dict loop over orbit pairs."""
+    psi = cert.mode_order
+    pivot = cert.solution.pivot_index
+    order = group_order(pattern)
+    stab_pivot = orbit_stats(psi[pivot], pattern).stabilizer_size
+    counts = {}
+    for v in orbit(psi[pivot], pattern):
+        for n, key in enumerate(psi):
+            for h in orbit(key, pattern):
+                diff = tuple(hm - vm for hm, vm in zip(h, v))
+                per_mode = counts.setdefault(diff, {})
+                per_mode[n] = per_mode.get(n, 0) + 1
+    terms = {}
+    for diff in sorted(counts):
+        acc = 0j
+        for n in sorted(counts[diff]):
+            acc += float(Fraction(counts[diff][n] * stab_pivot, order)) * cert.solution.coefficients[n]
+        if acc != 0:
+            terms[diff] = complex(acc)
+    return terms
+
+
+def test_coefficient_assembly_matches_dict_loop_reference():
+    rng = np.random.default_rng(32)
+    cases = [
+        (InvariancePattern.full(19), 2),  # group order 19! exceeds 2**53
+        (InvariancePattern.trivial(6), 40),
+        (InvariancePattern.trivial(40), 3),  # difference codes beyond int64
+        (InvariancePattern.single(7, (2, 3, 5, 6)), 30),
+        (InvariancePattern.single(8, (1, 2, 3, 4, 5, 6)), 27),
+    ]
+    for _ in range(10):
+        pattern = random_pattern(rng, int(rng.integers(1, 8)), 1)
+        cases.append((pattern, int(rng.integers(0, critical_node_count(pattern)))))
+    for pattern, n_nodes in cases:
+        cert = construct_certificate(random_rule(rng, pattern.dim, n_nodes), pattern, 2.0)
+        terms = cert.polynomial.terms
+        assert terms == reference_terms(cert, pattern)
+        assert list(terms) == sorted(terms)
+        assert terms[(0,) * pattern.dim] == 1 + 0j
 
 
 # ---------------------------------------------------------------------------

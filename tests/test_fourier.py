@@ -123,3 +123,23 @@ def test_empty_polynomial_evaluates_to_zero(dim):
     f = FourierPolynomial(dim, {})
     assert f((0.25,) * dim) == 0
     assert f.integral() == 0
+
+
+def test_large_frequency_at_half_is_exact():
+    f = FourierPolynomial(1, {(2**31 - 1,): 1})
+    assert abs(evaluate_at_points(f, [[0.5]])[0] + 1) <= 1e-15
+    assert abs(f((0.5,)) + 1) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_dyadic_nodes_give_signs(data, dim):
+    # k.x is a whole multiple of 1/2 at the nodes j/2, so reducing it mod 1
+    # before the exponential leaves only the rounding of sin(pi)
+    k = data.draw(st.lists(st.integers(-(2**31) + 1, 2**31 - 1), min_size=dim, max_size=dim))
+    j = data.draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim))
+    f = FourierPolynomial(dim, {tuple(k): 1})
+    point = [jm / 2 for jm in j]
+    sign = (-1) ** sum(km * jm for km, jm in zip(k, j))
+    assert abs(evaluate_at_points(f, [point])[0] - sign) <= 1e-15
+    assert abs(f(point) - sign) <= 1e-15

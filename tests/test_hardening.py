@@ -168,3 +168,13 @@ def test_tract_rejects_malformed_profiles(capsys, tmp_path, profile_text):
     code, out, err = run(capsys, ["tract", "--profile", str(profile)])
     assert (code, out) == (1, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["--rectangle", "--folded"])
+def test_rule_cap_is_honoured(capsys, kind):
+    code, out, err = run(capsys, ["rule", kind, "-d", "3", "--cap", "2"])
+    assert (code, out) == (1, "")
+    assert "exceeds cap 2" in err
+    code, out, _ = run(capsys, ["rule", kind, "-d", "3", "--cap", "8"])
+    assert code == 0
+    assert len(json.loads(out)["nodes"]) == 8
