@@ -7,35 +7,25 @@ because the rule already has enough nodes (the folded-rule error bound is
 printed instead).
 """
 
-import os
-
-# Honor the thread cap before numpy initializes its BLAS pools.
-_threads = os.environ.get("SYMQUAD_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import csv
 import io
 import json
 import sys
-import time
-
-import numpy as np
 
 from .cubature import (
-    DEFAULT_NODE_CAP,
     CubatureRule,
     apply_rule,
+    bench,
     folded_rectangle_rule,
     rectangle_rule,
     rectangle_worst_case_error,
 )
 from .errors import CertificateError, NullspaceError, RefusalError
 from .fooling import construct_certificate
-from .fourier import FourierPolynomial, random_polynomial
+from .fourier import FourierPolynomial
 from .symmetry import (
+    DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
     binary_orbit_sizes,
     canonical_binary_vectors,
@@ -43,7 +33,6 @@ from .symmetry import (
     group_order,
     parse_coordinate_set,
     parse_groups,
-    symmetrize,
 )
 from .tractability import InvarianceProfile, evaluate_profile
 from .weighted import (
@@ -249,64 +238,6 @@ def _cmd_tract(args):
     return 0
 
 
-def _time_apply(rule, poly, repetitions, min_time=0.02):
-    loops = max(1, int(repetitions))
-    while True:
-        start = time.perf_counter()
-        for _ in range(loops):
-            value = apply_rule(rule, poly)
-        elapsed = time.perf_counter() - start
-        if elapsed >= min_time or loops >= 1 << 16:
-            return elapsed / loops, value
-        loops *= 2
-
-
-def bench(dims, fractions, repetitions=3, seed=0, n_terms=8):
-    """Node counts, timings, and agreement of folded vs full rules.
-
-    For each dimension and invariant fraction, an invariant integrand is
-    built by orbit-averaging a random low-frequency polynomial (ones-count
-    at most 2, so orbit sizes stay small) and both rules are timed on it.
-    Returns a list of row dicts.
-    """
-    rng = np.random.default_rng(seed)
-    rows = []
-    for dim in dims:
-        for fraction in fractions:
-            inv = int(round(fraction * dim))
-            pattern = InvariancePattern.single(dim, range(1, inv + 1))
-            full = rectangle_rule(dim)
-            folded = folded_rectangle_rule(pattern)
-            base = random_polynomial(dim, n_terms, rng, max_magnitude=1)
-            # keep at most two nonzero entries per frequency so orbit sizes
-            # (and hence the symmetrized support) stay moderate
-            shaped: dict = {}
-            for k, c in base.terms.items():
-                key = list(k)
-                nonzero = [i for i, e in enumerate(key) if e != 0]
-                for i in nonzero[2:]:
-                    key[i] = 0
-                key = tuple(key)
-                shaped[key] = shaped.get(key, 0j) + c
-            shaped[(0,) * dim] = shaped.get((0,) * dim, 0j) + 1.0
-            poly = symmetrize(FourierPolynomial(dim, shaped), pattern)
-            t_full, v_full = _time_apply(full, poly, repetitions)
-            t_folded, v_folded = _time_apply(folded, poly, repetitions)
-            rows.append(
-                {
-                    "dim": dim,
-                    "invariant_count": inv,
-                    "nodes_full": full.n_nodes,
-                    "nodes_folded": folded.n_nodes,
-                    "time_full_s": t_full,
-                    "time_folded_s": t_folded,
-                    "speedup": t_full / t_folded,
-                    "max_abs_diff": abs(v_full - v_folded),
-                }
-            )
-    return rows
-
-
 def _cmd_bench(args):
     dims = [int(v) for v in args.dims.split(",") if v.strip()]
     fractions = [float(v) for v in args.fractions.split(",") if v.strip()]
@@ -324,8 +255,7 @@ def _cmd_bench(args):
     ]
     writer = csv.DictWriter(buffer, fieldnames=fields)
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     text = buffer.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -370,7 +300,7 @@ def build_parser():
     p = sub.add_parser("nabla", help="enumerate canonical 0/1 vectors with orbit stats")
     p.add_argument("-d", "--dim", type=int, required=True)
     _add_pattern_flags(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_nabla)
 
@@ -379,7 +309,7 @@ def build_parser():
     p.add_argument("--rectangle", action="store_true")
     p.add_argument("--folded", action="store_true")
     _add_pattern_flags(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_rule)
 

@@ -12,25 +12,25 @@ invariant integrands.
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, DimensionMismatchError
-from .fourier import FourierPolynomial, evaluate_at_points
+from .errors import DimensionMismatchError
+from .fourier import FourierPolynomial, evaluate_at_points, random_polynomial
 from .korobov import require_alpha, riemann_zeta
 from .symmetry import (
+    DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
     binary_orbit_sizes,
     canonical_binary_vectors,
+    symmetrize,
 )
 
-#: Rectangle rules beyond this dimension are refused (2^d nodes).
-DEFAULT_RECTANGLE_DIM_CAP = 26
-
-#: Folded rules with more nodes than this are refused.
-DEFAULT_NODE_CAP = 1 << 26
+#: ``bench`` doubles its loop count until a timing lasts this long (seconds).
+MIN_TIMING_S = 0.02
 
 
 class CubatureRule:
@@ -118,20 +118,17 @@ def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
     return complex(np.dot(rule.weights, values))
 
 
-def rectangle_rule(dim, dim_cap=DEFAULT_RECTANGLE_DIM_CAP, node_cap=None) -> CubatureRule:
+def rectangle_rule(dim, node_cap=DEFAULT_ENUMERATION_CAP) -> CubatureRule:
     """Product rectangle rule: ``2^d`` nodes ``j/2``, equal weights ``2^-d``.
 
     The folded rule of the trivial pattern, whose orbits are single points;
-    refused beyond ``dim_cap`` dimensions or, when set, ``node_cap`` nodes.
+    refused beyond ``node_cap`` nodes (by default beyond ``d = 26``).
     """
-    dim = int(dim)
-    if dim > dim_cap:
-        raise CapExceededError(f"rectangle rule in dimension {dim} exceeds cap {dim_cap}")
     return folded_rectangle_rule(InvariancePattern.trivial(dim), node_cap=node_cap)
 
 
 def folded_rectangle_rule(
-    pattern: InvariancePattern, node_cap=DEFAULT_NODE_CAP
+    pattern: InvariancePattern, node_cap=DEFAULT_ENUMERATION_CAP
 ) -> CubatureRule:
     """Rectangle rule folded onto canonical orbit representatives.
 
@@ -143,6 +140,64 @@ def folded_rectangle_rule(
     vectors, ones = canonical_binary_vectors(pattern, cap=node_cap)
     weights = binary_orbit_sizes(pattern, ones).astype(np.float64) / float(1 << pattern.dim)
     return CubatureRule(pattern.dim, vectors * 0.5, weights)
+
+
+def _time_apply(rule, poly, repetitions):
+    loops = max(1, int(repetitions))
+    while True:
+        start = time.perf_counter()
+        for _ in range(loops):
+            value = apply_rule(rule, poly)
+        elapsed = time.perf_counter() - start
+        if elapsed >= MIN_TIMING_S or loops >= 1 << 16:
+            return elapsed / loops, value
+        loops *= 2
+
+
+def bench(dims, fractions, repetitions=3, seed=0, n_terms=8):
+    """Node counts, timings, and agreement of folded vs full rules.
+
+    For each dimension and invariant fraction, an invariant integrand is
+    built by orbit-averaging a random low-frequency polynomial (ones-count
+    at most 2, so orbit sizes stay small) and both rules are timed on it.
+    Returns a list of row dicts.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for dim in dims:
+        for fraction in fractions:
+            inv = int(round(fraction * dim))
+            pattern = InvariancePattern.single(dim, range(1, inv + 1))
+            full = rectangle_rule(dim)
+            folded = folded_rectangle_rule(pattern)
+            base = random_polynomial(dim, n_terms, rng, max_magnitude=1)
+            # keep at most two nonzero entries per frequency so orbit sizes
+            # (and hence the symmetrized support) stay moderate
+            shaped: dict = {}
+            for k, c in base.terms.items():
+                key = list(k)
+                nonzero = [i for i, e in enumerate(key) if e != 0]
+                for i in nonzero[2:]:
+                    key[i] = 0
+                key = tuple(key)
+                shaped[key] = shaped.get(key, 0j) + c
+            shaped[(0,) * dim] = shaped.get((0,) * dim, 0j) + 1.0
+            poly = symmetrize(FourierPolynomial(dim, shaped), pattern)
+            t_full, v_full = _time_apply(full, poly, repetitions)
+            t_folded, v_folded = _time_apply(folded, poly, repetitions)
+            rows.append(
+                {
+                    "dim": dim,
+                    "invariant_count": inv,
+                    "nodes_full": full.n_nodes,
+                    "nodes_folded": folded.n_nodes,
+                    "time_full_s": t_full,
+                    "time_folded_s": t_folded,
+                    "speedup": t_full / t_folded,
+                    "max_abs_diff": abs(v_full - v_folded),
+                }
+            )
+    return rows
 
 
 def initial_error(alpha) -> float:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -43,16 +42,20 @@ from .fourier import FourierPolynomial, MultiIndex, exp_2pi_i
 from .korobov import korobov_norm, require_alpha
 from .symmetry import (
     InvariancePattern,
+    binary_orbit_members,
     canonical_binary_vectors,
-    canonicalize,
     critical_node_count,
     group_order,
     orbit_stats,
     symmetrize,
 )
 
-#: Default tolerance for certificate checks and the nullspace residual.
+#: Tolerance of the certificate checks (for the nullspace residual, times max |A|).
 DEFAULT_CHECK_TOL = 1e-9
+
+#: ``crosscheck_coefficients`` expands the product literally only up to here.
+CROSSCHECK_MAX_DIM = 8
+CROSSCHECK_MAX_GROUP_ORDER = math.factorial(10)
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,7 @@ def constraint_matrix(rule: CubatureRule, pattern: InvariancePattern, psi) -> np
     threshold = critical_node_count(pattern)
     if n_nodes >= threshold:
         raise RefusalError(n_nodes, threshold)
-    psi = [tuple(int(v) for v in k) for k in psi]
-    _validate_mode_order(psi, pattern, n_nodes)
-    modes = np.array(psi, dtype=np.float64).reshape(n_nodes + 1, pattern.dim)
+    modes = _validate_mode_order(psi, pattern, n_nodes)
     blocks = [[i - 1 for i in g] for g in pattern.groups]
     free = sorted(set(range(pattern.dim)).difference(*blocks))
     matrix = exp_2pi_i(rule.nodes[:, free] @ modes[:, free].T)
@@ -103,20 +104,21 @@ def constraint_matrix(rule: CubatureRule, pattern: InvariancePattern, psi) -> np
     return matrix
 
 
-def _validate_mode_order(psi, pattern, n_nodes):
+def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
+    """``psi`` as a float array, checked to hold distinct canonical 0/1 rows."""
     if len(psi) != n_nodes + 1:
         raise ValueError(f"mode order must list {n_nodes + 1} vectors, got {len(psi)}")
-    seen = set()
-    for k in psi:
-        if len(k) != pattern.dim:
-            raise DimensionMismatchError("mode order entry has wrong dimension")
-        if any(e not in (0, 1) for e in k):
-            raise ValueError(f"mode order entry {k} is not a 0/1 vector")
-        if canonicalize(k, pattern) != k:
-            raise ValueError(f"mode order entry {k} is not canonical under the pattern")
-        if k in seen:
-            raise ValueError(f"duplicate mode order entry {k}")
-        seen.add(k)
+    if any(len(k) != pattern.dim for k in psi):
+        raise DimensionMismatchError("mode order entry has wrong dimension")
+    modes = np.array(psi, dtype=np.float64).reshape(n_nodes + 1, pattern.dim)
+    if not np.isin(modes, (0, 1)).all():  # also rejects 0.5, which int() would truncate
+        raise ValueError("mode order entries must be 0/1 vectors")
+    blocks = [modes[:, [i - 1 for i in g]] for g in pattern.groups]
+    if any((b[:, 1:] < b[:, :-1]).any() for b in blocks):  # zeros precede ones when canonical
+        raise ValueError("mode order entries must be canonical under the pattern")
+    if len(np.unique(modes, axis=0)) != len(modes):
+        raise ValueError("mode order entries must be distinct")
+    return modes
 
 
 def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolution:
@@ -211,7 +213,6 @@ def construct_certificate(
     alpha,
     *,
     mode_order=None,
-    check_tol=DEFAULT_CHECK_TOL,
 ) -> FoolingCertificate:
     """Build and verify a fooling function for a rule below the threshold.
 
@@ -227,14 +228,14 @@ def construct_certificate(
         The ``n+1`` canonical vectors to combine; defaults to the
         lexicographic stream.  Weighted certificates pass a reordered
         prefix here.
-    check_tol : float
-        Tolerance for the vanishing, integral, and norm checks.
 
     Raises
     ------
     RefusalError
         If ``rule.n_nodes >= critical_node_count(pattern)``; the error
         carries the folded-rule worst-case error at that size.
+    NullspaceError
+        If ``max |A v| > DEFAULT_CHECK_TOL * max |A|`` for the constraint matrix ``A``.
     CertificateError
         If a verification check fails; residuals are attached.
     """
@@ -253,10 +254,9 @@ def construct_certificate(
 
     if mode_order is None:
         mode_order = canonical_binary_vectors(pattern, stop=n_nodes + 1, cap=None)[0].tolist()
+    matrix = constraint_matrix(rule, pattern, mode_order)
     psi = [tuple(int(v) for v in k) for k in mode_order]
-
-    matrix = constraint_matrix(rule, pattern, psi)
-    solution = nullspace_solution(matrix, residual_tol=check_tol)
+    solution = nullspace_solution(matrix, DEFAULT_CHECK_TOL * np.max(np.abs(matrix), initial=0.0))
     terms = _certificate_terms(pattern, psi, solution.coefficients, solution.pivot_index)
     poly = FourierPolynomial._from_valid_terms(pattern.dim, terms)
 
@@ -269,11 +269,11 @@ def construct_certificate(
         "integral_deviation": abs(integral_value - 1.0),
         "norm_excess": max(0.0, norm_value - 1.0),
     }
-    rule_tol = check_tol * (1.0 + rule.weight_abs_sum())
+    rule_tol = DEFAULT_CHECK_TOL * (1.0 + rule.weight_abs_sum())
     if (
         residuals["rule_value"] > rule_tol
         or residuals["integral_deviation"] > 1e-12
-        or residuals["norm_excess"] > check_tol
+        or residuals["norm_excess"] > DEFAULT_CHECK_TOL
     ):
         raise CertificateError("certificate verification failed", residuals)
 
@@ -302,18 +302,7 @@ def _certificate_terms(pattern: InvariancePattern, psi, coefficients, pivot) -> 
     """
     dim, n_modes = pattern.dim, len(psi)
     modes = np.array(psi, dtype=np.int64).reshape(n_modes, dim)
-    owner = np.arange(n_modes)
-    if pattern.groups:  # orbit members: every j-subset of the block for a mode with j ones
-        cols = [i - 1 for i in pattern.groups[0]]
-        ones = modes[:, cols].sum(axis=1).tolist()
-        subsets = {
-            j: np.array([[int(m in c) for m in range(len(cols))]
-                         for c in combinations(range(len(cols)), j)])
-            for j in set(ones)
-        }
-        owner = np.repeat(owner, [len(subsets[j]) for j in ones])
-        modes = modes[owner]
-        modes[:, cols] = np.concatenate([subsets[j] for j in ones])
+    modes, owner = binary_orbit_members(pattern, modes)
     wide = 3**dim * n_modes >= 2**63  # codes then need Python ints
     digits = 3 ** np.arange(dim - 1, -1, -1, dtype=object if wide else np.int64)
     codes = modes @ digits
@@ -342,11 +331,7 @@ class CrosscheckReport:
 
 
 def crosscheck_coefficients(
-    cert: FoolingCertificate,
-    pattern: InvariancePattern,
-    *,
-    dim_cap=8,
-    group_order_cap=math.factorial(10),
+    cert: FoolingCertificate, pattern: InvariancePattern
 ) -> CrosscheckReport:
     """Recompute the certificate polynomial as a literal two-factor product.
 
@@ -356,11 +341,11 @@ def crosscheck_coefficients(
     the closed-formula coefficients stored in the certificate; the report
     carries the largest absolute deviation over the union of supports.
     """
-    if pattern.dim > dim_cap:
-        raise CapExceededError(f"crosscheck limited to dimension <= {dim_cap}")
+    if pattern.dim > CROSSCHECK_MAX_DIM:
+        raise CapExceededError(f"crosscheck limited to dimension <= {CROSSCHECK_MAX_DIM}")
     order = group_order(pattern)
-    if order > group_order_cap:
-        raise CapExceededError(f"crosscheck limited to group order <= {group_order_cap}")
+    if order > CROSSCHECK_MAX_GROUP_ORDER:
+        raise CapExceededError(f"crosscheck limited to group order <= {CROSSCHECK_MAX_GROUP_ORDER}")
 
     dim = pattern.dim
     psi = cert.mode_order
@@ -380,7 +365,6 @@ def crosscheck_coefficients(
         product = cert.weight_scale * product
 
     support = set(product.support()) | set(cert.polynomial.support())
-    worst = 0.0
-    for key in sorted(support):
-        worst = max(worst, abs(product.coefficient(key) - cert.polynomial.coefficient(key)))
+    worst = max((abs(product.coefficient(k) - cert.polynomial.coefficient(k)) for k in support),
+                default=0.0)
     return CrosscheckReport(max_abs_deviation=worst, n_terms_compared=len(support))

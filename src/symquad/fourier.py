@@ -207,11 +207,6 @@ class FourierPolynomial:
                 (tuple(entry["k"]), complex(float(entry["re"]), float(entry["im"])))
                 for entry in data["terms"]
             ]
-            seen = set()
-            for k, _ in pairs:
-                if k in seen:
-                    raise ValueError(f"duplicate frequency vector {k} in JSON terms")
-                seen.add(k)
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from exc
         return cls(dim, pairs)

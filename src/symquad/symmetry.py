@@ -258,6 +258,28 @@ def binary_orbit_sizes(pattern: InvariancePattern, ones) -> np.ndarray:
     return np.array(table, dtype=object)[code]
 
 
+def binary_orbit_members(pattern: InvariancePattern, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Every orbit member of each 0/1 vector, each orbit in ``orbit()`` order.
+
+    Returns the members, one row each and grouped by vector in input order,
+    and the index of the vector each member belongs to.  A block with ``j``
+    ones runs through the lexicographic arrangements of ``j`` ones, later
+    blocks fastest.
+    """
+    members = np.asarray(vectors)
+    owner = np.arange(len(members))
+    for g in pattern.groups:
+        cols = [i - 1 for i in g]
+        ones = members[:, cols].sum(axis=1).tolist()
+        arranged = {j: np.array(_distinct_arrangements([0] * (len(g) - j) + [1] * j))
+                    for j in set(ones)}
+        counts = [len(arranged[j]) for j in ones]
+        owner = np.repeat(owner, counts)
+        members = np.repeat(members, counts, axis=0)
+        members[:, cols] = np.concatenate([arranged[j] for j in ones])
+    return members, owner
+
+
 def binary_orbit_representatives(
     pattern: InvariancePattern, cap: int | None = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[MultiIndex]:

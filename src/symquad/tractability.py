@@ -111,11 +111,7 @@ def _non_increasing(seq, slack=1e-12):
     return all(b <= a + slack for a, b in zip(seq, seq[1:]))
 
 
-def evaluate_profile(
-    profile: InvarianceProfile,
-    st_grid=((1.0, 1.0),),
-    reference_epsilon=REFERENCE_EPSILON,
-) -> TractabilityReport:
+def evaluate_profile(profile: InvarianceProfile, st_grid=((1.0, 1.0),)) -> TractabilityReport:
     """Screen the tractability predicates on a sampled invariance profile.
 
     Sample heuristics (all on the last ``ceil(n/2)`` samples, the "tail"):
@@ -133,9 +129,6 @@ def evaluate_profile(
 
     Fewer than 3 samples make every verdict ``not-evaluable``.
     """
-    eps = float(reference_epsilon)
-    if not 0 < eps < 1:
-        raise ValueError("reference accuracy must lie in (0, 1)")
     grid = tuple((float(s), float(t)) for s, t in st_grid)
     for s, t in grid:
         if not (0 < s <= 1 and 0 < t <= 1):
@@ -149,7 +142,7 @@ def evaluate_profile(
     free = tuple(d - i for d, i in profile.samples)
     log_ratios = {
         (s, t): tuple(
-            math.log(c) / (eps ** -s + d ** t) for c, d in zip(counts, dims)
+            math.log(c) / (REFERENCE_EPSILON ** -s + d ** t) for c, d in zip(counts, dims)
         )
         for s, t in grid
     }

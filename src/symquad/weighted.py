@@ -28,12 +28,14 @@ from .errors import (
 from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, construct_certificate
 from .fourier import MultiIndex, validate_multi_index
 from .symmetry import (
-    DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
+    binary_orbit_members,
     canonical_binary_vectors,
     critical_node_count,
-    orbit,
 )
+
+#: Largest dimension of the exhaustive (``4**d`` pairs) product inequality check.
+SUPERMULTIPLICATIVITY_MAX_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,10 @@ class OrderedWeights:
     weights: tuple
 
 
-def order_weights(
-    pattern: InvariancePattern,
-    schedule: WeightSchedule,
-    cap=DEFAULT_ENUMERATION_CAP,
-) -> OrderedWeights:
+def order_weights(pattern: InvariancePattern, schedule: WeightSchedule) -> OrderedWeights:
     """Sort the canonical 0/1 vectors by descending effective weight."""
     weigh = _product_weights(pattern, schedule)
-    vectors, _ = canonical_binary_vectors(pattern, cap=cap)
+    vectors, _ = canonical_binary_vectors(pattern)
     mus = weigh(vectors != 0).tolist()
     ranked = sorted(range(len(mus)), key=mus.__getitem__, reverse=True)  # ties stay in order
     reps = vectors.tolist()
@@ -156,8 +154,6 @@ def construct_weighted_certificate(
     pattern: InvariancePattern,
     alpha,
     schedule: WeightSchedule,
-    *,
-    check_tol=DEFAULT_CHECK_TOL,
 ) -> FoolingCertificate:
     """Fooling certificate for the weighted norm.
 
@@ -170,22 +166,12 @@ def construct_weighted_certificate(
     ``scale**2 <= weight(k)`` on the support is a hard error: it cannot
     happen for a correct weight implementation.
     """
-    if schedule.dim != rule.dim:
-        raise DimensionMismatchError("schedule and rule dimensions differ")
     weigh = _product_weights(pattern, schedule)
-    n_nodes = rule.n_nodes
     ordered = order_weights(pattern, schedule)
-    threshold = len(ordered.ordering)
-    if n_nodes >= threshold:
-        raise RefusalError(n_nodes, threshold)
-
-    prefix = ordered.ordering[: n_nodes + 1]
-    base = construct_certificate(
-        rule, pattern, alpha, mode_order=prefix, check_tol=check_tol
-    )
-    floor = float(ordered.weights[n_nodes])
-    pivot_weight = float(ordered.weights[base.solution.pivot_index])
-    scale = math.sqrt(floor * pivot_weight)
+    prefix = ordered.ordering[: rule.n_nodes + 1]
+    base = construct_certificate(rule, pattern, alpha, mode_order=prefix)
+    floor = float(ordered.weights[rule.n_nodes])
+    scale = math.sqrt(floor * float(ordered.weights[base.solution.pivot_index]))
     poly = scale * base.polynomial
 
     residuals = dict(base.residuals)
@@ -218,11 +204,11 @@ def construct_weighted_certificate(
             "weighted_norm_excess": max(0.0, norm_value - 1.0),
         }
     )
-    rule_tol = check_tol * (1.0 + rule.weight_abs_sum())
+    rule_tol = DEFAULT_CHECK_TOL * (1.0 + rule.weight_abs_sum())
     if (
         residuals["rule_value"] > rule_tol
-        or residuals["integral_floor_deficit"] > check_tol
-        or residuals["weighted_ball_excess"] > check_tol
+        or residuals["integral_floor_deficit"] > DEFAULT_CHECK_TOL
+        or residuals["weighted_ball_excess"] > DEFAULT_CHECK_TOL
     ):
         raise CertificateError("weighted certificate verification failed", residuals)
 
@@ -252,39 +238,35 @@ class SupermultiplicativityReport:
 
 
 def check_weight_supermultiplicativity(
-    pattern: InvariancePattern, schedule: WeightSchedule, max_dim=6
+    pattern: InvariancePattern, schedule: WeightSchedule
 ) -> SupermultiplicativityReport:
     """Verify ``w(k1) * w(k2) <= w(v - u)`` over all orbit element pairs.
 
     Runs over every ordered pair of canonical 0/1 vectors and every pair of
     orbit elements ``(v, u)``, the distinct images under the group, so the
-    checked set of difference vectors is exhaustive.  A counterexample
-    would indicate a defect in ``min_product_weight`` and is returned
-    rather than raised.
+    checked set of difference vectors is exhaustive.  Pairs are checked in
+    ``(k1, k2, v, u)`` order and the first failure is returned, not raised,
+    with the count checked so far: it would indicate a defect in
+    ``min_product_weight``.
     """
-    if max_dim > 6:
-        raise ValueError("exhaustive check limited to max_dim <= 6")
-    if pattern.dim > max_dim:
+    if pattern.dim > SUPERMULTIPLICATIVITY_MAX_DIM:
         raise DimensionMismatchError(
-            f"pattern dimension {pattern.dim} exceeds max_dim {max_dim}"
+            f"pattern dimension {pattern.dim} exceeds max_dim {SUPERMULTIPLICATIVITY_MAX_DIM}"
         )
     weigh = _product_weights(pattern, schedule)
     vectors, _ = canonical_binary_vectors(pattern)
-    reps = list(map(tuple, vectors.tolist()))
-    mus = dict(zip(reps, weigh(vectors != 0).tolist()))
-    orbits = {rep: np.array(list(orbit(rep, pattern))) for rep in reps}
-    checked = 0
-    for k1 in reps:
-        for k2 in reps:
-            lhs = mus[k1] * mus[k2]
-            diffs = (orbits[k1][:, None, :] - orbits[k2][None, :, :]).reshape(-1, pattern.dim)
-            for diff, rhs in zip(diffs.tolist(), weigh(diffs != 0).tolist()):
-                checked += 1
-                if lhs > rhs + 1e-12:
-                    return SupermultiplicativityReport(
-                        False, checked, (k1, k2, tuple(diff), lhs, rhs)
-                    )
-    return SupermultiplicativityReport(True, checked, None)
+    members, owner = binary_orbit_members(pattern, vectors.astype(np.int64))
+    v, u = np.divmod(np.arange(len(owner) ** 2), len(owner))
+    v, u = np.divmod(np.lexsort((owner[u], owner[v])), len(owner))  # stable: v, u stay ordered
+    k1, k2, diffs = owner[v], owner[u], members[v] - members[u]
+    mus = weigh(vectors != 0)
+    lhs, rhs = mus[k1] * mus[k2], weigh(diffs != 0)
+    failed = np.flatnonzero(lhs > rhs + 1e-12)
+    if failed.size:
+        i = failed[0]
+        found = map(tuple, np.stack([vectors[k1[i]], vectors[k2[i]], diffs[i]]).tolist())
+        return SupermultiplicativityReport(False, int(i) + 1, (*found, lhs[i], rhs[i]))
+    return SupermultiplicativityReport(True, len(lhs), None)
 
 
 @dataclass(frozen=True)
@@ -305,7 +287,6 @@ def weight_power_sum(
     pattern: InvariancePattern,
     schedule: WeightSchedule,
     exponent,
-    cap=DEFAULT_ENUMERATION_CAP,
 ) -> WeightPowerSums:
     """Sum of ``weight**exponent`` over the canonical 0/1 vectors.
 
@@ -319,12 +300,9 @@ def weight_power_sum(
         raise ValueError("exponent must be positive")
     weigh = _product_weights(pattern, schedule)
     group = pattern.groups[0] if pattern.groups else ()
-    vectors, _ = canonical_binary_vectors(pattern, cap=cap)
+    vectors, _ = canonical_binary_vectors(pattern)
     brute = math.fsum(float(mu) ** exponent for mu in weigh(vectors != 0))
-    in_group = set(group)
     applicable = all(schedule.gammas[i - 1] == 1 for i in group)
-    closed = float(len(group) + 1)
-    for i in range(1, pattern.dim + 1):
-        if i not in in_group:
-            closed *= 1.0 + float(schedule.gammas[i - 1]) ** exponent
+    outside = (g for i, g in enumerate(schedule.gammas, 1) if i not in group)
+    closed = math.prod((1.0 + float(g) ** exponent for g in outside), start=float(len(group) + 1))
     return WeightPowerSums(brute=brute, closed=closed, closed_form_applicable=applicable)

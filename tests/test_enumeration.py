@@ -3,10 +3,11 @@
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symquad import (
@@ -19,9 +20,11 @@ from symquad import (
     critical_node_count,
     folded_rectangle_rule,
     group_order,
+    orbit,
     orbit_stats,
     rectangle_rule,
 )
+from symquad.symmetry import binary_orbit_members
 
 
 @st.composite
@@ -130,3 +133,36 @@ def test_rule_json_uses_plain_floats():
         "weights": [{"re": float(w.real), "im": float(w.imag)} for w in rule.weights],
     }
     assert json.dumps(data, sort_keys=True) == json.dumps(elementwise, sort_keys=True)
+
+
+@st.composite
+def single_block_patterns(draw, max_dim=8):
+    dim = draw(st.integers(1, max_dim))
+    size = draw(st.integers(0, dim))
+    return InvariancePattern.single(dim, draw(st.permutations(range(1, dim + 1)))[:size])
+
+
+def orbit_listing(pattern, vectors):
+    return [(n, k) for n, v in enumerate(as_tuples(vectors)) for k in orbit(v, pattern)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_block_patterns(), st.randoms(use_true_random=False))
+@example(InvariancePattern.trivial(8), random.Random(0))
+@example(InvariancePattern.full(8), random.Random(0))
+@example(InvariancePattern.full(1), random.Random(0))
+def test_orbit_members_follow_orbit_order(pattern, rnd):
+    vectors, _ = canonical_binary_vectors(pattern)
+    rows = rnd.sample(range(len(vectors)), rnd.randint(1, len(vectors)))
+    for subset in (vectors, vectors[rows]):
+        members, owner = binary_orbit_members(pattern, subset)
+        assert list(zip(owner.tolist(), as_tuples(members))) == orbit_listing(pattern, subset)
+
+
+@settings(max_examples=30, deadline=None)
+@given(patterns(max_dim=8))
+def test_orbit_members_of_multi_block_patterns(pattern):
+    vectors, _ = canonical_binary_vectors(pattern)
+    members, owner = binary_orbit_members(pattern, vectors.astype(np.int64))
+    assert list(zip(owner.tolist(), as_tuples(members))) == orbit_listing(pattern, vectors)
+    assert len(members) == 2**pattern.dim

@@ -10,6 +10,7 @@ import pytest
 from symquad import (
     CapExceededError,
     CubatureRule,
+    DimensionMismatchError,
     InvariancePattern,
     NullspaceError,
     RefusalError,
@@ -395,3 +396,54 @@ def test_rule_vanishing_witnessed_error():
     cert = construct_certificate(rule, pattern, 2.0)
     witnessed = abs(cert.integral_value - apply_rule(rule, cert.polynomial))
     assert witnessed >= 1 - 1e-8
+
+
+# ---------------------------------------------------------------------------
+# mode-order validation and the nullspace residual scale
+
+
+@pytest.mark.parametrize(
+    "psi, error, message",
+    [
+        ([(0, 0, 0, 0), (0, 0, 0, 1)], ValueError, "must list 3 vectors"),
+        ([(0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0)], DimensionMismatchError, "wrong dimension"),
+        ([(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2)], ValueError, "0/1"),
+        ([(0, 0, 0, 0), (0, 0, 0, 1), (0, -1, 0, 0)], ValueError, "0/1"),
+        ([(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0.5)], ValueError, "0/1"),
+        ([(0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0)], ValueError, "canonical"),
+        ([(0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], ValueError, "canonical"),
+        ([(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1)], ValueError, "distinct"),
+    ],
+)
+def test_mode_order_validation(psi, error, message):
+    rule = random_rule(np.random.default_rng(14), 4, 2)
+    pattern = InvariancePattern(4, [(1, 2), (3, 4)])
+    with pytest.raises(error, match=message) as err:
+        constraint_matrix(rule, pattern, psi)
+    assert error is DimensionMismatchError or not isinstance(err.value, DimensionMismatchError)
+    if psi[1:] != [(0, 1, 0, 0), (0, 0, 1, 0)]:  # canonical when (1, 2) is the only block
+        with pytest.raises(error, match=message):
+            construct_certificate(rule, InvariancePattern.single(4, (1, 2)), 2.0, mode_order=psi)
+
+
+def test_mode_order_accepts_any_distinct_canonical_rows():
+    rule = random_rule(np.random.default_rng(15), 4, 2)
+    pattern = InvariancePattern(4, [(1, 2), (3, 4)])
+    psi = [(0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 0)]
+    reordered = constraint_matrix(rule, pattern, psi[::-1])[:, ::-1]
+    np.testing.assert_array_equal(constraint_matrix(rule, pattern, psi), reordered)
+
+
+def test_nullspace_check_is_relative_to_the_matrix_scale(monkeypatch):
+    # full(19): every constraint-matrix entry is below 1e-16 (orbit sums over
+    # 19!), so an absolute residual bound of 1e-9 accepts any vector.  With a
+    # QR that returns an identity Q the "null vector" is a unit vector whose
+    # residual is a whole column of A; it must be rejected as a nullspace failure.
+    rule = random_rule(np.random.default_rng(5), 19, 2)
+    pattern = InvariancePattern.full(19)
+    assert construct_certificate(rule, pattern, 2.0).residuals["nullspace"] < 1e-30
+    monkeypatch.setattr(
+        np.linalg, "qr", lambda a, mode="reduced": (np.eye(a.shape[0], dtype=complex), None)
+    )
+    with pytest.raises(NullspaceError):
+        construct_certificate(rule, pattern, 2.0)

@@ -23,7 +23,9 @@ from symquad import (
     order_weights,
     weight_power_sum,
 )
-from symquad.symmetry import binary_orbit_representatives
+from symquad import weighted
+from symquad.symmetry import binary_orbit_representatives, canonical_binary_vectors, orbit
+from symquad.weighted import SupermultiplicativityReport
 
 
 def harmonic_schedule(dim):
@@ -289,3 +291,55 @@ def test_power_sum_reports_inapplicable_closed_form():
     sums = weight_power_sum(p, s, 2.0)
     assert not sums.closed_form_applicable
     assert sums.brute != pytest.approx(sums.closed, rel=1e-6)
+
+
+def reference_supermultiplicativity(pattern, schedule):
+    """The per-pair loop over ``orbit()`` that the array check replaced."""
+    weigh = weighted._product_weights(pattern, schedule)
+    vectors, _ = canonical_binary_vectors(pattern)
+    reps = list(map(tuple, vectors.tolist()))
+    mus = dict(zip(reps, weigh(vectors != 0).tolist()))
+    orbits = {rep: np.array(list(orbit(rep, pattern))) for rep in reps}
+    checked = 0
+    for k1 in reps:
+        for k2 in reps:
+            lhs = mus[k1] * mus[k2]
+            diffs = (orbits[k1][:, None, :] - orbits[k2][None, :, :]).reshape(-1, pattern.dim)
+            for diff, rhs in zip(diffs.tolist(), weigh(diffs != 0).tolist()):
+                checked += 1
+                if lhs > rhs + 1e-12:
+                    return SupermultiplicativityReport(
+                        False, checked, (k1, k2, tuple(diff), lhs, rhs)
+                    )
+    return SupermultiplicativityReport(True, checked, None)
+
+
+def defective_weights(kind):
+    """A broken ``_product_weights``: inflates or shrinks some supports' weights."""
+    correct = weighted._product_weights
+
+    def product_weights(pattern, schedule):
+        weigh = correct(pattern, schedule)
+        if kind == "inflate-last":
+            return lambda support: weigh(support) * (1 + support[:, -1].astype(object))
+        return lambda support: weigh(support) * np.where(
+            support.sum(axis=1) == pattern.dim - 1, Fraction(1, 4), 1
+        ).astype(object)
+
+    return product_weights
+
+
+@pytest.mark.parametrize("kind", [None, "inflate-last", "shrink-wide"])
+def test_supermultiplicativity_matches_the_pair_loop(monkeypatch, kind):
+    if kind is not None:
+        monkeypatch.setattr(weighted, "_product_weights", defective_weights(kind))
+    rng = np.random.default_rng(21)
+    failures = 0
+    for dim in range(1, 7):
+        for size in sorted({0, min(2, dim), dim}):
+            pattern = InvariancePattern.single(dim, range(1, size + 1))
+            for schedule in (random_schedule(rng, dim), harmonic_schedule(dim)):
+                report = check_weight_supermultiplicativity(pattern, schedule)
+                assert report == reference_supermultiplicativity(pattern, schedule)
+                failures += not report.passed
+    assert (failures > 0) == (kind is not None)
