@@ -12,6 +12,9 @@ import csv
 import io
 import json
 import sys
+from itertools import chain
+
+import numpy as np
 
 from .cubature import (
     CubatureRule,
@@ -51,18 +54,58 @@ def _load_json(path):
 
 
 def _emit(args, payload, table_lines):
-    """Write the JSON payload, or the lines (maybe a lazy generator) for tables."""
+    """Write the JSON payload, or the lines (maybe a lazy generator) for tables.
+
+    The top-level object is assembled here, keys sorted.  A ``bytes`` value
+    is JSON text from ``_json_list`` and is written as it stands; every
+    other value goes through ``json.dumps``, so the text equals
+    ``json.dumps(payload, sort_keys=True)``.
+    """
     if getattr(args, "format", "json") == "table":
         text = "\n".join(table_lines) + "\n"
     else:
         payload = {"schema_version": SCHEMA_VERSION, **payload}
-        text = json.dumps(payload, sort_keys=True) + "\n"
+        fields = (
+            json.dumps(key).encode() + b": "
+            + (value if isinstance(value, bytes) else json.dumps(value, sort_keys=True).encode())
+            for key, value in sorted(payload.items())
+        )
+        text = (b"{" + b", ".join(fields) + b"}\n").decode("ascii")
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None, fragment=None):
+    """JSON text (``bytes``) of a list, byte for byte what ``json.dumps`` writes for it.
+
+    Element ``i`` is ``before + [t, t, ...] + after`` for the 0/1 row
+    ``bits[i]`` (``t`` from the two equal-width ``tokens``; nothing when
+    ``bits`` is None), followed by the text ``fragment(j)``, where ``j`` is
+    the first row of the 2-D ``keys`` equal to ``keys[i]``.  The rows are
+    fixed-width text written into one ``uint8`` buffer; each fragment is
+    formatted once, however many elements share it.
+    """
+    pieces = []
+    if bits is not None:
+        n = len(bits)
+        open_, close = before + b"[", b"]" + after + (b", " if keys is None else b"")
+        cells = np.frombuffer(b"".join(t + b", " for t in tokens), dtype=np.uint8).reshape(2, -1)
+        body = np.take(cells, bits, axis=0).reshape(n, bits.shape[1] * cells.shape[1])[:, :-2]
+        rows = np.empty((n, len(open_) + body.shape[1] + len(close)), dtype=np.uint8)
+        rows[:, : len(open_)] = np.frombuffer(open_, dtype=np.uint8)
+        rows[:, len(open_) : -len(close)] = body
+        rows[:, -len(close) :] = np.frombuffer(close, dtype=np.uint8)
+        if keys is None:
+            return b"[" + rows.tobytes()[:-2] + b"]"
+        pieces.append(rows.view(f"S{rows.shape[1]}").ravel().astype(object))
+    _, first, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    texts = np.array([f"{fragment(j)}, ".encode() for j in first.tolist()], dtype=object)
+    pieces.append(texts[index.reshape(-1)])
+    return b"[" + b"".join(np.stack(pieces, axis=1).ravel().tolist())[:-2] + b"]"
 
 
 def _pattern_from_args(args, dim):
@@ -79,25 +122,25 @@ def _cmd_nabla(args):
     pattern = _pattern_from_args(args, args.dim)
     vectors, ones = canonical_binary_vectors(pattern, cap=args.cap)
     sizes = binary_orbit_sizes(pattern, ones)
-    stabs = group_order(pattern) // sizes
-    rows = [
-        {"k": k, "orbit_size": size, "stabilizer_size": stab}
-        for k, size, stab in zip(vectors.tolist(), sizes.tolist(), stabs.tolist())
-    ]
+    order = group_order(pattern)
+
+    def sizes_text(j):
+        return f'{json.dumps(sizes[j])}, "stabilizer_size": {json.dumps(order // sizes[j])}}}'
+
     payload = {
         "dim": pattern.dim,
         "pattern": pattern.to_json_dict(),
-        "count": len(rows),
-        "orbit_size_total": sum(r["orbit_size"] for r in rows),
-        "rows": rows,
+        "count": len(vectors),
+        "orbit_size_total": sum(sizes.tolist()),
+        "rows": _json_list(vectors, before=b'{"k": ', after=b', "orbit_size": ', keys=ones, fragment=sizes_text),
     }
 
     def table():
         width = 3 * pattern.dim + 2
         yield f"{'k':<{width}} orbit stabilizer"
-        for r in rows:
-            yield f"{str(tuple(r['k'])):<{width}} {r['orbit_size']:>5} {r['stabilizer_size']:>10}"
-        yield f"count {len(rows)}, orbit sizes sum {payload['orbit_size_total']}"
+        for k, size in zip(vectors.tolist(), sizes.tolist()):
+            yield f"{str(tuple(k)):<{width}} {size:>5} {order // size:>10}"
+        yield f"count {len(vectors)}, orbit sizes sum {payload['orbit_size_total']}"
 
     _emit(args, payload, table())
     return 0
@@ -111,13 +154,24 @@ def _cmd_rule(args):
     else:
         pattern = _pattern_from_args(args, args.dim)
         rule = folded_rectangle_rule(pattern, node_cap=args.cap)
+    half = rule.nodes == 0.5  # every node of a (folded) rectangle rule lies in {0, 1/2}^d
+
+    def weight_text(j):
+        w = rule.weights[j].item()
+        return json.dumps({"re": w.real, "im": w.imag}, sort_keys=True)
+
+    payload = {
+        "dim": rule.dim,
+        "nodes": _json_list(half.view(np.uint8), (b"0.0", b"0.5")),
+        "weights": _json_list(keys=rule.weights.view(np.uint64).reshape(-1, 2), fragment=weight_text),
+    }
 
     def table():
         yield f"{'node':<{8 * rule.dim}} weight"
         for node, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
             yield f"{str(tuple(node)):<{8 * rule.dim}} {w.real:.12g}"
 
-    _emit(args, rule.to_json_dict(), table())
+    _emit(args, payload, table())
     return 0
 
 
@@ -177,11 +231,15 @@ def _cmd_weights(args):
     pattern = _pattern_from_args(args, args.dim)
     schedule = WeightSchedule.from_json_dict(_load_json(args.gammas))
     ordered = order_weights(pattern, schedule)
+    ordering = np.frombuffer(bytes(chain.from_iterable(ordered.ordering)), dtype=np.uint8).reshape(-1, pattern.dim)
+    weights = [float(w) for w in ordered.weights]
     payload = {
         "dim": args.dim,
         "pattern": pattern.to_json_dict(),
-        "ordering": [list(k) for k in ordered.ordering],
-        "weights": [float(w) for w in ordered.weights],
+        "ordering": _json_list(ordering),
+        "weights": _json_list(
+            keys=np.array(weights).view(np.uint64)[:, None], fragment=lambda j: json.dumps(weights[j])
+        ),
     }
     if args.kappa is not None:
         sums = weight_power_sum(pattern, schedule, args.kappa)

@@ -15,11 +15,12 @@ import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .fourier import FourierPolynomial, evaluate_at_points, random_polynomial
+from .fourier import FourierPolynomial, evaluate_at_points, random_polynomial, reject_bools
 from .korobov import require_alpha, riemann_zeta
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
@@ -49,7 +50,11 @@ class CubatureRule:
         dim = int(dim)
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        nodes = np.asarray(nodes, dtype=np.float64).reshape(-1, dim) if np.size(nodes) else np.zeros((0, dim))
+        nodes = np.asarray(nodes, dtype=np.float64)
+        if not nodes.size:
+            nodes = np.zeros((0, dim))
+        elif nodes.ndim != 2 or nodes.shape[1] != dim:
+            raise ValueError(f"nodes must have shape (n, {dim}), got {nodes.shape}")
         weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
         if nodes.shape[0] != weights.shape[0]:
             raise ValueError("node and weight counts differ")
@@ -97,8 +102,16 @@ class CubatureRule:
         if not isinstance(data, Mapping) or not {"dim", "nodes", "weights"} <= data.keys():
             raise ValueError("rule JSON must carry 'dim', 'nodes' and 'weights'")
         try:
-            weights = [complex(float(w["re"]), float(w["im"])) for w in data["weights"]]
-            return cls(int(data["dim"]), data["nodes"], weights)
+            rows, terms = data["nodes"], data["weights"]
+            coords = list(chain.from_iterable(rows))
+            re, im = [w["re"] for w in terms], [w["im"] for w in terms]
+            reject_bools(chain([data["dim"]], coords, re, im), "rule JSON")
+            if len(set(map(len, rows))) > 1:
+                raise ValueError("node rows differ in length")
+            nodes = np.array(coords, dtype=np.float64).reshape(len(rows), -1) if rows else []
+            weights = np.empty(len(terms), dtype=np.complex128)
+            weights.real, weights.imag = np.array(re, dtype=np.float64), np.array(im, dtype=np.float64)
+            return cls(int(data["dim"]), nodes, weights)
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed rule JSON: {exc!r}") from exc
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -48,6 +49,12 @@ def validate_multi_index(k, dim=None) -> MultiIndex:
     if max(key) > MAX_INDEX_MAGNITUDE or min(key) < -MAX_INDEX_MAGNITUDE:
         raise ValueError(f"frequency vector {key} exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
     return key
+
+
+def reject_bools(values, what):
+    """Refuse JSON ``true``/``false`` among numbers (``bool`` is an ``int``, so ``int(True)`` is 1)."""
+    if bool in set(map(type, values)):
+        raise ValueError(f"{what} holds a boolean where a number belongs")
 
 
 class FourierPolynomial:
@@ -202,11 +209,12 @@ class FourierPolynomial:
         if not isinstance(data, Mapping) or "dim" not in data or "terms" not in data:
             raise ValueError("polynomial JSON must carry 'dim' and 'terms'")
         try:
+            terms = data["terms"]
+            keys = [entry["k"] for entry in terms]
+            re, im = [entry["re"] for entry in terms], [entry["im"] for entry in terms]
+            reject_bools(chain([data["dim"]], chain.from_iterable(keys), re, im), "polynomial JSON")
             dim = int(data["dim"])
-            pairs = [
-                (tuple(entry["k"]), complex(float(entry["re"]), float(entry["im"])))
-                for entry in data["terms"]
-            ]
+            pairs = [(tuple(k), complex(float(r), float(i))) for k, r, i in zip(keys, re, im)]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from exc
         return cls(dim, pairs)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
+from .fourier import reject_bools
 from .symmetry import InvariancePattern, critical_node_count
 
 VERDICT_EXCLUDED = "excluded-at-scale"
@@ -64,7 +66,9 @@ class InvarianceProfile:
     @classmethod
     def from_json_dict(cls, data) -> "InvarianceProfile":
         try:
-            return cls(tuple((row[0], row[1]) for row in data["samples"]), data.get("tag"))
+            rows = [(row[0], row[1]) for row in data["samples"]]
+            reject_bools(chain.from_iterable(rows), "profile JSON")
+            return cls(rows, data.get("tag"))
         except (TypeError, KeyError, IndexError) as exc:
             raise ValueError(f"malformed profile JSON: {exc!r}") from exc
 

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedPatternError,
 )
 from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, construct_certificate
-from .fourier import MultiIndex, validate_multi_index
+from .fourier import MultiIndex, reject_bools, validate_multi_index
 from .symmetry import (
     InvariancePattern,
     binary_orbit_members,
@@ -68,6 +68,7 @@ class WeightSchedule:
     @classmethod
     def from_json_dict(cls, data) -> "WeightSchedule":
         try:
+            reject_bools([data["dim"], *data["gammas"]], "weight schedule JSON")
             return cls(int(data["dim"]), tuple(data["gammas"]))
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed weight schedule JSON: {exc!r}") from exc

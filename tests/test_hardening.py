@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symquad import CubatureRule, FourierPolynomial
+from symquad import CubatureRule, FourierPolynomial, InvarianceProfile, WeightSchedule
 from symquad.cli import main
 from symquad.fourier import validate_multi_index
 
@@ -178,3 +178,93 @@ def test_rule_cap_is_honoured(capsys, kind):
     code, out, _ = run(capsys, ["rule", kind, "-d", "3", "--cap", "8"])
     assert code == 0
     assert len(json.loads(out)["nodes"]) == 8
+
+
+# ---------------------------------------------------------------------------
+# JSON booleans are not numbers (``int(True)`` is 1), and nodes keep their shape
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": True, "terms": [{"k": [0], "re": 1.0, "im": 0.0}]},
+        {"dim": 2, "terms": [{"k": [True, 0], "re": 1.0, "im": 0.0}]},
+        {"dim": 1, "terms": [{"k": [False], "re": 1.0, "im": 0.0}]},
+        {"dim": 1, "terms": [{"k": [0], "re": True, "im": 0.0}]},
+        {"dim": 1, "terms": [{"k": [0], "re": 1.0, "im": False}]},
+    ],
+)
+def test_polynomial_json_rejects_booleans(data):
+    with pytest.raises(ValueError, match="boolean"):
+        FourierPolynomial.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": True, "nodes": [[0.0]], "weights": [{"re": 1.0, "im": 0.0}]},
+        {"dim": 2, "nodes": [[False, 0.5]], "weights": [{"re": 1.0, "im": 0.0}]},
+        {"dim": 1, "nodes": [[0.0]], "weights": [{"re": True, "im": 0.0}]},
+        {"dim": 1, "nodes": [[0.0]], "weights": [{"re": 1.0, "im": False}]},
+    ],
+)
+def test_rule_json_rejects_booleans(data):
+    with pytest.raises(ValueError, match="boolean"):
+        CubatureRule.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"dim": 3, "gammas": [True, 0.5, 0.25]}, {"dim": 3, "gammas": [1.0, 0.5, False]}, {"dim": True, "gammas": [1.0]}],
+)
+def test_weight_schedule_json_rejects_booleans(data):
+    with pytest.raises(ValueError, match="boolean"):
+        WeightSchedule.from_json_dict(data)
+
+
+@pytest.mark.parametrize("data", [{"samples": [[True, 0]]}, {"samples": [[3, 1], [4, True]]}])
+def test_profile_json_rejects_booleans(data):
+    with pytest.raises(ValueError, match="boolean"):
+        InvarianceProfile.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "rule_text,poly_text",
+    [
+        ('{"dim": 1, "nodes": [[0.0]], "weights": [{"re": true, "im": 0.0}]}',
+         '{"dim": 1, "terms": [{"k": [0], "re": 1.0, "im": 0.0}]}'),
+        ('{"dim": 2, "nodes": [[0.0, 0.5]], "weights": [{"re": 1.0, "im": 0.0}]}',
+         '{"dim": 2, "terms": [{"k": [true, 0], "re": 1.0, "im": 0.0}]}'),
+        ('{"dim": 2, "nodes": [[0.1, 0.2, 0.3, 0.4]], "weights": [{"re": 0.5, "im": 0.0}, {"re": 0.5, "im": 0.0}]}',
+         '{"dim": 2, "terms": [{"k": [1, 0], "re": 1.0, "im": 0.0}]}'),
+        ('{"dim": 2, "nodes": [0.1, 0.2, 0.3, 0.4], "weights": [{"re": 0.5, "im": 0.0}, {"re": 0.5, "im": 0.0}]}',
+         '{"dim": 2, "terms": [{"k": [1, 0], "re": 1.0, "im": 0.0}]}'),
+        ('{"dim": 2, "nodes": [[0.1, 0.2], [0.3]], "weights": [{"re": 0.5, "im": 0.0}, {"re": 0.5, "im": 0.0}]}',
+         '{"dim": 2, "terms": [{"k": [1, 0], "re": 1.0, "im": 0.0}]}'),
+    ],
+    ids=["bool-weight", "bool-frequency", "one-row-of-four", "flat-nodes", "ragged-nodes"],
+)
+def test_integrate_rejects_booleans_and_wrong_node_shapes(capsys, tmp_path, rule_text, poly_text):
+    rule, poly = tmp_path / "rule.json", tmp_path / "poly.json"
+    rule.write_text(rule_text)
+    poly.write_text(poly_text)
+    code, out, err = run(capsys, ["integrate", "--rule", str(rule), "--poly", str(poly)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("nodes", [[[0.1, 0.2, 0.3, 0.4]], [0.1, 0.2, 0.3, 0.4], [[[0.1, 0.2]], [[0.3, 0.4]]]])
+def test_rule_nodes_must_have_shape_n_by_dim(nodes):
+    with pytest.raises(ValueError, match="shape"):
+        CubatureRule(2, nodes, [0.5, 0.5])
+    assert CubatureRule(2, [], []).n_nodes == 0
+
+
+def test_cli_rejects_boolean_schedules_and_profiles(capsys, tmp_path):
+    gammas, profile = tmp_path / "g.json", tmp_path / "p.json"
+    gammas.write_text('{"dim": 3, "gammas": [true, 0.5, 0.25]}')
+    profile.write_text('{"samples": [[3, true]]}')
+    for argv in (["weights", "-d", "3", "--gammas", str(gammas)], ["tract", "--profile", str(profile)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "boolean" in err
