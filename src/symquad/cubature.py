@@ -20,7 +20,13 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .fourier import FourierPolynomial, evaluate_at_points, random_polynomial, reject_bools
+from .fourier import (
+    FourierPolynomial,
+    evaluate_at_points,
+    random_polynomial,
+    reject_bools,
+    require_integral,
+)
 from .korobov import require_alpha, riemann_zeta
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
@@ -47,7 +53,7 @@ class CubatureRule:
     __slots__ = ("_dim", "_nodes", "_weights")
 
     def __init__(self, dim, nodes, weights):
-        dim = int(dim)
+        dim = require_integral(dim, "dimension")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         nodes = np.asarray(nodes, dtype=np.float64)
@@ -111,7 +117,7 @@ class CubatureRule:
             nodes = np.array(coords, dtype=np.float64).reshape(len(rows), -1) if rows else []
             weights = np.empty(len(terms), dtype=np.complex128)
             weights.real, weights.imag = np.array(re, dtype=np.float64), np.array(im, dtype=np.float64)
-            return cls(int(data["dim"]), nodes, weights)
+            return cls(data["dim"], nodes, weights)
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed rule JSON: {exc!r}") from exc
 
@@ -119,16 +125,49 @@ class CubatureRule:
 def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
     """Weighted sum of point values, ``sum_n w_n f(t_n)``.
 
-    The zero-node rule returns 0.  Nodes are processed in storage order;
-    the vectorized inner evaluation may reassociate term sums, which moves
-    the result by at most about ``1e-12 * (1 + sum|w_n|) * sum|c_k|``.
+    The zero-node rule and the zero polynomial give 0.  When every node
+    lies on the half-integer grid ``{0, 1/2}^d`` (all rectangle and folded
+    rules do), each character at a node is a sign, and the value is
+    ``sum_k c_k * W(k mod 2)`` with ``W(p) = sum_n w_n (-1)^(p.b_n)`` for
+    the node ``t_n = b_n / 2``; no exponential is computed.  ``W`` is
+    formed once per parity class ``p`` among the frequencies, so the cost
+    is one sign per node and class.  For real dyadic weights (every rule
+    that ``rule`` writes) ``W`` is exact, each product ``c_k W`` is rounded
+    once and the products are summed exactly, so the value depends neither
+    on node order nor on the BLAS build.  Other rules evaluate every term
+    at every node; that route may reassociate sums, which moves the result
+    by at most about ``1e-12 * (1 + sum|w_n|) * sum|c_k|``.
     """
     if rule.dim != f.dim:
         raise DimensionMismatchError("rule and polynomial dimensions differ")
-    if rule.n_nodes == 0:
+    if rule.n_nodes == 0 or len(f) == 0:
         return 0j
+    bits = rule.nodes * 2.0
+    if np.array_equal(bits, np.floor(bits)):  # nodes in [0, 1): bits are 0 or 1
+        return _apply_by_parity(bits, rule.weights, f)
     values = evaluate_at_points(f, rule.nodes)
     return complex(np.dot(rule.weights, values))
+
+
+def _apply_by_parity(bits, weights, f):
+    """``apply_rule`` at the nodes ``bits / 2``, ``bits`` a 0/1 float array."""
+    keys, coeffs = f._term_arrays()
+    parity = (keys.astype(np.int64) & 1).astype(np.uint8)
+    packed = np.packbits(parity, axis=1)
+    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+
+    # W(p) = sum(w) - 2 * (sum of w_n over the nodes where p.b_n is odd).
+    classes_t = parity[first].T.astype(np.float64)
+    w_parts = np.stack([weights.real, weights.imag])
+    odd_sums = np.zeros((2, first.size))
+    chunk = max(1, (1 << 20) // first.size)
+    for lo in range(0, bits.shape[0], chunk):
+        odd = (bits[lo:lo + chunk] @ classes_t).astype(np.int32) & 1
+        odd_sums += w_parts[:, lo:lo + chunk] @ odd
+    w_hat = w_parts.sum(axis=1)[:, None] - 2.0 * odd_sums
+    products = coeffs * (w_hat[0] + 1j * w_hat[1])[inverse]
+    return complex(math.fsum(products.real.tolist()), math.fsum(products.imag.tolist()))
 
 
 def rectangle_rule(dim, node_cap=DEFAULT_ENUMERATION_CAP) -> CubatureRule:

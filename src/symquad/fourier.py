@@ -51,6 +51,17 @@ def validate_multi_index(k, dim=None) -> MultiIndex:
     return key
 
 
+def require_integral(value, what) -> int:
+    """``int(value)``, refusing a value it would change (``2.0`` passes, ``1.9`` does not)."""
+    try:
+        out = int(value)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} {value!r} is not an integer") from exc
+    if out != value:
+        raise ValueError(f"{what} {value!r} is not integral")
+    return out
+
+
 def reject_bools(values, what):
     """Refuse JSON ``true``/``false`` among numbers (``bool`` is an ``int``, so ``int(True)`` is 1)."""
     if bool in set(map(type, values)):
@@ -72,7 +83,7 @@ class FourierPolynomial:
     __slots__ = ("_dim", "_terms", "_arrays")
 
     def __init__(self, dim, terms=()):
-        dim = int(dim)
+        dim = require_integral(dim, "dimension")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -213,11 +224,10 @@ class FourierPolynomial:
             keys = [entry["k"] for entry in terms]
             re, im = [entry["re"] for entry in terms], [entry["im"] for entry in terms]
             reject_bools(chain([data["dim"]], chain.from_iterable(keys), re, im), "polynomial JSON")
-            dim = int(data["dim"])
             pairs = [(tuple(k), complex(float(r), float(i))) for k, r, i in zip(keys, re, im)]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from exc
-        return cls(dim, pairs)
+        return cls(data["dim"], pairs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .fourier import FourierPolynomial, MultiIndex, validate_multi_index
+from .fourier import FourierPolynomial, MultiIndex, require_integral, validate_multi_index
 
 #: Default ceiling on the size of materialized enumerations.
 DEFAULT_ENUMERATION_CAP = 1 << 26
@@ -38,13 +38,13 @@ class InvariancePattern:
     groups: tuple[tuple[int, ...], ...]
 
     def __init__(self, dim, groups=()):
-        dim = int(dim)
+        dim = require_integral(dim, "dimension")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         norm = []
         seen: set[int] = set()
         for g in groups:
-            members = sorted(int(i) for i in g)
+            members = sorted(require_integral(i, "coordinate") for i in g)
             if not members:
                 raise ValueError("empty coordinate groups are not allowed")
             for i in members:
@@ -83,7 +83,7 @@ class InvariancePattern:
 
     @classmethod
     def from_json_dict(cls, data) -> "InvariancePattern":
-        return cls(int(data["dim"]), [tuple(g) for g in data.get("groups", [])])
+        return cls(data["dim"], [tuple(g) for g in data.get("groups", [])])
 
 
 def parse_coordinate_set(spec: str) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-from .fourier import reject_bools
+from .fourier import reject_bools, require_integral
 from .symmetry import InvariancePattern, critical_node_count
 
 VERDICT_EXCLUDED = "excluded-at-scale"
@@ -51,7 +51,10 @@ class InvarianceProfile:
     tag: str | None = None
 
     def __init__(self, samples, tag=None):
-        rows = tuple((int(d), int(i)) for d, i in samples)
+        rows = tuple(
+            (require_integral(d, "sample dimension"), require_integral(i, "invariant count"))
+            for d, i in samples
+        )
         rows = tuple(sorted(rows))
         last = 0
         for d, i in rows:

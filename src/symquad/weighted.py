@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedPatternError,
 )
 from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, construct_certificate
-from .fourier import MultiIndex, reject_bools, validate_multi_index
+from .fourier import MultiIndex, reject_bools, require_integral, validate_multi_index
 from .symmetry import (
     InvariancePattern,
     binary_orbit_members,
@@ -46,7 +46,7 @@ class WeightSchedule:
     gammas: tuple
 
     def __init__(self, dim, gammas):
-        dim = int(dim)
+        dim = require_integral(dim, "dimension")
         gammas = tuple(gammas)
         if len(gammas) != dim:
             raise DimensionMismatchError(f"expected {dim} weights, got {len(gammas)}")
@@ -69,7 +69,7 @@ class WeightSchedule:
     def from_json_dict(cls, data) -> "WeightSchedule":
         try:
             reject_bools([data["dim"], *data["gammas"]], "weight schedule JSON")
-            return cls(int(data["dim"]), tuple(data["gammas"]))
+            return cls(data["dim"], tuple(data["gammas"]))
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed weight schedule JSON: {exc!r}") from exc
 

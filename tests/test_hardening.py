@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symquad import CubatureRule, FourierPolynomial, InvarianceProfile, WeightSchedule
+from symquad import CubatureRule, FourierPolynomial, InvariancePattern, InvarianceProfile, WeightSchedule
 from symquad.cli import main
 from symquad.fourier import validate_multi_index
 
@@ -268,3 +268,57 @@ def test_cli_rejects_boolean_schedules_and_profiles(capsys, tmp_path):
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert "boolean" in err
+
+
+# ---------------------------------------------------------------------------
+# integer fields are not truncated: ``1.9`` is refused, ``2.0`` is read as 2
+
+
+@pytest.mark.parametrize(
+    "reader,data",
+    [
+        (CubatureRule.from_json_dict, {"dim": 1.9, "nodes": [[0.0]], "weights": [{"re": 1.0, "im": 0.0}]}),
+        (FourierPolynomial.from_json_dict, {"dim": 1.9, "terms": [{"k": [0], "re": 1.0, "im": 0.0}]}),
+        (WeightSchedule.from_json_dict, {"dim": 1.9, "gammas": [1.0]}),
+        (InvariancePattern.from_json_dict, {"dim": 3.5, "groups": [[1, 2]]}),
+        (InvariancePattern.from_json_dict, {"dim": 3, "groups": [[1, 2.5]]}),
+        (InvarianceProfile.from_json_dict, {"samples": [[3.7, 1.9]]}),
+        (InvarianceProfile.from_json_dict, {"samples": [[3, 1.5]]}),
+    ],
+    ids=["rule-dim", "polynomial-dim", "schedule-dim", "pattern-dim", "pattern-member",
+         "profile-sample", "profile-count"],
+)
+def test_fractional_integers_are_rejected(reader, data):
+    with pytest.raises(ValueError, match="integral"):
+        reader(data)
+
+
+def test_integral_floats_are_read_as_integers():
+    assert CubatureRule.from_json_dict(
+        {"dim": 2.0, "nodes": [[0.0, 0.5]], "weights": [{"re": 1.0, "im": 0.0}]}
+    ).dim == 2
+    assert FourierPolynomial.from_json_dict({"dim": 1.0, "terms": []}).dim == 1
+    assert WeightSchedule.from_json_dict({"dim": 2.0, "gammas": [1.0, 0.5]}).dim == 2
+    assert InvariancePattern.from_json_dict({"dim": 3.0, "groups": [[1.0, 2]]}).groups == ((1, 2),)
+    assert InvarianceProfile.from_json_dict({"samples": [[3.0, 1.0]]}).samples == ((3, 1),)
+
+
+@pytest.mark.parametrize(
+    "subcommand,text",
+    [
+        ("integrate", '{"dim": 1.9, "terms": [{"k": [0], "re": 1.0, "im": 0.0}]}'),
+        ("weights", '{"dim": 3.5, "gammas": [1.0, 0.5, 0.25]}'),
+        ("tract", '{"samples": [[3.7, 1.9]]}'),
+    ],
+)
+def test_cli_rejects_fractional_integers(capsys, tmp_path, rule_file, subcommand, text):
+    data = tmp_path / "data.json"
+    data.write_text(text)
+    argv = {
+        "integrate": ["integrate", "--rule", rule_file, "--poly", str(data)],
+        "weights": ["weights", "-d", "3", "--gammas", str(data)],
+        "tract": ["tract", "--profile", str(data)],
+    }[subcommand]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "integral" in err
