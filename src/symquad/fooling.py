@@ -38,7 +38,7 @@ from .errors import (
     RefusalError,
     UnsupportedPatternError,
 )
-from .fourier import FourierPolynomial, MultiIndex, exp_2pi_i
+from .fourier import FourierPolynomial, MultiIndex, _distinct_rows, characters, exp_2pi_i
 from .korobov import korobov_norm, require_alpha
 from .symmetry import (
     InvariancePattern,
@@ -81,7 +81,8 @@ def constraint_matrix(rule: CubatureRule, pattern: InvariancePattern, psi) -> np
     canonical 0/1 vectors.  With ``z_m = exp(2*pi*i*t_m)``, the orbit sum of
     a vector with free bits ``f`` and ``j_r`` ones in block ``B_r`` is
     ``prod_{f_m=1} z_m * prod_r e_{j_r}(z_{B_r})`` (``e_j`` the elementary
-    symmetric polynomials, from ``e_j <- e_j + z_m e_{j-1}``).
+    symmetric polynomials, from ``e_j <- e_j + z_m e_{j-1}``); the free
+    factor is the product of two half-dimension characters.
     """
     if rule.dim != pattern.dim:
         raise DimensionMismatchError("rule and pattern dimensions differ")
@@ -92,16 +93,16 @@ def constraint_matrix(rule: CubatureRule, pattern: InvariancePattern, psi) -> np
     modes = _validate_mode_order(psi, pattern, n_nodes)
     blocks = [[i - 1 for i in g] for g in pattern.groups]
     free = sorted(set(range(pattern.dim)).difference(*blocks))
-    matrix = exp_2pi_i(rule.nodes[:, free] @ modes[:, free].T)
+    matrix = characters(rule.nodes[:, free], modes[:, free])  # one row per mode
     for cols in blocks:
-        z = exp_2pi_i(rule.nodes[:, cols])
-        elementary = np.zeros((n_nodes, len(cols) + 1), dtype=np.complex128)
-        elementary[:, 0] = 1.0
+        z = exp_2pi_i(rule.nodes[:, cols].T)
+        elementary = np.zeros((len(cols) + 1, n_nodes), dtype=np.complex128)
+        elementary[0] = 1.0
         for m in range(len(cols)):
-            elementary[:, 1 : m + 2] += z[:, m : m + 1] * elementary[:, : m + 1]
-        matrix *= elementary[:, modes[:, cols].sum(axis=1).astype(np.intp)]
+            elementary[1 : m + 2] += z[m] * elementary[: m + 1]
+        matrix *= elementary[modes[:, cols].sum(axis=1).astype(np.intp)]
     matrix /= float(group_order(pattern))
-    return matrix
+    return matrix.T
 
 
 def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
@@ -116,7 +117,7 @@ def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
     blocks = [modes[:, [i - 1 for i in g]] for g in pattern.groups]
     if any((b[:, 1:] < b[:, :-1]).any() for b in blocks):  # zeros precede ones when canonical
         raise ValueError("mode order entries must be canonical under the pattern")
-    if len(np.unique(modes, axis=0)) != len(modes):
+    if len(_distinct_rows(modes)[0]) != len(modes):
         raise ValueError("mode order entries must be distinct")
     return modes
 
@@ -124,19 +125,30 @@ def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
 def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolution:
     """Nontrivial nullspace vector of an ``n x (n+1)`` complex matrix ``A``.
 
-    One complete QR factorization ``A^T = QR`` (LAPACK; Golub & Van Loan,
-    *Matrix Computations*, 5.2).  ``R`` has a zero last row, so whatever
-    the rank of ``A``, the last column ``q`` of ``Q`` satisfies
-    ``A conj(q) = 0``.  That vector is divided by its first entry of
-    maximal modulus, whose position becomes ``pivot_index``.  Raises
-    ``NullspaceError`` when the residual ``max |A v|`` exceeds
-    ``residual_tol`` (the caller may retry with a different mode order).
+    One Householder QR factorization ``A^T = QR`` (LAPACK, raw mode; Golub &
+    Van Loan, *Matrix Computations*, 5.1.6 and 5.2).  ``R`` has a zero last
+    row, so whatever the rank of ``A``, the last column ``q = Q e_{n+1}`` of
+    ``Q`` satisfies ``A conj(q) = 0``; it is formed by applying the ``n``
+    reflectors to ``e_{n+1}``, not by forming ``Q``.  That vector is divided
+    by its first entry of maximal modulus, whose position becomes
+    ``pivot_index``.  Raises ``NullspaceError`` when the residual
+    ``max |A v|`` exceeds ``residual_tol`` (the caller may retry with a
+    different mode order).
     """
     a_mat = np.asarray(matrix, dtype=np.complex128)
     if a_mat.ndim != 2 or a_mat.shape[1] != a_mat.shape[0] + 1:
         raise ValueError(f"expected an n x (n+1) matrix, got shape {a_mat.shape}")
-    q_mat, _ = np.linalg.qr(a_mat.T, mode="complete")
-    vec = q_mat[:, -1].conj()
+    # Row j of h holds reflector v_j right of the diagonal, where R's diagonal
+    # (not needed) is replaced by v_j's leading 1: Q = H_0 ... H_{n-1} with
+    # H_j = I - tau_j v_j v_j^H acting on entries j..n.
+    h, tau = np.linalg.qr(a_mat.T, mode="raw")
+    np.fill_diagonal(h, 1.0)
+    vec = np.zeros(a_mat.shape[1], dtype=np.complex128)
+    vec[-1] = 1.0
+    for j in range(len(tau) - 1, -1, -1):
+        reflector = h[j, j:]
+        vec[j:] -= (tau[j] * np.vdot(reflector, vec[j:])) * reflector
+    vec = vec.conj()
     pivot_index = int(np.argmax(np.abs(vec)))
     vec = vec / vec[pivot_index]
     vec[pivot_index] = 1.0

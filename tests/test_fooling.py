@@ -28,6 +28,8 @@ from symquad import (
     orbit,
     orbit_stats,
 )
+from symquad.fooling import DEFAULT_CHECK_TOL
+from symquad.fourier import exp_2pi_i
 
 
 def random_rule(rng, dim, n_nodes):
@@ -103,6 +105,34 @@ def test_constraint_matrix_matches_brute_force_orbit_sums(max_blocks):
         assert np.max(np.abs(mat - brute), initial=0.0) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [InvariancePattern.trivial(9), InvariancePattern.single(8, (2, 5, 7)), InvariancePattern.full(6)],
+    ids=["trivial", "single-block", "full"],
+)
+def test_constraint_matrix_matches_direct_formula(pattern):
+    # the free factor as one exponential per entry, each block's orbit sum as
+    # e_j(z_B) summed over the j-subsets of the block
+    rng = np.random.default_rng(26)
+    vectors, _ = canonical_binary_vectors(pattern)
+    n_nodes = min(len(vectors) - 1, 120)
+    psi = vectors[: n_nodes + 1]
+    rule = random_rule(rng, pattern.dim, n_nodes)
+    blocks = [[i - 1 for i in g] for g in pattern.groups]
+    free = sorted(set(range(pattern.dim)).difference(*blocks))
+    direct = exp_2pi_i(rule.nodes[:, free] @ psi[:, free].T.astype(float))
+    for cols in blocks:
+        z = np.exp(2j * np.pi * rule.nodes[:, cols])
+        ones = psi[:, cols].sum(axis=1)
+        for j in range(len(cols) + 1):
+            subsets = itertools.combinations(range(len(cols)), j)
+            e_j = sum(np.prod(z[:, list(c)], axis=1) for c in subsets)  # e_0 = empty product = 1
+            direct[:, ones == j] *= e_j[:, None]
+    direct /= group_order(pattern)
+    mat = constraint_matrix(rule, pattern, psi.tolist())
+    assert np.max(np.abs(mat - direct), initial=0.0) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # nullspace
 
@@ -140,6 +170,28 @@ def test_nullspace_contract_on_near_singular_matrices():
             sigma = np.logspace(0, np.log10(smallest), n_rows)
             mat = (u * sigma) @ v[:, :n_rows].conj().T
             assert_nullspace_contract(mat, nullspace_solution(mat), 1e-12)
+
+
+def complete_qr_null_vector(mat):
+    """The last column of the complete Q of ``mat^T``, conjugated: ``mat @ q = 0``."""
+    q_mat, _ = np.linalg.qr(np.asarray(mat).T, mode="complete")
+    return q_mat[:, -1].conj()
+
+
+def assert_parallel(u, v, tol):
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    assert np.linalg.norm(u - np.vdot(v, u) * v) <= tol
+
+
+def test_nullspace_matches_complete_qr_column():
+    rng = np.random.default_rng(32)
+    mats = [np.exp(2j * np.pi * rng.random((n, n + 1))) for n in (1, 4, 33, 300)]
+    left = np.exp(2j * np.pi * rng.random((40, 25)))
+    mats.append(left @ np.exp(2j * np.pi * rng.random((25, 41))) / 25)  # rank 25 of 40
+    for mat in mats:
+        sol = nullspace_solution(mat)
+        assert_parallel(sol.coefficients, complete_qr_null_vector(mat), 1e-12)
+        assert sol.residual <= DEFAULT_CHECK_TOL * np.max(np.abs(mat))
 
 
 def test_nullspace_one_by_two():
@@ -437,13 +489,16 @@ def test_mode_order_accepts_any_distinct_canonical_rows():
 def test_nullspace_check_is_relative_to_the_matrix_scale(monkeypatch):
     # full(19): every constraint-matrix entry is below 1e-16 (orbit sums over
     # 19!), so an absolute residual bound of 1e-9 accepts any vector.  With a
-    # QR that returns an identity Q the "null vector" is a unit vector whose
-    # residual is a whole column of A; it must be rejected as a nullspace failure.
+    # raw QR whose reflectors are all the identity (h = 0, tau = 0) the "null
+    # vector" is the unit vector e_{n+1}, whose residual is a whole column of
+    # A; it must be rejected as a nullspace failure.
     rule = random_rule(np.random.default_rng(5), 19, 2)
     pattern = InvariancePattern.full(19)
     assert construct_certificate(rule, pattern, 2.0).residuals["nullspace"] < 1e-30
     monkeypatch.setattr(
-        np.linalg, "qr", lambda a, mode="reduced": (np.eye(a.shape[0], dtype=complex), None)
+        np.linalg,
+        "qr",
+        lambda a, mode="reduced": (np.zeros(a.shape[::-1], dtype=complex), np.zeros(a.shape[1], dtype=complex)),
     )
     with pytest.raises(NullspaceError):
         construct_certificate(rule, pattern, 2.0)

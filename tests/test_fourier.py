@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symquad.fourier as fourier
 from symquad import DimensionMismatchError, FourierPolynomial, evaluate_at_points, random_polynomial
 
 
@@ -89,14 +90,78 @@ def test_json_rejects_bad_input():
         FourierPolynomial.from_json(json.dumps(doubled))
 
 
-def test_evaluate_at_points_matches_scalar_eval():
-    rng = np.random.default_rng(3)
-    f = random_polynomial(3, 15, rng, max_magnitude=4)
-    pts = rng.random((20, 3))
+def _case_random(dim, n_terms, magnitude):
+    def build(rng):
+        return random_polynomial(dim, n_terms, rng, max_magnitude=magnitude), rng.random((20, dim))
+    return build
+
+
+def _case_certificate_shaped(rng):
+    # a dense support in {-1,0,1}^d like a fooling certificate's: few distinct halves
+    dim = 7
+    keys = rng.integers(-1, 2, size=(1000, dim))
+    terms = {tuple(k): complex(rng.standard_normal(), rng.standard_normal()) for k in keys.tolist()}
+    return FourierPolynomial(dim, terms), rng.random((30, dim))
+
+
+def _case_capped_keys(rng):
+    # keys at +-(2^31 - 1): on the grid j/64 every phase k.t is exact, so the
+    # scalar and the vectorized evaluation reduce the same phase mod 1
+    dim, cap = 4, 2**31 - 1
+    keys = rng.choice([-cap, -1, 0, cap], size=(300, dim))
+    terms = {tuple(k): complex(rng.standard_normal(), rng.standard_normal()) for k in keys.tolist()}
+    return FourierPolynomial(dim, terms), rng.integers(0, 64, size=(25, dim)) / 64
+
+
+def _case_distinct_halves(rng):
+    # every key has its own lower and its own upper half
+    keys = [(i, -i, 2 * i, i + 1) for i in range(60)]
+    return FourierPolynomial(4, {k: complex(rng.standard_normal(), 1.0) for k in keys}), rng.random((15, 4))
+
+
+def _case_empty(rng):
+    return FourierPolynomial(3, {}), rng.random((5, 3))
+
+
+def _case_no_points(rng):
+    return random_polynomial(4, 10, rng), np.zeros((0, 4))
+
+
+@pytest.mark.parametrize(
+    "build, single_table",
+    [
+        (_case_random(1, 9, 6), None),           # empty upper half
+        (_case_random(2, 12, 3), None),
+        (_case_random(3, 15, 4), None),
+        (_case_random(5, 200, 1), False),        # odd d, a few distinct halves
+        (_case_certificate_shaped, False),
+        (_case_capped_keys, False),
+        (_case_distinct_halves, True),           # must fall back to s = 0
+        (_case_empty, None),
+        (_case_no_points, None),
+    ],
+    ids=["d1", "d2", "d3", "d5", "certificate", "capped", "distinct-halves", "empty", "no-points"],
+)
+def test_evaluate_at_points_matches_scalar_eval(build, single_table, monkeypatch):
+    f, pts = build(np.random.default_rng(3))
+    shapes = []
+
+    def spy(phases):
+        shapes.append(np.shape(phases))
+        return exp_2pi_i(phases)
+
+    exp_2pi_i = fourier.exp_2pi_i
+    monkeypatch.setattr(fourier, "exp_2pi_i", spy)
     values = evaluate_at_points(f, pts)
+    assert values.shape == (len(pts),)
     total = sum(abs(c) for c in f.terms.values())
     for row, v in zip(pts, values):
         assert abs(v - f(tuple(row))) <= 1e-12 * (1 + total)
+    exponentials = sum(rows * cols for rows, cols in shapes)
+    if single_table:  # one exponential per node and term, plus the constant lower table
+        assert sorted(shapes) == [(len(pts), 1), (len(pts), len(f))]
+    elif single_table is False:
+        assert exponentials < len(pts) * len(f) / 3
 
 
 def test_product_is_pointwise_multiplication():
