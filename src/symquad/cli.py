@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from itertools import chain
 
@@ -53,24 +54,81 @@ def _load_json(path):
         return json.load(handle)
 
 
-def _emit(args, payload, table_lines):
-    """Write the JSON payload, or the lines (maybe a lazy generator) for tables.
+def _load_rule(path):
+    """The rule in the JSON file at ``path``.
+
+    Text that ``rule`` wrote is read by ``_rule_from_writer_text``; any
+    other text goes through ``json.load`` as ``_load_json`` reads it, so its
+    values and errors are those of ``CubatureRule.from_json_dict``.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    rule = _rule_from_writer_text(raw)
+    if rule is None:
+        rule = CubatureRule.from_json_dict(json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")))
+    return rule
+
+
+_RULE_HEAD = re.compile(rb'\{"dim": ([1-9][0-9]{0,8}), "nodes": \[')
+_WEIGHTS_KEY = b'"weights": ['
+
+
+def _rule_from_writer_text(raw):
+    """The rule whose ``rule`` output is the bytes ``raw``, or None.
+
+    The inverse of ``_rule_payload``: node rows are ``5 d + 2`` bytes wide
+    and the digit of each ``0.0``/``0.5`` token gives the coordinate; the
+    weights are split on ``}, {`` and each distinct fragment is parsed
+    once.  The rule is built through ``CubatureRule`` and kept only if
+    writing it gives back ``raw`` byte for byte.  Since ``json.dumps``
+    writes every float64 so that it reads back as itself, ``json.loads``
+    would then have given the same values, signed zeros included.  Any
+    other text, or any failure on the way, gives None.
+    """
+    head = _RULE_HEAD.match(raw)
+    split = raw.find(_WEIGHTS_KEY) if head else -1
+    if split < 0 or not raw.endswith(b"}]}\n"):
+        return None
+    dim, start = int(head.group(1)), head.end()
+    width = 5 * dim + 2
+    n, rem = divmod(raw.rfind(b"]", start, split) + 2 - start, width)
+    fragments = raw[split + len(_WEIGHTS_KEY) + 1 : -4].split(b"}, {")
+    if rem or len(fragments) != n:
+        return None
+    digits = np.frombuffer(raw, dtype=np.uint8, count=n * width, offset=start).reshape(n, width)[:, 3::5]
+    distinct = dict.fromkeys(fragments)
+    try:
+        for fragment in distinct:
+            value = json.loads(b"{" + fragment + b"}")
+            distinct[fragment] = complex(value["re"], value["im"])
+        rule = CubatureRule(dim, (digits == ord("5")) * 0.5, list(map(distinct.__getitem__, fragments)))
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+        return None
+    return rule if _json_text(_rule_payload(rule)) == raw else None
+
+
+def _json_text(payload):
+    """``json.dumps({"schema_version": 1, **payload}, sort_keys=True) + "\\n"``, as bytes.
 
     The top-level object is assembled here, keys sorted.  A ``bytes`` value
     is JSON text from ``_json_list`` and is written as it stands; every
-    other value goes through ``json.dumps``, so the text equals
-    ``json.dumps(payload, sort_keys=True)``.
+    other value goes through ``json.dumps``.
     """
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
+    fields = (
+        json.dumps(key).encode() + b": "
+        + (value if isinstance(value, bytes) else json.dumps(value, sort_keys=True).encode())
+        for key, value in sorted(payload.items())
+    )
+    return b"{" + b", ".join(fields) + b"}\n"
+
+
+def _emit(args, payload, table_lines):
+    """Write the JSON text of the payload, or the lines (maybe a lazy generator) for tables."""
     if getattr(args, "format", "json") == "table":
         text = "\n".join(table_lines) + "\n"
     else:
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
-        fields = (
-            json.dumps(key).encode() + b": "
-            + (value if isinstance(value, bytes) else json.dumps(value, sort_keys=True).encode())
-            for key, value in sorted(payload.items())
-        )
-        text = (b"{" + b", ".join(fields) + b"}\n").decode("ascii")
+        text = _json_text(payload).decode("ascii")
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -146,6 +204,21 @@ def _cmd_nabla(args):
     return 0
 
 
+def _rule_payload(rule):
+    """The JSON payload of a rule whose nodes all lie in ``{0, 1/2}^d``, as ``rule`` writes it."""
+    half = rule.nodes == 0.5
+
+    def weight_text(j):
+        w = rule.weights[j].item()
+        return json.dumps({"re": w.real, "im": w.imag}, sort_keys=True)
+
+    return {
+        "dim": rule.dim,
+        "nodes": _json_list(half.view(np.uint8), (b"0.0", b"0.5")),
+        "weights": _json_list(keys=rule.weights.view(np.uint64).reshape(-1, 2), fragment=weight_text),
+    }
+
+
 def _cmd_rule(args):
     if args.rectangle == args.folded:
         raise ValueError("choose exactly one of --rectangle / --folded")
@@ -154,29 +227,18 @@ def _cmd_rule(args):
     else:
         pattern = _pattern_from_args(args, args.dim)
         rule = folded_rectangle_rule(pattern, node_cap=args.cap)
-    half = rule.nodes == 0.5  # every node of a (folded) rectangle rule lies in {0, 1/2}^d
-
-    def weight_text(j):
-        w = rule.weights[j].item()
-        return json.dumps({"re": w.real, "im": w.imag}, sort_keys=True)
-
-    payload = {
-        "dim": rule.dim,
-        "nodes": _json_list(half.view(np.uint8), (b"0.0", b"0.5")),
-        "weights": _json_list(keys=rule.weights.view(np.uint64).reshape(-1, 2), fragment=weight_text),
-    }
 
     def table():
         yield f"{'node':<{8 * rule.dim}} weight"
         for node, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
             yield f"{str(tuple(node)):<{8 * rule.dim}} {w.real:.12g}"
 
-    _emit(args, payload, table())
+    _emit(args, _rule_payload(rule), table())
     return 0
 
 
 def _cmd_integrate(args):
-    rule = CubatureRule.from_json_dict(_load_json(args.rule))
+    rule = _load_rule(args.rule)
     poly = FourierPolynomial.from_json_dict(_load_json(args.poly))
     value = apply_rule(rule, poly)
     payload = {"value": {"re": value.real, "im": value.imag}, "n_nodes": rule.n_nodes}
@@ -203,8 +265,8 @@ def _cmd_wce(args):
 
 
 def _cmd_certify(args):
-    rule = CubatureRule.from_json_dict(_load_json(args.rule))
-    dim = args.dim if args.dim else rule.dim
+    rule = _load_rule(args.rule)
+    dim = rule.dim if args.dim is None else args.dim
     if dim != rule.dim:
         raise ValueError(f"--dim {dim} does not match rule dimension {rule.dim}")
     pattern = _pattern_from_args(args, dim)

@@ -322,3 +322,10 @@ def test_cli_rejects_fractional_integers(capsys, tmp_path, rule_file, subcommand
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert "integral" in err
+
+
+@pytest.mark.parametrize("dim", ["0", "2"])
+def test_certify_checks_every_given_dimension(capsys, rule_file, dim):
+    code, out, err = run(capsys, ["certify", "--rule", rule_file, "-d", dim, "--alpha", "2"])
+    assert (code, out) == (1, "")
+    assert f"--dim {dim} does not match rule dimension 1" in err

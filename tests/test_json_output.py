@@ -2,7 +2,9 @@
 
 The references are built from the library's own objects and written with
 ``json.dumps(..., sort_keys=True)``; the table references repeat the
-line formats of ``--format table``.
+line formats of ``--format table``.  A rule read back from ``rule``'s own
+text equals, bit for bit, what ``json.loads`` makes of it, and any other
+text gives what the ``json.loads`` route gives.
 """
 
 import json
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from symquad import cli
-from symquad.cubature import folded_rectangle_rule, rectangle_rule
+from symquad.cubature import CubatureRule, folded_rectangle_rule, rectangle_rule
 from symquad.symmetry import InvariancePattern, binary_orbit_representatives, orbit_stats
 from symquad.weighted import WeightSchedule, order_weights, weight_power_sum
 
@@ -31,6 +33,18 @@ def emit(capsys, tmp_path, argv):
     assert capsys.readouterr().out == ""
     assert out.read_text(encoding="utf-8") == text
     return text
+
+
+def read_back(raw):
+    """The rule read from ``rule``'s text ``raw``, checked bitwise against the json.loads route."""
+    fast = cli._rule_from_writer_text(raw)
+    assert fast is not None
+    slow = CubatureRule.from_json_dict(json.loads(raw))
+    assert fast.dim == slow.dim
+    assert fast.nodes.shape == slow.nodes.shape
+    assert np.array_equal(fast.nodes.view(np.uint64), slow.nodes.view(np.uint64))
+    assert np.array_equal(fast.weights.view(np.uint64), slow.weights.view(np.uint64))
+    return fast
 
 
 def random_pattern(rng, dim, max_blocks):
@@ -100,6 +114,7 @@ def test_folded_rule_and_nabla_match_json_dumps(capsys, tmp_path, dim, seed, blo
     pattern = random_pattern(random.Random(seed), dim, blocks)
     text = emit(capsys, tmp_path, ["rule", "--folded", "-d", str(dim), *flags(pattern)])
     assert text == reference(folded_rectangle_rule(pattern).to_json_dict())
+    read_back(text.encode())
     text = emit(capsys, tmp_path, ["nabla", "-d", str(dim), *flags(pattern)])
     assert text == reference(nabla_reference(pattern))
 
@@ -108,6 +123,7 @@ def test_folded_rule_and_nabla_match_json_dumps(capsys, tmp_path, dim, seed, blo
 def test_rectangle_rule_matches_json_dumps(capsys, tmp_path, dim):
     text = emit(capsys, tmp_path, ["rule", "--rectangle", "-d", str(dim)])
     assert text == reference(rectangle_rule(dim).to_json_dict())
+    assert read_back(text.encode()).n_nodes == 2**dim
 
 
 @pytest.mark.parametrize("dim,seed", [(dim, 200 + dim) for dim in range(1, 13)])
@@ -207,3 +223,82 @@ def test_json_list_kernel_matches_json_dumps(n):
     written = cli._json_list(bits, before=b'{"k": ', after=b', "v": ', keys=keys, fragment=lambda j: text(j) + "}")
     expected = [{"k": k, "v": v} for k, v in zip(bits.tolist(), values.tolist())]
     assert written == json.dumps(expected).encode()
+
+
+# ---------------------------------------------------------------------------
+# reading a rule: ``rule``'s own text inverts exactly, any other text is read as json.loads reads it
+
+
+def test_complex_and_signed_zero_weights_read_back():
+    nodes = [[0.0, 0.5, 0.0], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]]
+    weights = [0.25 + 0.5j, complex(-0.0, 0.0), complex(-0.0, -0.0), 1e-300 - 3j, complex(0.0, -0.0)]
+    rule = CubatureRule(3, nodes, weights)
+    raw = cli._json_text(cli._rule_payload(rule))
+    assert raw == reference(rule.to_json_dict()).encode()
+    read = read_back(raw)
+    assert np.array_equal(read.nodes, rule.nodes)
+    assert np.array_equal(read.weights.view(np.uint64), rule.weights.view(np.uint64))
+
+
+def written_rule():
+    raw = cli._json_text(cli._rule_payload(folded_rectangle_rule(InvariancePattern.single(4, (1, 2)))))
+    assert raw.startswith(b'{"dim": 4, "nodes": [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5]')
+    assert b'{"im": 0.0, "re": 0.0625}' in raw
+    return raw
+
+
+ALTERED = {
+    "node-0.7": lambda raw: raw.replace(b"0.5", b"0.7", 1),
+    "node-1.5": lambda raw: raw.replace(b"0.5", b"1.5", 1),
+    "node-minus-zero": lambda raw: raw.replace(b"[0.0", b"[-0.0", 1),
+    "whitespace-in-head": lambda raw: raw.replace(b", ", b",  ", 1),
+    "whitespace-in-weights": lambda raw: raw.replace(b"}, {", b"},\n {", 1),
+    "pretty-printed": lambda raw: json.dumps(json.loads(raw), indent=1, sort_keys=True).encode() + b"\n",
+    "reordered-keys": lambda raw: json.dumps(dict(reversed(json.loads(raw).items()))).encode() + b"\n",
+    "no-final-newline": lambda raw: raw[:-1],
+    "crlf": lambda raw: raw[:-1] + b"\r\n",
+    "row-one-token-short": lambda raw: raw.replace(b"[0.0, ", b"[", 1),
+    "weight-missing": lambda raw: raw[: raw.rfind(b", {")] + b"]}\n",
+    "weight-exponent": lambda raw: raw.replace(b"0.0625", b"6.25e-2", 1),
+    "weight-integer": lambda raw: raw.replace(b'"im": 0.0', b'"im": 0', 1),
+    "dim-0": lambda raw: raw.replace(b'"dim": 4', b'"dim": 0'),
+    "dim-5000-digits": lambda raw: raw.replace(b'"dim": 4', b'"dim": ' + b"4" * 5000),
+    "weight-true": lambda raw: raw.replace(b'"im": 0.0', b'"im": true', 1),
+    "weight-nan": lambda raw: raw.replace(b'"im": 0.0', b'"im": NaN', 1),
+    "weight-not-an-object": lambda raw: raw.replace(b'{"im": 0.0, "re": 0.0625}', b"{}", 1),
+    "weight-string": lambda raw: raw.replace(b'"im": 0.0', b'"im": "0.0"', 1),
+    "weight-beyond-float": lambda raw: raw.replace(b'"im": 0.0', b'"im": 1' + b"0" * 400, 1),
+    "weight-deep-nesting": lambda raw: raw.replace(b'"im": 0.0', b'"im": ' + b"[" * 100000 + b"]" * 100000, 1),
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "utf8-bom": lambda raw: b"\xef\xbb\xbf" + raw,
+    "empty-rule": lambda raw: b'{"dim": 4, "nodes": [], "schema_version": 1, "weights": []}\n',
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALTERED))
+def test_altered_writer_text_reads_as_json_loads_reads_it(capsys, tmp_path, monkeypatch, case):
+    raw = ALTERED[case](written_rule())
+    assert cli._rule_from_writer_text(raw) is None
+    rule, poly = tmp_path / "rule.json", tmp_path / "poly.json"
+    rule.write_bytes(raw)
+    poly.write_text('{"dim": 4, "terms": [{"k": [0, 0, 0, 0], "re": 1.0, "im": 0.0}, '
+                    '{"k": [1, 1, 0, 2], "re": 0.5, "im": -0.25}]}')
+    argv = ["integrate", "--rule", str(rule), "--poly", str(poly)]
+
+    def outcome():
+        try:
+            code = cli.main(argv)
+        except RecursionError:  # json.loads gives up on deep nesting, and main lets that through
+            code = RecursionError
+        return (code, *capsys.readouterr())
+
+    got = outcome()
+    monkeypatch.setattr(cli, "_rule_from_writer_text", lambda raw: None)
+    assert got == outcome()
+    code = got[0]
+    if case in ("utf8-bom", "truncated", "dim-0", "dim-5000-digits", "weight-true", "weight-nan", "weight-beyond-float"):
+        assert code == 1
+    if case in ("node-0.7", "whitespace-in-weights", "reordered-keys", "no-final-newline", "empty-rule"):
+        assert code == 0
+    if case == "weight-deep-nesting":
+        assert code is RecursionError
