@@ -505,5 +505,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main(argv=None) -> int:
+    """``main`` for the ``symquad`` command, where JSON nested too deeply to parse is an error too."""
+    try:
+        return main(argv)
+    except RecursionError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

@@ -24,7 +24,7 @@ from .fourier import (
     FourierPolynomial,
     evaluate_at_points,
     random_polynomial,
-    reject_bools,
+    reject_bools_and_strings,
     require_integral,
 )
 from .korobov import require_alpha, riemann_zeta
@@ -111,7 +111,7 @@ class CubatureRule:
             rows, terms = data["nodes"], data["weights"]
             coords = list(chain.from_iterable(rows))
             re, im = [w["re"] for w in terms], [w["im"] for w in terms]
-            reject_bools(chain([data["dim"]], coords, re, im), "rule JSON")
+            reject_bools_and_strings(chain([data["dim"]], coords, re, im), "rule JSON")
             if len(set(map(len, rows))) > 1:
                 raise ValueError("node rows differ in length")
             nodes = np.array(coords, dtype=np.float64).reshape(len(rows), -1) if rows else []

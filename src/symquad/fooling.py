@@ -42,10 +42,11 @@ from .fourier import FourierPolynomial, MultiIndex, _distinct_rows, characters, 
 from .korobov import korobov_norm, require_alpha
 from .symmetry import (
     InvariancePattern,
-    binary_orbit_members,
     canonical_binary_vectors,
+    canonical_rows,
     critical_node_count,
     group_order,
+    orbit_members,
     orbit_stats,
     symmetrize,
 )
@@ -114,8 +115,7 @@ def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
     modes = np.array(psi, dtype=np.float64).reshape(n_nodes + 1, pattern.dim)
     if not np.isin(modes, (0, 1)).all():  # also rejects 0.5, which int() would truncate
         raise ValueError("mode order entries must be 0/1 vectors")
-    blocks = [modes[:, [i - 1 for i in g]] for g in pattern.groups]
-    if any((b[:, 1:] < b[:, :-1]).any() for b in blocks):  # zeros precede ones when canonical
+    if not np.array_equal(canonical_rows(pattern, modes), modes):
         raise ValueError("mode order entries must be canonical under the pattern")
     if len(_distinct_rows(modes)[0]) != len(modes):
         raise ValueError("mode order entries must be distinct")
@@ -313,8 +313,7 @@ def _certificate_terms(pattern: InvariancePattern, psi, coefficients, pivot) -> 
     base 3 (digit ``k_m + 1``), so codes sort like keys.
     """
     dim, n_modes = pattern.dim, len(psi)
-    modes = np.array(psi, dtype=np.int64).reshape(n_modes, dim)
-    modes, owner = binary_orbit_members(pattern, modes)
+    modes, owner = orbit_members(pattern, psi)
     wide = 3**dim * n_modes >= 2**63  # codes then need Python ints
     digits = 3 ** np.arange(dim - 1, -1, -1, dtype=object if wide else np.int64)
     codes = modes @ digits

@@ -62,10 +62,10 @@ def require_integral(value, what) -> int:
     return out
 
 
-def reject_bools(values, what):
-    """Refuse JSON ``true``/``false`` among numbers (``bool`` is an ``int``, so ``int(True)`` is 1)."""
-    if bool in set(map(type, values)):
-        raise ValueError(f"{what} holds a boolean where a number belongs")
+def reject_bools_and_strings(values, what):
+    """Refuse JSON ``true``/``false`` and strings where numbers belong (``float("1")`` is 1.0)."""
+    if {bool, str} & set(map(type, values)):
+        raise ValueError(f"{what} holds a boolean or a string where a number belongs")
 
 
 class FourierPolynomial:
@@ -223,7 +223,8 @@ class FourierPolynomial:
             terms = data["terms"]
             keys = [entry["k"] for entry in terms]
             re, im = [entry["re"] for entry in terms], [entry["im"] for entry in terms]
-            reject_bools(chain([data["dim"]], chain.from_iterable(keys), re, im), "polynomial JSON")
+            numbers = chain([data["dim"]], chain.from_iterable(keys), re, im)
+            reject_bools_and_strings(numbers, "polynomial JSON")
             pairs = [(tuple(k), complex(float(r), float(i))) for k, r, i in zip(keys, re, im)]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from exc
@@ -317,7 +318,7 @@ def characters(points, keys) -> np.ndarray:
 
 
 def _distinct_rows(block):
-    """Distinct rows of a 2-D float array and each row's index among them.
+    """Distinct rows of a 2-D numeric array and each row's index among them.
 
     One sort of the rows as byte strings (``np.unique(axis=0)`` is far
     slower); the order of the distinct rows is unspecified.

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .fourier import FourierPolynomial, MultiIndex, require_integral, validate_multi_index
+from .fourier import FourierPolynomial, MultiIndex, _distinct_rows, require_integral
+from .fourier import validate_multi_index
 
 #: Default ceiling on the size of materialized enumerations.
 DEFAULT_ENUMERATION_CAP = 1 << 26
@@ -117,20 +117,22 @@ def group_order(pattern: InvariancePattern) -> int:
     return math.prod(math.factorial(len(g)) for g in pattern.groups)
 
 
-def canonicalize(k, pattern: InvariancePattern) -> MultiIndex:
-    """Canonical orbit representative: each block's entries sorted ascending.
+def canonical_rows(pattern: InvariancePattern, vectors) -> np.ndarray:
+    """Canonical orbit representatives of integer rows, as ``int64`` rows.
 
-    Within every group the entries are rearranged non-decreasingly, which is
-    the lexicographically smallest element of the orbit; coordinates outside
-    all groups are untouched.  Idempotent.
+    Each block's columns are sorted ascending: the lexicographically
+    smallest element of the orbit.  Coordinates outside all groups stay.
     """
+    rows = np.array(vectors, dtype=np.int64)
+    for cols in ([i - 1 for i in g] for g in pattern.groups):
+        rows[:, cols] = np.sort(rows[:, cols], axis=1)
+    return rows
+
+
+def canonicalize(k, pattern: InvariancePattern) -> MultiIndex:
+    """Canonical orbit representative of one vector: ``canonical_rows`` of it.  Idempotent."""
     key = validate_multi_index(k, pattern.dim)
-    out = list(key)
-    for g in pattern.groups:
-        values = sorted(out[i - 1] for i in g)
-        for i, v in zip(g, values):
-            out[i - 1] = v
-    return tuple(out)
+    return tuple(canonical_rows(pattern, [key])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -156,43 +158,32 @@ def orbit_stats(k, pattern: InvariancePattern) -> OrbitStats:
     return OrbitStats(canonicalize(key, pattern), stab, group_order(pattern) // stab)
 
 
-def _distinct_arrangements(values: Sequence[int]) -> list[tuple[int, ...]]:
-    """All distinct arrangements of a multiset, in lexicographic order.
+def _distinct_arrangements(multisets) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct arrangements of each sorted row, lexicographically, and the row of each.
 
-    Next-permutation steps (Knuth, TAOCP 7.2.1.2, Algorithm L).
+    Built one position at a time: every partial arrangement takes each
+    distinct value it has left, smallest first.
     """
-    a = sorted(values)
-    out = [tuple(a)]
-    while True:
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = a[:i:-1]
-        out.append(tuple(a))
+    left, row = multisets, np.arange(len(multisets))
+    out = multisets[:, :0]
+    for width in range(multisets.shape[1], 0, -1):
+        first = np.ones(left.shape, dtype=bool)  # first of a run of equal values left
+        first[:, 1:] = left[:, 1:] != left[:, :-1]
+        parent, col = np.nonzero(first)
+        out = np.column_stack([out[parent], left[parent, col]])
+        left = left[parent][np.arange(width) != col[:, None]].reshape(len(parent), width - 1)
+        row = row[parent]
+    return out, row
 
 
 def orbit(k, pattern: InvariancePattern) -> Iterator[MultiIndex]:
     """Iterate the orbit of ``k``: all within-group rearrangements.
 
-    Cost is proportional to the orbit size (distinct arrangements only),
-    never to the group order.  Deterministic order: arrangements advance
-    lexicographically, later groups fastest.
+    Cost is proportional to the orbit size, never to the group order;
+    arrangements advance lexicographically, later groups fastest.
     """
     key = validate_multi_index(k, pattern.dim)
-    groups = pattern.groups
-    per_group = [_distinct_arrangements([key[i - 1] for i in g]) for g in groups]
-    current = list(key)
-    for arrangements in product(*per_group):
-        for g, arrangement in zip(groups, arrangements):
-            for i, v in zip(g, arrangement):
-                current[i - 1] = v
-        yield tuple(current)
+    yield from map(tuple, orbit_members(pattern, [key])[0].tolist())
 
 
 def critical_node_count(pattern: InvariancePattern) -> int:
@@ -246,38 +237,38 @@ def binary_orbit_sizes(pattern: InvariancePattern, ones) -> np.ndarray:
     """Exact orbit sizes of 0/1 vectors from their per-block ones-counts.
 
     ``j_r`` ones in block ``r`` of size ``g_r`` give ``prod_r C(g_r, j_r)``,
-    read from a table over the ones-count combinations; the result is an
-    object array of Python ints, exact for any block size.
+    read from a table over the ones-count combinations: Python ints, exact.
     """
-    blocks = [len(g) for g in pattern.groups]
-    combos = product(*(range(g + 1) for g in blocks))
-    table = [math.prod(map(math.comb, blocks, js)) for js in combos]
-    code = np.zeros(len(ones), dtype=np.intp)
-    for r, g in enumerate(blocks):
-        code = code * (g + 1) + ones[:, r]
-    return np.array(table, dtype=object)[code]
+    table, code = np.ones(1, dtype=object), np.zeros(len(ones), dtype=np.intp)
+    for r, g in enumerate(len(g) for g in pattern.groups):
+        combs = np.array([math.comb(g, j) for j in range(g + 1)], dtype=object)
+        table, code = np.multiply.outer(table, combs).ravel(), code * (g + 1) + ones[:, r]
+    return table[code]
 
 
-def binary_orbit_members(pattern: InvariancePattern, vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Every orbit member of each 0/1 vector, each orbit in ``orbit()`` order.
+def orbit_members(pattern: InvariancePattern, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Every orbit member of each integer row, each orbit in ``orbit()`` order.
 
-    Returns the members, one row each and grouped by vector in input order,
-    and the index of the vector each member belongs to.  A block with ``j``
-    ones runs through the lexicographic arrangements of ``j`` ones, later
-    blocks fastest.
+    Returns the ``int64`` members, grouped by row in input order, and the
+    row each belongs to.  A block runs through the lexicographic arrangements
+    of its entries, later blocks fastest, from one table per distinct multiset.
     """
-    members = np.asarray(vectors)
+    members = np.asarray(vectors, dtype=np.int64)
     owner = np.arange(len(members))
-    for g in pattern.groups:
-        cols = [i - 1 for i in g]
-        ones = members[:, cols].sum(axis=1).tolist()
-        arranged = {j: np.array(_distinct_arrangements([0] * (len(g) - j) + [1] * j))
-                    for j in set(ones)}
-        counts = [len(arranged[j]) for j in ones]
+    for cols in ([i - 1 for i in g] for g in pattern.groups):
+        multisets, which = _distinct_rows(np.sort(members[:, cols], axis=1))
+        tables, table_of = _distinct_arrangements(multisets)
+        sizes = np.bincount(table_of, minlength=len(multisets))
+        counts = sizes[which]
+        # member j of a row takes row j of its multiset's slice of the tables
+        offset = np.repeat((np.cumsum(sizes) - sizes)[which] - (np.cumsum(counts) - counts), counts)
         owner = np.repeat(owner, counts)
         members = np.repeat(members, counts, axis=0)
-        members[:, cols] = np.concatenate([arranged[j] for j in ones])
+        members[:, cols] = tables[offset + np.arange(len(members))]
     return members, owner
+
+
+binary_orbit_members = orbit_members
 
 
 def binary_orbit_representatives(
@@ -302,26 +293,24 @@ def binary_orbit_representatives(
 def symmetrize(f: FourierPolynomial, pattern: InvariancePattern) -> FourierPolynomial:
     """Project onto the invariant polynomials by orbit averaging.
 
-    The coefficient of every frequency in an orbit becomes the plain average
-    of the input coefficients over that orbit.  Work is proportional to the
-    support size times the orbit sizes met, never to the group order.  The
-    coefficient at frequency zero is a fixed point, so the integral is
-    preserved exactly.
+    Every coefficient in an orbit becomes the orbit's average: the sum of
+    its input coefficients in key order, divided part by part by the orbit
+    size.  Work is proportional to the support size times the orbit sizes
+    met, never to the group order.  The integral is preserved exactly.
     """
     if f.dim != pattern.dim:
         raise DimensionMismatchError("polynomial and pattern dimensions differ")
-    buckets: dict[MultiIndex, complex] = {}
-    for k, c in f.terms.items():
-        canon = canonicalize(k, pattern)
-        buckets[canon] = buckets.get(canon, 0j) + c
-    out: dict[MultiIndex, complex] = {}
-    for canon in sorted(buckets):
-        avg = buckets[canon] / orbit_stats(canon, pattern).orbit_size
-        if avg == 0:
-            continue
-        for member in orbit(canon, pattern):
-            out[member] = avg
-    return FourierPolynomial(f.dim, out)
+    keys, coeffs = f._term_arrays()
+    canon, bucket = _distinct_rows(canonical_rows(pattern, keys))
+    members, owner = orbit_members(pattern, canon)
+    sizes = np.bincount(owner)
+    avg = np.empty(len(canon), dtype=np.complex128)  # bincount adds in array order from +0.0
+    avg.real = np.bincount(bucket, coeffs.real) / sizes
+    avg.imag = np.bincount(bucket, coeffs.imag) / sizes
+    keep = np.flatnonzero(avg[owner] != 0)
+    keep = keep[np.lexsort(members[keep].T[::-1])]
+    terms = zip(map(tuple, members[keep].tolist()), avg[owner[keep]].tolist())
+    return FourierPolynomial._from_valid_terms(f.dim, dict(terms))
 
 
 def is_invariant(f: FourierPolynomial, pattern: InvariancePattern, tol=0.0) -> bool:
@@ -335,7 +324,8 @@ def is_invariant(f: FourierPolynomial, pattern: InvariancePattern, tol=0.0) -> b
         raise DimensionMismatchError("polynomial and pattern dimensions differ")
     if tol < 0:
         raise ValueError("tolerance must be >= 0")
-    for k, c in f.terms.items():
-        if abs(c - f.coefficient(canonicalize(k, pattern))) > tol:
-            return False
-    return True
+    keys, coeffs = f._term_arrays()
+    rows, index = _distinct_rows(np.concatenate([canonical_rows(pattern, keys), keys]))
+    table = np.zeros(len(rows), dtype=np.complex128)  # a canonical key outside the support is 0j
+    table[index[len(keys) :]] = coeffs
+    return not (np.abs(coeffs - table[index[: len(keys)]]) > tol).any()

@@ -26,12 +26,12 @@ from .errors import (
     UnsupportedPatternError,
 )
 from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, construct_certificate
-from .fourier import MultiIndex, reject_bools, require_integral, validate_multi_index
+from .fourier import MultiIndex, reject_bools_and_strings, require_integral, validate_multi_index
 from .symmetry import (
     InvariancePattern,
-    binary_orbit_members,
     canonical_binary_vectors,
     critical_node_count,
+    orbit_members,
 )
 
 #: Largest dimension of the exhaustive (``4**d`` pairs) product inequality check.
@@ -68,7 +68,7 @@ class WeightSchedule:
     @classmethod
     def from_json_dict(cls, data) -> "WeightSchedule":
         try:
-            reject_bools([data["dim"], *data["gammas"]], "weight schedule JSON")
+            reject_bools_and_strings([data["dim"], *data["gammas"]], "weight schedule JSON")
             return cls(data["dim"], tuple(data["gammas"]))
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed weight schedule JSON: {exc!r}") from exc
@@ -256,7 +256,7 @@ def check_weight_supermultiplicativity(
         )
     weigh = _product_weights(pattern, schedule)
     vectors, _ = canonical_binary_vectors(pattern)
-    members, owner = binary_orbit_members(pattern, vectors.astype(np.int64))
+    members, owner = orbit_members(pattern, vectors)
     v, u = np.divmod(np.arange(len(owner) ** 2), len(owner))
     v, u = np.divmod(np.lexsort((owner[u], owner[v])), len(owner))  # stable: v, u stay ordered
     k1, k2, diffs = owner[v], owner[u], members[v] - members[u]

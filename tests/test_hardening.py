@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symquad
 from symquad import CubatureRule, FourierPolynomial, InvariancePattern, InvarianceProfile, WeightSchedule
 from symquad.cli import main
 from symquad.fourier import validate_multi_index
@@ -329,3 +333,86 @@ def test_certify_checks_every_given_dimension(capsys, rule_file, dim):
     code, out, err = run(capsys, ["certify", "--rule", rule_file, "-d", dim, "--alpha", "2"])
     assert (code, out) == (1, "")
     assert f"--dim {dim} does not match rule dimension 1" in err
+
+
+# ---------------------------------------------------------------------------
+# JSON strings are not numbers either (``float("1")`` is 1.0)
+
+GOOD_RULE = '{"dim": 1, "nodes": [[0.5]], "weights": [{"re": 1.0, "im": 0.0}]}'
+GOOD_POLY = '{"dim": 1, "terms": [{"k": [0], "re": 1.0, "im": 0.0}]}'
+
+
+@pytest.mark.parametrize(
+    "reader,data",
+    [
+        (CubatureRule.from_json_dict, {"dim": 1, "nodes": [["0.5"]], "weights": [{"re": 1.0, "im": 0.0}]}),
+        (CubatureRule.from_json_dict, {"dim": 1, "nodes": [[0.5]], "weights": [{"re": "1", "im": 0.0}]}),
+        (CubatureRule.from_json_dict, {"dim": 1, "nodes": [[0.5]], "weights": [{"re": 1.0, "im": "0.0"}]}),
+        (FourierPolynomial.from_json_dict, {"dim": 1, "terms": [{"k": [0], "re": "1.0", "im": 0.0}]}),
+        (FourierPolynomial.from_json_dict, {"dim": 1, "terms": [{"k": [0], "re": 1.0, "im": "0"}]}),
+        (FourierPolynomial.from_json_dict, {"dim": 1, "terms": [{"k": ["0"], "re": 1.0, "im": 0.0}]}),
+        (WeightSchedule.from_json_dict, {"dim": 3, "gammas": [1.0, "0.5", 0.25]}),
+        (InvarianceProfile.from_json_dict, {"samples": [[3, "1"]]}),
+    ],
+    ids=["rule-node", "rule-re", "rule-im", "polynomial-re", "polynomial-im", "polynomial-k",
+         "schedule-gamma", "profile-count"],
+)
+def test_json_readers_reject_strings(reader, data):
+    with pytest.raises(ValueError, match="string"):
+        reader(data)
+
+
+@pytest.mark.parametrize(
+    "rule_text,poly_text",
+    [
+        ('{"dim": 1, "nodes": [["0.5"]], "weights": [{"re": "1", "im": "0"}]}', GOOD_POLY),
+        ('{"dim": 1, "nodes": [[0.5]], "weights": [{"re": 1.0, "im": "0.0"}]}', GOOD_POLY),
+        (GOOD_RULE, '{"dim": 1, "terms": [{"k": [0], "re": "1.0", "im": 0.0}]}'),
+        (GOOD_RULE, '{"dim": 1, "terms": [{"k": [0], "re": 1.0, "im": "0"}]}'),
+    ],
+    ids=["rule-all-strings", "rule-im", "polynomial-re", "polynomial-im"],
+)
+def test_integrate_rejects_numbers_written_as_strings(capsys, tmp_path, rule_text, poly_text):
+    rule, poly = tmp_path / "rule.json", tmp_path / "poly.json"
+    rule.write_text(rule_text)
+    poly.write_text(poly_text)
+    code, out, err = run(capsys, ["integrate", "--rule", str(rule), "--poly", str(poly)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "string" in err
+
+
+def test_cli_rejects_string_schedules_and_profiles(capsys, tmp_path):
+    gammas, profile = tmp_path / "g.json", tmp_path / "p.json"
+    gammas.write_text('{"dim": 3, "gammas": ["1.0", 0.5, 0.25]}')
+    profile.write_text('{"samples": [["3", 1]]}')
+    for argv in (["weights", "-d", "3", "--gammas", str(gammas)], ["tract", "--profile", str(profile)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "string" in err
+
+
+def test_integrate_accepts_the_same_files_with_numbers(capsys, tmp_path):
+    rule, poly = tmp_path / "rule.json", tmp_path / "poly.json"
+    rule.write_text(GOOD_RULE)
+    poly.write_text(GOOD_POLY)
+    code, out, err = run(capsys, ["integrate", "--rule", str(rule), "--poly", str(poly)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == {"re": 1.0, "im": 0.0}
+
+
+# ---------------------------------------------------------------------------
+# nesting deeper than the parser's recursion limit is an input error of the command
+
+
+@pytest.mark.parametrize("deep_flag", ["--rule", "--poly"])
+def test_integrate_command_reports_deeply_nested_json(tmp_path, deep_flag):
+    rule, poly, deep = tmp_path / "rule.json", tmp_path / "poly.json", tmp_path / "deep.json"
+    rule.write_text(GOOD_RULE)
+    poly.write_text(GOOD_POLY)
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["integrate", "--rule", str(rule), "--poly", str(poly)]
+    argv[argv.index(deep_flag) + 1] = str(deep)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symquad.__file__)))
+    done = subprocess.run([sys.executable, "-m", "symquad.cli", *argv], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr

@@ -1,5 +1,6 @@
-"""Orbit combinatorics against exhaustive permutation enumeration (d <= 6)."""
+"""Orbit combinatorics against exhaustive permutation enumeration (d <= 7)."""
 
+import inspect
 import itertools
 
 import numpy as np
@@ -24,6 +25,7 @@ from symquad import (
     random_polynomial,
     symmetrize,
 )
+from symquad.symmetry import binary_orbit_members, canonical_rows, orbit_members
 
 
 def all_group_permutations(pattern):
@@ -278,3 +280,120 @@ def test_is_invariant_pointwise_oracle():
         x = tuple(rng.random(5))
         sigma_x = tuple(x[mapping[i]] for i in range(5))
         assert abs(f(x) - f(sigma_x)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the array orbit core against the dict loops it replaced
+
+
+def reference_canonicalize(k, pattern):
+    out = list(k)
+    for g in pattern.groups:
+        for i, v in zip(g, sorted(out[i - 1] for i in g)):
+            out[i - 1] = v
+    return tuple(out)
+
+
+def reference_symmetrize(f, pattern):
+    """Orbit averaging one term at a time: bucket sums in key order, then ``complex / int``."""
+    perms = list(all_group_permutations(pattern))
+    buckets = {}
+    for k, c in f.terms.items():
+        canon = reference_canonicalize(k, pattern)
+        buckets[canon] = buckets.get(canon, 0j) + c
+    out = {}
+    for canon in sorted(buckets):
+        members = {permute_key(canon, m) for m in perms}
+        avg = buckets[canon] / len(members)
+        if avg == 0:
+            continue
+        for member in members:
+            out[member] = avg
+    return FourierPolynomial(f.dim, out)
+
+
+def reference_is_invariant(f, pattern, tol):
+    for k, c in f.terms.items():
+        if abs(c - f.coefficient(reference_canonicalize(k, pattern))) > tol:
+            return False
+    return True
+
+
+def term_bits(f):
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in f.terms.items()]
+
+
+def random_pattern(rng, dim, kind):
+    """``kind`` 0: trivial, 1: one block, 2: up to three blocks."""
+    perm = [int(i) + 1 for i in rng.permutation(dim)]
+    if kind == 0:
+        return InvariancePattern.trivial(dim)
+    if kind == 1:
+        return InvariancePattern.single(dim, perm[: int(rng.integers(1, dim + 1))])
+    cuts = sorted(rng.choice(np.arange(1, dim + 1), size=min(dim, 3), replace=False).tolist())
+    return InvariancePattern(dim, [perm[a:b] for a, b in zip([0, *cuts], cuts)])
+
+
+def orbit_core_cases():
+    rng = np.random.default_rng(20)
+    for n in range(300):
+        dim = int(rng.integers(1, 8))
+        pattern = random_pattern(rng, dim, n % 3)
+        n_terms = int(rng.integers(0, 14))
+        yield pattern, random_polynomial(dim, n_terms, rng, max_magnitude=int(rng.integers(0, 4)))
+    full3 = InvariancePattern.full(3)
+    yield full3, FourierPolynomial(3, {})
+    # the orbit of (1, 0, 0) sums to zero, so it leaves the support
+    yield full3, FourierPolynomial(3, {(0, 0, 0): 1.0, (1, 0, 0): 0.5, (0, 0, 1): -0.5 + 0j})
+    yield InvariancePattern.full(2), FourierPolynomial(2, {(1, 0): 1 + 2j, (0, 1): -1 - 2j})
+
+
+def test_symmetrize_and_is_invariant_match_the_dict_loops_bitwise():
+    cases = 0
+    for pattern, f in orbit_core_cases():
+        sym, ref = symmetrize(f, pattern), reference_symmetrize(f, pattern)
+        assert term_bits(sym) == term_bits(ref)
+        nudged = dict(sym.terms)
+        if nudged:
+            key = max(nudged)
+            nudged[key] += 1e-13
+        for g in (f, sym, FourierPolynomial(f.dim, nudged)):
+            for tol in (0.0, 1e-12):
+                assert is_invariant(g, pattern, tol) == reference_is_invariant(g, pattern, tol)
+        cases += 1
+    assert cases >= 300
+
+
+def test_orbit_members_of_integer_rows_match_brute_force():
+    pattern = InvariancePattern(6, [(1, 3, 4), (2, 6)])
+    rng = np.random.default_rng(21)
+    rows = np.concatenate([rng.integers(-2, 3, size=(30, 6)),
+                           [[-1, 5, -1, -1, 0, 5], [3, -3, 3, -3, 7, -3], [0] * 6]])
+    members, owner = orbit_members(pattern, rows)
+    assert members.dtype == np.int64 and members.shape == (len(owner), 6)
+    assert (np.diff(owner) >= 0).all()
+
+    def order(member):  # orbit() order: each block's arrangement lexicographic, later blocks fastest
+        return tuple(member[i - 1] for g in pattern.groups for i in g)
+
+    for n, row in enumerate(rows.tolist()):
+        expected = sorted(brute_orbit(tuple(row), pattern), key=order)
+        assert [tuple(m) for m in members[owner == n].tolist()] == expected
+    assert binary_orbit_members is orbit_members
+
+
+def test_orbit_members_of_no_rows():
+    members, owner = orbit_members(InvariancePattern(6, [(1, 3, 4), (2, 6)]), np.zeros((0, 6), dtype=np.int64))
+    assert members.shape == (0, 6) and owner.shape == (0,)
+
+
+def test_canonical_rows_are_the_orbit_minima():
+    pattern = InvariancePattern(6, [(1, 3, 4), (2, 6)])
+    rows = np.random.default_rng(22).integers(-3, 4, size=(40, 6))
+    canon = canonical_rows(pattern, rows)
+    assert canon.dtype == np.int64
+    assert [tuple(r) for r in canon.tolist()] == [min(brute_orbit(tuple(r), pattern)) for r in rows.tolist()]
+
+
+def test_orbit_stays_a_generator():
+    assert inspect.isgenerator(orbit((1, 0, 2), InvariancePattern.full(3)))
