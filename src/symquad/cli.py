@@ -9,6 +9,7 @@ printed instead).
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -403,6 +404,7 @@ def _add_output_flags(parser):
     parser.add_argument("--out", metavar="FILE", help="write output to FILE")
 
 
+@functools.cache  # built once: building it costs about as much as a small request
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="symquad",
@@ -490,8 +492,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except RefusalError as exc:
@@ -500,19 +501,10 @@ def main(argv=None) -> int:
     except (NullspaceError, CertificateError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
-    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-
-
-def console_main(argv=None) -> int:
-    """``main`` for the ``symquad`` command, where JSON nested too deeply to parse is an error too."""
-    try:
-        return main(argv)
-    except RecursionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, KeyError, OSError, OverflowError, RecursionError) as exc:
+        sys.stderr.write(f"error: {exc}\n")  # RecursionError: JSON nested too deeply to parse
         return 1
 
 
 if __name__ == "__main__":
-    raise SystemExit(console_main())
+    raise SystemExit(main())

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .fourier import (
     FourierPolynomial,
+    _collect,
+    _distinct_rows,
     evaluate_at_points,
     random_polynomial,
     reject_bools_and_strings,
@@ -151,22 +153,23 @@ def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
 
 def _apply_by_parity(bits, weights, f):
     """``apply_rule`` at the nodes ``bits / 2``, ``bits`` a 0/1 float array."""
-    keys, coeffs = f._term_arrays()
-    parity = (keys.astype(np.int64) & 1).astype(np.uint8)
-    packed = np.packbits(parity, axis=1)
-    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    classes, inverse = _distinct_rows((f.keys & 1).astype(np.uint8))
 
-    # W(p) = sum(w) - 2 * (sum of w_n over the nodes where p.b_n is odd).
-    classes_t = parity[first].T.astype(np.float64)
+    # W(p) = sum(w) - 2 * (sum of w_n over the nodes where p.b_n is odd), with no BLAS
+    # product: a threaded BLAS leaves its idle workers spinning on a second core.
+    node_bytes, class_bytes = np.packbits(bits != 0, axis=1), np.packbits(classes, axis=1)
     w_parts = np.stack([weights.real, weights.imag])
-    odd_sums = np.zeros((2, first.size))
-    chunk = max(1, (1 << 20) // first.size)
-    for lo in range(0, bits.shape[0], chunk):
-        odd = (bits[lo:lo + chunk] @ classes_t).astype(np.int32) & 1
-        odd_sums += w_parts[:, lo:lo + chunk] @ odd
+    odd_sums = np.zeros((2, len(classes)))
+    chunk = max(1, (1 << 18) // len(classes))
+    for lo in range(0, len(node_bytes), chunk):
+        odd = node_bytes[lo:lo + chunk, :1] & class_bytes[:, 0]
+        for j in range(1, class_bytes.shape[1]):  # XOR the bytes of p & b_n, then the bits
+            odd ^= node_bytes[lo:lo + chunk, j:j + 1] & class_bytes[:, j]
+        for shift in (4, 2, 1):
+            odd ^= odd >> shift
+        odd_sums += np.einsum("kn,nc->kc", w_parts[:, lo:lo + chunk], (odd & 1).astype(np.float64))
     w_hat = w_parts.sum(axis=1)[:, None] - 2.0 * odd_sums
-    products = coeffs * (w_hat[0] + 1j * w_hat[1])[inverse]
+    products = f.coeffs * (w_hat[0] + 1j * w_hat[1])[inverse]
     return complex(math.fsum(products.real.tolist()), math.fsum(products.imag.tolist()))
 
 
@@ -223,18 +226,9 @@ def bench(dims, fractions, repetitions=3, seed=0, n_terms=8):
             full = rectangle_rule(dim)
             folded = folded_rectangle_rule(pattern)
             base = random_polynomial(dim, n_terms, rng, max_magnitude=1)
-            # keep at most two nonzero entries per frequency so orbit sizes
-            # (and hence the symmetrized support) stay moderate
-            shaped: dict = {}
-            for k, c in base.terms.items():
-                key = list(k)
-                nonzero = [i for i, e in enumerate(key) if e != 0]
-                for i in nonzero[2:]:
-                    key[i] = 0
-                key = tuple(key)
-                shaped[key] = shaped.get(key, 0j) + c
-            shaped[(0,) * dim] = shaped.get((0,) * dim, 0j) + 1.0
-            poly = symmetrize(FourierPolynomial(dim, shaped), pattern)
+            # at most two nonzero entries per frequency keep orbit sizes (and so the support) moderate
+            keys = np.where(np.cumsum(base.keys != 0, axis=1) > 2, 0, base.keys)
+            poly = symmetrize(_collect(dim, keys, base.coeffs) + FourierPolynomial(dim, {(0,) * dim: 1.0}), pattern)
             t_full, v_full = _time_apply(full, poly, repetitions)
             t_folded, v_folded = _time_apply(folded, poly, repetitions)
             rows.append(

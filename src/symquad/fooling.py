@@ -38,7 +38,7 @@ from .errors import (
     RefusalError,
     UnsupportedPatternError,
 )
-from .fourier import FourierPolynomial, MultiIndex, _distinct_rows, characters, exp_2pi_i
+from .fourier import FourierPolynomial, MultiIndex, _distinct_rows, _from_sorted, characters, exp_2pi_i
 from .korobov import korobov_norm, require_alpha
 from .symmetry import (
     InvariancePattern,
@@ -265,12 +265,11 @@ def construct_certificate(
         raise RefusalError(n_nodes, threshold, upper_bound_error=upper)
 
     if mode_order is None:
-        mode_order = canonical_binary_vectors(pattern, stop=n_nodes + 1, cap=None)[0].tolist()
+        mode_order = canonical_binary_vectors(pattern, stop=n_nodes + 1, cap=None)[0]
     matrix = constraint_matrix(rule, pattern, mode_order)
-    psi = [tuple(int(v) for v in k) for k in mode_order]
+    psi = np.asarray(mode_order, dtype=np.int64)  # validated 0/1 rows, so nothing is truncated
     solution = nullspace_solution(matrix, DEFAULT_CHECK_TOL * np.max(np.abs(matrix), initial=0.0))
-    terms = _certificate_terms(pattern, psi, solution.coefficients, solution.pivot_index)
-    poly = FourierPolynomial._from_valid_terms(pattern.dim, terms)
+    poly = _from_sorted(pattern.dim, *_certificate_terms(pattern, psi, solution.coefficients, solution.pivot_index))
 
     rule_value = apply_rule(rule, poly)
     integral_value = poly.integral()
@@ -293,7 +292,7 @@ def construct_certificate(
         pattern=pattern,
         alpha=a_smooth,
         polynomial=poly,
-        mode_order=tuple(psi),
+        mode_order=tuple(map(tuple, psi.tolist())),
         solution=solution,
         rule_value=rule_value,
         integral_value=integral_value,
@@ -302,8 +301,8 @@ def construct_certificate(
     )
 
 
-def _certificate_terms(pattern: InvariancePattern, psi, coefficients, pivot) -> dict:
-    """Certificate coefficients from orbit convolution counts.
+def _certificate_terms(pattern: InvariancePattern, psi, coefficients, pivot):
+    """Certificate keys (sorted ``int64`` rows) and coefficients from orbit convolution counts.
 
     The coefficient at ``k`` is the sum over ascending ``n`` of
     ``count_n(k) / |V| * a_n``: ``V`` is the pivot's orbit and ``count_n(k)``
@@ -328,9 +327,7 @@ def _certificate_terms(pattern: InvariancePattern, psi, coefficients, pivot) -> 
     parts = counts / len(in_pivot) * np.asarray(coefficients)[owner[h]]
     slot = np.cumsum(first) - 1  # bincount adds in array order: ascending mode per key
     values = np.bincount(slot, weights=parts.real) + 1j * np.bincount(slot, weights=parts.imag)
-    keep = values != 0
-    keys = modes[h[first][keep]] - modes[in_pivot[v[first][keep]]]
-    return dict(zip(map(tuple, keys.tolist()), values[keep].tolist()))
+    return modes[h[first]] - modes[in_pivot[v[first]]], values
 
 
 @dataclass(frozen=True)
@@ -375,7 +372,6 @@ def crosscheck_coefficients(
     if cert.weight_scale is not None:
         product = cert.weight_scale * product
 
-    support = set(product.support()) | set(cert.polynomial.support())
-    worst = max((abs(product.coefficient(k) - cert.polynomial.coefficient(k)) for k in support),
-                default=0.0)
+    worst = float(np.max(np.abs((product - cert.polynomial).coeffs), initial=0.0))
+    support = _distinct_rows(np.concatenate([product.keys, cert.polynomial.keys]))[0]
     return CrosscheckReport(max_abs_deviation=worst, n_terms_compared=len(support))

@@ -1,11 +1,12 @@
 """Sparse trigonometric polynomials with exact integer frequencies.
 
-A polynomial is a finite map from frequency vectors ``k`` in ``Z^d`` to
-complex coefficients and represents ``x -> sum_k c_k exp(2*pi*i*k.x)`` on
-``[0,1)^d``.  The representation is kept canonical: coefficients that are
-exactly zero are dropped and terms are stored in lexicographic key order,
-so every reduction over the terms has a fixed, reproducible summation
-order.
+A polynomial represents ``x -> sum_k c_k exp(2*pi*i*k.x)`` on ``[0,1)^d``
+and is stored as two read-only arrays: ``keys``, the ``int64`` frequency
+vectors ``k`` (shape ``(t, d)``), and ``coeffs``, their ``complex128``
+coefficients (shape ``(t,)``).  The keys are distinct, in lexicographic
+order and at most ``2^31 - 1`` in magnitude; the coefficients are finite
+and nonzero.  So the form is canonical, and every reduction over the terms
+has a fixed, reproducible summation order.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from bisect import bisect_left
 from itertools import chain
 from typing import Mapping
 
@@ -78,79 +80,79 @@ class FourierPolynomial:
     terms : mapping or iterable of pairs
         Frequency vector -> complex coefficient.  Zero coefficients are
         dropped; duplicate keys and non-finite coefficients are rejected.
+
+    Attributes
+    ----------
+    keys : numpy.ndarray, int64, shape (t, d)
+        The frequency vectors: distinct, lexicographically increasing, each
+        entry at most ``2^31 - 1`` in magnitude.  Read-only.
+    coeffs : numpy.ndarray, complex128, shape (t,)
+        Their coefficients, finite and nonzero.  Read-only.
     """
 
-    __slots__ = ("_dim", "_terms", "_arrays")
+    __slots__ = ("_dim", "_keys", "_coeffs")
 
     def __init__(self, dim, terms=()):
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        keys, coeffs = tuple(zip(*pairs, strict=True)) or ((), ())
+        self._set_terms(dim, list(map(tuple, keys)), np.fromiter(map(complex, coeffs), np.complex128, len(coeffs)))
+
+    def _set_terms(self, dim, keys, coeffs):
+        """Keep ``keys`` (a list of vectors) and ``coeffs`` after the checks of ``validate_multi_index``."""
         dim = require_integral(dim, "dimension")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned = {}
-        for k, c in items:
-            key = validate_multi_index(k, dim)
-            if key in cleaned:
-                raise ValueError(f"duplicate frequency vector {key}")
-            cleaned[key] = c
-        self._store(dim, ((k, cleaned[k]) for k in sorted(cleaned)))
+        wrong = set(map(len, keys)) - {dim}
+        if wrong:
+            raise DimensionMismatchError(f"frequency vector has dimension {min(wrong)}, expected {dim}")
+        raw = np.array(keys) if keys else np.zeros((0, dim), dtype=np.int64)
+        if raw.dtype.kind not in "biu":  # each entry must equal its int()
+            raw = np.frompyfunc(lambda v: require_integral(v, "frequency entry"), 1, 1)(np.array(keys, dtype=object))
+        if raw.shape != (len(keys), dim):
+            raise ValueError("a frequency vector has a non-integer entry")
+        if (raw > MAX_INDEX_MAGNITUDE).any() or (raw < -MAX_INDEX_MAGNITUDE).any():
+            raise ValueError(f"a frequency vector exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
+        keys = raw.astype(np.int64)
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        repeated = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+        if repeated.size:
+            raise ValueError(f"duplicate frequency vector {tuple(keys[repeated[0]].tolist())}")
+        _from_sorted(dim, keys, coeffs[order], self)
 
-    @classmethod
-    def _from_valid_terms(cls, dim, terms) -> "FourierPolynomial":
-        """Polynomial from key-ordered terms whose keys are already valid for ``dim``."""
-        out = cls.__new__(cls)
-        out._store(dim, terms.items())
-        return out
-
-    def _store(self, dim, pairs):
-        """Keep the nonzero key-ordered terms; reject non-finite coefficients."""
-        self._dim, self._terms, self._arrays = dim, {}, None
-        for k, c in pairs:
-            c = complex(c)
-            if not cmath.isfinite(c):
-                raise ValueError(f"coefficient {c!r} at {k} is not finite")
-            if c != 0:
-                self._terms[k] = c
-
-    def _term_arrays(self):
-        """Cached (frequencies, coefficients) arrays in key order."""
-        if self._arrays is None:
-            n = len(self._terms)
-            keys = np.array(list(self._terms), dtype=np.float64).reshape(n, self._dim)
-            coeffs = np.fromiter(self._terms.values(), dtype=np.complex128, count=n)
-            self._arrays = (keys, coeffs)
-        return self._arrays
-
-    @property
-    def dim(self) -> int:
-        return self._dim
+    dim = property(lambda self: self._dim)
+    keys = property(lambda self: self._keys)
+    coeffs = property(lambda self: self._coeffs)
 
     @property
     def terms(self) -> dict[MultiIndex, complex]:
-        """Copy of the term map, in lexicographic key order."""
-        return dict(self._terms)
+        """The term map, in lexicographic key order (built on each call)."""
+        return dict(zip(self.support(), self._coeffs.tolist()))
 
     def support(self) -> tuple[MultiIndex, ...]:
         """Frequency vectors with nonzero coefficient, lexicographically."""
-        return tuple(self._terms)
+        return tuple(map(tuple, self._keys.tolist()))
 
     def coefficient(self, k) -> complex:
-        """Coefficient at ``k`` (zero when ``k`` is outside the support)."""
-        return self._terms.get(validate_multi_index(k, self._dim), 0j)
+        """Coefficient at ``k`` (zero when ``k`` is outside the support), by bisection of the keys."""
+        key = validate_multi_index(k, self._dim)
+        i = bisect_left(self._keys, key, key=lambda row: tuple(row.tolist()))
+        return self._coeffs[i].item() if i < len(self) and tuple(self._keys[i].tolist()) == key else 0j
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, FourierPolynomial):
             return NotImplemented
-        return self._dim == other._dim and self._terms == other._terms
+        same_keys = self._dim == other._dim and np.array_equal(self._keys, other._keys)
+        return same_keys and np.array_equal(self._coeffs, other._coeffs)
 
-    def __hash__(self):
-        return hash((self._dim, tuple(self._terms.items())))
+    def __hash__(self):  # + 0 turns each -0.0 part into 0.0, which compares equal to it
+        return hash((self._dim, self._keys.tobytes(), (self._coeffs + 0).tobytes()))
 
     def __repr__(self):
-        return f"FourierPolynomial(dim={self._dim}, n_terms={len(self._terms)})"
+        return f"FourierPolynomial(dim={self._dim}, n_terms={len(self)})"
 
     def __call__(self, x) -> complex:
         """Evaluate at a point of ``[0,1)^d``.
@@ -164,7 +166,7 @@ class FourierPolynomial:
                 f"point has dimension {len(point)}, expected {self._dim}"
             )
         acc = 0j
-        for k, c in self._terms.items():
+        for k, c in zip(self._keys.tolist(), self._coeffs.tolist()):
             phase = 0.0
             for km, xm in zip(k, point):
                 phase += km * xm
@@ -174,17 +176,15 @@ class FourierPolynomial:
 
     def integral(self) -> complex:
         """Integral over the unit cube: the coefficient at frequency zero."""
-        return self._terms.get((0,) * self._dim, 0j)
+        return self.coefficient((0,) * self._dim)
 
     def __add__(self, other):
         if not isinstance(other, FourierPolynomial):
             return NotImplemented
         if other._dim != self._dim:
             raise DimensionMismatchError("cannot add polynomials of different dimension")
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0j) + c
-        return FourierPolynomial(self._dim, out)
+        keys = np.concatenate([self._keys, other._keys])
+        return _collect(self._dim, keys, np.concatenate([self._coeffs, other._coeffs]))
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -193,42 +193,33 @@ class FourierPolynomial:
         if isinstance(other, FourierPolynomial):
             if other._dim != self._dim:
                 raise DimensionMismatchError("cannot multiply polynomials of different dimension")
-            out: dict[MultiIndex, complex] = {}
-            for k1, c1 in self._terms.items():
-                for k2, c2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(k1, k2))
-                    out[key] = out.get(key, 0j) + c1 * c2
-            return FourierPolynomial(self._dim, out)
-        factor = complex(other)
-        return FourierPolynomial._from_valid_terms(
-            self._dim, {k: factor * c for k, c in self._terms.items()}
-        )
+            keys = (self._keys[:, None] + other._keys[None, :]).reshape(-1, self._dim)
+            return _collect(self._dim, keys, _product(self._coeffs[:, None], other._coeffs).ravel())
+        return _from_sorted(self._dim, self._keys, _product(complex(other), self._coeffs))
 
     __rmul__ = __mul__
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self._dim,
-            "terms": [
-                {"k": list(k), "re": c.real, "im": c.imag}
-                for k, c in self._terms.items()
-            ],
-        }
+        parts = zip(self._keys.tolist(), self._coeffs.real.tolist(), self._coeffs.imag.tolist())
+        return {"dim": self._dim, "terms": [{"k": k, "re": re, "im": im} for k, re, im in parts]}
 
     @classmethod
     def from_json_dict(cls, data) -> "FourierPolynomial":
         if not isinstance(data, Mapping) or "dim" not in data or "terms" not in data:
             raise ValueError("polynomial JSON must carry 'dim' and 'terms'")
+        out = cls.__new__(cls)
         try:
             terms = data["terms"]
             keys = [entry["k"] for entry in terms]
             re, im = [entry["re"] for entry in terms], [entry["im"] for entry in terms]
             numbers = chain([data["dim"]], chain.from_iterable(keys), re, im)
             reject_bools_and_strings(numbers, "polynomial JSON")
-            pairs = [(tuple(k), complex(float(r), float(i))) for k, r, i in zip(keys, re, im)]
+            coeffs = np.empty(len(keys), dtype=np.complex128)
+            coeffs.real, coeffs.imag = re, im
+            out._set_terms(data["dim"], keys, coeffs)
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc!r}") from exc
-        return cls(data["dim"], pairs)
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -236,6 +227,37 @@ class FourierPolynomial:
     @classmethod
     def from_json(cls, text) -> "FourierPolynomial":
         return cls.from_json_dict(json.loads(text))
+
+
+def _from_sorted(dim, keys, coeffs, out=None) -> FourierPolynomial:
+    """``out`` (else a new polynomial) holding checked, sorted, distinct ``int64`` keys; zero terms dropped."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise ValueError(f"coefficient {coeffs[bad[0]].item()!r} at {tuple(keys[bad[0]].tolist())} is not finite")
+    keep = coeffs != 0
+    out = FourierPolynomial.__new__(FourierPolynomial) if out is None else out
+    out._dim, out._keys, out._coeffs = dim, keys[keep], coeffs[keep]
+    out._keys.flags.writeable = out._coeffs.flags.writeable = False
+    return out
+
+
+def _collect(dim, keys, coeffs) -> FourierPolynomial:
+    """Polynomial summing ``coeffs`` over equal integer ``keys``: from 0, in array order (``np.bincount``)."""
+    if (np.abs(keys) > MAX_INDEX_MAGNITUDE).any():
+        raise ValueError(f"a frequency vector exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
+    rows, slot = _distinct_rows(keys)
+    sums = np.bincount(slot, coeffs.real, len(rows)) + 1j * np.bincount(slot, coeffs.imag, len(rows))
+    order = np.lexsort(rows.T[::-1])
+    return _from_sorted(dim, rows[order], sums[order])
+
+
+def _product(a, b) -> np.ndarray:
+    """``a * b`` in Python's complex arithmetic (numpy's complex multiply may round differently)."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 #: Table entries the two halves may cost per exponential they save.  An
@@ -279,7 +301,7 @@ def evaluate_at_points(f: FourierPolynomial, points) -> np.ndarray:
     n = pts.shape[0]
     if n == 0 or len(f) == 0:
         return np.zeros(n, dtype=np.complex128)
-    keys, coeffs = f._term_arrays()                          # (t, d), (t,)
+    keys, coeffs = f.keys.astype(np.float64), f.coeffs        # (t, d), (t,)
     n_terms, s = len(keys), (f.dim + 1) // 2
     # Keys are in lexicographic order, so equal lower halves are contiguous runs.
     starts = np.append(True, (keys[1:, :s] != keys[:-1, :s]).any(axis=1))

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .fourier import FourierPolynomial, validate_multi_index
+import numpy as np
+
+from .fourier import FourierPolynomial
 
 
 def require_alpha(alpha) -> float:
@@ -49,21 +51,26 @@ def riemann_zeta(alpha, tol=1e-12) -> float:
 
 
 def korobov_weight(k, alpha) -> float:
-    """Weight ``prod_m max(1,|k_m|)**alpha`` of a frequency vector.
+    """Weight ``prod_m max(1,|k_m|)**alpha`` of a frequency vector: the norm of ``exp(2*pi*i*k.x)``.
 
     The integer product is formed exactly before the single floating-point
     power; an ``OverflowError`` is raised if it exceeds the float range.
     """
-    a = require_alpha(alpha)
-    return _weight(validate_multi_index(k), a)
-
-
-def _weight(key, a) -> float:
-    """``korobov_weight`` without the checks: the product of the nonzero ``|k_m|``."""
-    return float(math.prod(map(abs, filter(None, key)))) ** a
+    key = tuple(k)
+    return korobov_norm(FourierPolynomial(len(key), {key: 1.0}), alpha)
 
 
 def korobov_norm(f: FourierPolynomial, alpha) -> float:
-    """Largest weighted coefficient modulus of ``f`` (0 for the zero series)."""
+    """Largest weighted coefficient modulus of ``f`` (0 for the zero series).
+
+    Each key's product ``p`` of ``max(1, |k_m|)`` is exact (``int64`` below
+    ``2^62``, else Python ints); ``float(p) ** alpha`` is taken once per
+    distinct ``p``, and moduli are ``hypot(re, im)``, as ``abs`` of a complex.
+    """
     a = require_alpha(alpha)
-    return max((abs(c) * _weight(k, a) for k, c in f.terms.items()), default=0.0)
+    factors = np.maximum(np.abs(f.keys), 1)
+    wide = np.log2(factors).sum(axis=1) >= 62.0
+    products, index = np.unique(np.where(wide, 1, np.prod(factors, axis=1)), return_inverse=True)
+    weights = np.array([float(p) ** a for p in products.tolist()])[index]
+    weights[wide] = [float(math.prod(row)) ** a for row in factors[wide].tolist()]
+    return float(np.max(np.hypot(f.coeffs.real, f.coeffs.imag) * weights, initial=0.0))

@@ -19,8 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .fourier import FourierPolynomial, MultiIndex, _distinct_rows, require_integral
-from .fourier import validate_multi_index
+from .fourier import FourierPolynomial, MultiIndex, _distinct_rows, _from_sorted, require_integral, validate_multi_index
 
 #: Default ceiling on the size of materialized enumerations.
 DEFAULT_ENUMERATION_CAP = 1 << 26
@@ -300,17 +299,14 @@ def symmetrize(f: FourierPolynomial, pattern: InvariancePattern) -> FourierPolyn
     """
     if f.dim != pattern.dim:
         raise DimensionMismatchError("polynomial and pattern dimensions differ")
-    keys, coeffs = f._term_arrays()
-    canon, bucket = _distinct_rows(canonical_rows(pattern, keys))
+    canon, bucket = _distinct_rows(canonical_rows(pattern, f.keys))
     members, owner = orbit_members(pattern, canon)
     sizes = np.bincount(owner)
     avg = np.empty(len(canon), dtype=np.complex128)  # bincount adds in array order from +0.0
-    avg.real = np.bincount(bucket, coeffs.real) / sizes
-    avg.imag = np.bincount(bucket, coeffs.imag) / sizes
-    keep = np.flatnonzero(avg[owner] != 0)
-    keep = keep[np.lexsort(members[keep].T[::-1])]
-    terms = zip(map(tuple, members[keep].tolist()), avg[owner[keep]].tolist())
-    return FourierPolynomial._from_valid_terms(f.dim, dict(terms))
+    avg.real = np.bincount(bucket, f.coeffs.real) / sizes
+    avg.imag = np.bincount(bucket, f.coeffs.imag) / sizes
+    order = np.lexsort(members.T[::-1])
+    return _from_sorted(f.dim, members[order], avg[owner[order]])
 
 
 def is_invariant(f: FourierPolynomial, pattern: InvariancePattern, tol=0.0) -> bool:
@@ -324,8 +320,7 @@ def is_invariant(f: FourierPolynomial, pattern: InvariancePattern, tol=0.0) -> b
         raise DimensionMismatchError("polynomial and pattern dimensions differ")
     if tol < 0:
         raise ValueError("tolerance must be >= 0")
-    keys, coeffs = f._term_arrays()
-    rows, index = _distinct_rows(np.concatenate([canonical_rows(pattern, keys), keys]))
+    rows, index = _distinct_rows(np.concatenate([canonical_rows(pattern, f.keys), f.keys]))
     table = np.zeros(len(rows), dtype=np.complex128)  # a canonical key outside the support is 0j
-    table[index[len(keys) :]] = coeffs
-    return not (np.abs(coeffs - table[index[: len(keys)]]) > tol).any()
+    table[index[len(f) :]] = f.coeffs
+    return not (np.abs(f.coeffs - table[index[: len(f)]]) > tol).any()

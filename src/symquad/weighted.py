@@ -176,10 +176,8 @@ def construct_weighted_certificate(
     poly = scale * base.polynomial
 
     residuals = dict(base.residuals)
-    terms = poly.terms
-    support = np.array(list(terms), dtype=np.int64).reshape(len(terms), rule.dim) != 0
-    moduli = np.abs(np.array(list(terms.values()), dtype=np.complex128))
-    mus = weigh(support).astype(np.float64)
+    moduli = np.abs(poly.coeffs)
+    mus = weigh(poly.keys != 0).astype(np.float64)
     bounds = np.sqrt(mus)
     stray = moduli[(bounds == 0.0) & (moduli > 1e-12)]
     if stray.size:

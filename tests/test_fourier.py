@@ -1,6 +1,8 @@
 """Polynomial container, evaluation, arithmetic, and JSON form."""
 
 import json
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symquad.fourier as fourier
-from symquad import DimensionMismatchError, FourierPolynomial, evaluate_at_points, random_polynomial
+from symquad import DimensionMismatchError, FourierPolynomial, evaluate_at_points, korobov_norm, random_polynomial
 
 
 def mp_eval(f, x):
@@ -208,3 +210,158 @@ def test_dyadic_nodes_give_signs(data, dim):
     sign = (-1) ** sum(km * jm for km, jm in zip(k, j))
     assert abs(evaluate_at_points(f, [point])[0] - sign) <= 1e-15
     assert abs(f(point) - sign) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the array form: constructor checks, and arithmetic against the dict loops it replaced
+
+
+@pytest.mark.parametrize(
+    "key, outcome",
+    [
+        ((True, 0), (1, 0)),
+        ((2.0, 1), (2, 1)),
+        ((np.int64(3), -1), (3, -1)),
+        ((Fraction(4), 0), (4, 0)),
+        ((2**31 - 1, -(2**31) + 1), (2**31 - 1, -(2**31) + 1)),
+        ((1.7, 1), ValueError),
+        (("1", 0), ValueError),
+        ((math.nan, 0), ValueError),
+        ((math.inf, 0), ValueError),
+        ((2**40, 0), ValueError),
+        ((2**31, 0), ValueError),
+        ((2**70, 0), ValueError),
+        ((1 + 0j, 0), ValueError),
+        ((None, 0), ValueError),
+        (((1,), 0), ValueError),
+        ((1, 0, 0), DimensionMismatchError),
+        ((1,), DimensionMismatchError),
+    ],
+    ids=["bool", "integral-float", "int64", "fraction", "at-cap", "fraction-float", "string", "nan", "inf",
+         "2^40", "2^31", "2^70", "complex", "none", "nested", "too-long", "too-short"],
+)
+def test_constructor_accepts_and_refuses_keys(key, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            FourierPolynomial(2, {key: 1.0})
+        with pytest.raises(outcome):  # beside a valid key, in pair form
+            FourierPolynomial(2, [((0, 0), 1.0), (key, 1.0)])
+    else:
+        f = FourierPolynomial(2, [((0, 0), 1.0), (key, 2.5)])
+        assert f.support() == tuple(sorted([(0, 0), outcome]))
+        assert f.coefficient(outcome) == 2.5
+
+
+def test_constructor_checks_coefficients_and_collisions():
+    f = FourierPolynomial(1, {(1,): Fraction(1, 4), (2,): np.float32(0.5), (3,): 0, (4,): 0j})
+    assert f.terms == {(1,): 0.25, (2,): 0.5}
+    for bad in (math.nan, complex(0, math.inf), "x"):
+        with pytest.raises(ValueError):
+            FourierPolynomial(1, {(1,): bad})
+    with pytest.raises(ValueError, match="duplicate"):
+        FourierPolynomial(1, [([1], 1.0), ([1.0], 2.0)])
+    with pytest.raises(DimensionMismatchError):
+        FourierPolynomial(2, [((1, 0), 1.0), ((1,), 1.0)])  # ragged keys
+    with pytest.raises(ValueError):
+        FourierPolynomial(1, [((1,), 1.0, 2.0)])
+
+
+def test_keys_and_coeffs_are_the_read_only_canonical_form():
+    f = random_polynomial(3, 40, np.random.default_rng(5), max_magnitude=3)
+    assert f.keys.dtype == np.int64 and f.keys.shape == (len(f), 3)
+    assert f.coeffs.dtype == np.complex128 and f.coeffs.shape == (len(f),)
+    assert [tuple(k) for k in f.keys.tolist()] == sorted(f.terms) == list(f.terms)
+    assert np.all(f.coeffs != 0)
+    for array in (f.keys, f.coeffs):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert FourierPolynomial(2).keys.shape == (0, 2)
+    assert hash(FourierPolynomial(1, {(1,): complex(-0.0, 1)})) == hash(FourierPolynomial(1, {(1,): 1j}))
+
+
+def reference_add(f, g):
+    out = dict(f.terms)
+    for k, c in g.terms.items():
+        out[k] = out.get(k, 0j) + c
+    return reference_terms(out)
+
+
+def reference_mul(f, g):
+    out = {}
+    for k1, c1 in f.terms.items():
+        for k2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            out[key] = out.get(key, 0j) + c1 * c2
+    return reference_terms(out)
+
+
+def reference_scale(factor, f):
+    return reference_terms({k: complex(factor) * c for k, c in f.terms.items()})
+
+
+def reference_terms(out):
+    if any(abs(e) > fourier.MAX_INDEX_MAGNITUDE for k in out for e in k):
+        raise ValueError("exceeds magnitude cap")
+    return [(k, c) for k, c in sorted(out.items()) if c != 0]
+
+
+def reference_korobov_norm(f, alpha):
+    return max((abs(c) * float(math.prod(map(abs, filter(None, k)))) ** alpha for k, c in f.terms.items()),
+               default=0.0)
+
+
+def term_bits(terms):
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in terms]
+
+
+def arithmetic_cases():
+    rng = np.random.default_rng(30)
+    for n in range(60):
+        dim = int(rng.integers(1, 5))
+        magnitude = int(rng.integers(0, 4))
+        yield (random_polynomial(dim, int(rng.integers(0, 12)), rng, magnitude),
+               random_polynomial(dim, int(rng.integers(0, 12)), rng, magnitude))
+    f = random_polynomial(3, 10, rng, 2)
+    yield f, (-1.0) * f  # everything cancels
+    yield f, FourierPolynomial(3, {k: 1j * c for k, c in f.terms.items()})
+    # parts that are -0.0, on keys of one operand only and of both
+    zeros = {(0,): complex(-0.0, 1.0), (1,): complex(2.0, -0.0), (2,): complex(-0.0, -3.0)}
+    yield FourierPolynomial(1, zeros), FourierPolynomial(1, {(2,): complex(-0.0, 3.0), (5,): complex(-0.0, -0.0) + 1})
+    cap = fourier.MAX_INDEX_MAGNITUDE
+    yield FourierPolynomial(2, {(cap, 0): 1.0, (0, -cap): 2j}), FourierPolynomial(2, {(-1, 0): 0.5, (0, 1): 1.5})
+    yield FourierPolynomial(2, {(cap, 0): 1.0}), FourierPolynomial(2, {(1, 0): 1.0})  # the product is over the cap
+
+
+def outcome(op, *args):
+    try:
+        return op(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_add_mul_and_scale_match_the_dict_loops():
+    cases = 0
+    for f, g in arithmetic_cases():
+        got, want = outcome(lambda: list((f + g).terms.items())), outcome(reference_add, f, g)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert [c for _, c in got] == [c for _, c in want]  # a zero part may differ in sign
+        got, want = outcome(lambda: list((f * g).terms.items())), outcome(reference_mul, f, g)
+        if want is ValueError:
+            assert got is ValueError
+        else:
+            assert term_bits(got) == term_bits(want)
+        for factor in (2.5, -1.0, 0.3 - 0.7j, 1j, 0, np.complex128(1e-3 + 2j)):
+            assert term_bits((factor * f).terms.items()) == term_bits(reference_scale(factor, f))
+            assert term_bits((f * factor).terms.items()) == term_bits(reference_scale(factor, f))
+        cases += 1
+    assert cases >= 60
+
+
+def test_korobov_norm_matches_the_dict_loop():
+    cap = fourier.MAX_INDEX_MAGNITUDE
+    wide = FourierPolynomial(3, {(cap, cap, 3): 0.5, (cap, -cap, 1): 0.25j, (cap, 2, -2): 1e-30, (1, 1, 1): 2.0})
+    assert math.prod((cap, cap, 3)) > 2**63
+    cases = [wide, FourierPolynomial(2)] + [f for pair in arithmetic_cases() for f in pair]
+    for f in cases:
+        for alpha in (1.5, 2.0, 3.7):
+            assert korobov_norm(f, alpha).hex() == reference_korobov_norm(f, alpha).hex()

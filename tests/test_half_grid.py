@@ -101,6 +101,16 @@ def test_forty_dimensions():
     ))
 
 
+def test_more_node_class_pairs_than_one_chunk_holds(pointwise_calls):
+    rng = np.random.default_rng(12)
+    f = random_polynomial(12, 200, rng, max_magnitude=3)
+    classes = np.unique(f.keys & 1, axis=0)
+    assert 4096 * len(classes) > 1 << 18  # the nodes go through in several chunks
+    assert_agrees(rectangle_rule(12), f)
+    assert_agrees(random_grid_rule(rng, 12, 5000), f)
+    assert pointwise_calls == []
+
+
 def test_frequencies_at_the_magnitude_cap():
     big = MAX_INDEX_MAGNITUDE
     f = FourierPolynomial(3, {(big, 0, 0): 1.0, (-big, big, 1): 2j, (big - 1, -big, 0): -0.5})
