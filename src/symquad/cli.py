@@ -14,7 +14,6 @@ import io
 import json
 import re
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -40,12 +39,7 @@ from .symmetry import (
     parse_groups,
 )
 from .tractability import InvarianceProfile, evaluate_profile
-from .weighted import (
-    WeightSchedule,
-    construct_weighted_certificate,
-    order_weights,
-    weight_power_sum,
-)
+from .weighted import WeightSchedule, _power_sums, _ranked_weights, construct_weighted_certificate
 
 SCHEMA_VERSION = 1
 
@@ -146,7 +140,8 @@ def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None,
     ``bits`` is None), followed by the text ``fragment(j)``, where ``j`` is
     the first row of the 2-D ``keys`` equal to ``keys[i]``.  The rows are
     fixed-width text written into one ``uint8`` buffer; each fragment is
-    formatted once, however many elements share it.
+    formatted once, however many elements share it.  Equal keys are found
+    as runs of one stable ``lexsort``, so each run starts at its first row.
     """
     pieces = []
     if bits is not None:
@@ -161,9 +156,13 @@ def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None,
         if keys is None:
             return b"[" + rows.tobytes()[:-2] + b"]"
         pieces.append(rows.view(f"S{rows.shape[1]}").ravel().astype(object))
-    _, first, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    texts = np.array([f"{fragment(j)}, ".encode() for j in first.tolist()], dtype=object)
-    pieces.append(texts[index.reshape(-1)])
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (np.diff(keys[order], axis=0) != 0).any(axis=1)
+    texts = np.array([f"{fragment(j)}, ".encode() for j in order[starts].tolist()], dtype=object)
+    index = np.empty_like(order)
+    index[order] = np.cumsum(starts) - 1
+    pieces.append(texts[index])
     return b"[" + b"".join(np.stack(pieces, axis=1).ravel().tolist())[:-2] + b"]"
 
 
@@ -293,30 +292,24 @@ def _cmd_certify(args):
 def _cmd_weights(args):
     pattern = _pattern_from_args(args, args.dim)
     schedule = WeightSchedule.from_json_dict(_load_json(args.gammas))
-    ordered = order_weights(pattern, schedule)
-    ordering = np.frombuffer(bytes(chain.from_iterable(ordered.ordering)), dtype=np.uint8).reshape(-1, pattern.dim)
-    weights = [float(w) for w in ordered.weights]
+    ordering, mus = _ranked_weights(pattern, schedule)
+    weights = mus.astype(np.float64)
     payload = {
         "dim": args.dim,
         "pattern": pattern.to_json_dict(),
         "ordering": _json_list(ordering),
         "weights": _json_list(
-            keys=np.array(weights).view(np.uint64)[:, None], fragment=lambda j: json.dumps(weights[j])
+            keys=weights.view(np.uint64)[:, None], fragment=lambda j: json.dumps(weights.item(j))
         ),
     }
     if args.kappa is not None:
-        sums = weight_power_sum(pattern, schedule, args.kappa)
-        payload["power_sum"] = {
-            "exponent": args.kappa,
-            "brute": sums.brute,
-            "closed": sums.closed,
-            "closed_form_applicable": sums.closed_form_applicable,
-        }
+        sums = _power_sums(pattern, schedule, args.kappa, weights)
+        payload["power_sum"] = {"exponent": args.kappa, **vars(sums)}
 
     def table():
         yield f"{'rank':>4} {'weight':>18}  k"
-        for n, (k, w) in enumerate(zip(ordered.ordering, ordered.weights)):
-            yield f"{n:>4} {float(w):>18.12g}  {tuple(k)}"
+        for n, (k, w) in enumerate(zip(ordering.tolist(), weights.tolist())):
+            yield f"{n:>4} {w:>18.12g}  {tuple(k)}"
         if args.kappa is not None:
             yield (
                 f"power sum (exponent {args.kappa}): brute {sums.brute:.12g}, "

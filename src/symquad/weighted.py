@@ -7,8 +7,8 @@ coefficient modulus by the square root of that product.  When some
 coordinates are interchangeable, the support of an invariant function can
 be rearranged within each block, so the effective weight of a frequency
 vector is the minimum over all rearrangements: the product of the block's
-smallest schedules.  Everything here is plain Python arithmetic so exact
-types (fractions) pass through unchanged.
+smallest schedules.  The weights come from one array pass in ``float64``
+for a float schedule and in exact types (fractions, ints) otherwise.
 """
 
 from __future__ import annotations
@@ -83,15 +83,14 @@ def min_product_weight(k, pattern: InvariancePattern, schedule: WeightSchedule):
     out-of-group support.  Exact for exact schedule entries.
     """
     weigh = _product_weights(pattern, schedule)
-    key = validate_multi_index(k, pattern.dim)
-    return weigh(np.array([key]) != 0)[0]
+    return weigh(np.array([validate_multi_index(k, pattern.dim)]) != 0).item(0)
 
 
 def _product_weights(pattern: InvariancePattern, schedule: WeightSchedule):
     """``min_product_weight`` as a function of a support array (``key != 0``).
 
     The in-group factors are formed once per count; every weight keeps the
-    scalar multiplication order, and the object array keeps exact types.
+    scalar multiplication order, in ``float64`` or, to keep exact types, ``object``.
     """
     if schedule.dim != pattern.dim:
         raise DimensionMismatchError("schedule and pattern dimensions differ")
@@ -99,7 +98,8 @@ def _product_weights(pattern: InvariancePattern, schedule: WeightSchedule):
         raise UnsupportedPatternError("weighted operations support at most one coordinate group")
     group = [i - 1 for i in pattern.groups[0]] if pattern.groups else []
     smallest = sorted((schedule.gammas[i] for i in group), reverse=True)
-    block = np.array([math.prod(smallest[c:]) for c in range(len(group), -1, -1)], dtype=object)
+    dtype = np.float64 if np.asarray(schedule.gammas).dtype == np.float64 else object
+    block = np.array([math.prod(smallest[c:]) for c in range(len(group), -1, -1)], dtype=dtype)
     outside = [(i, g) for i, g in enumerate(schedule.gammas) if i not in group]
 
     def weigh(support):
@@ -125,14 +125,18 @@ class OrderedWeights:
     weights: tuple
 
 
+def _ranked_weights(pattern: InvariancePattern, schedule: WeightSchedule):
+    """The canonical 0/1 vectors (``uint8`` rows) and their weights, by descending weight."""
+    vectors, _ = canonical_binary_vectors(pattern)
+    mus = _product_weights(pattern, schedule)(vectors != 0)
+    ranked = (len(mus) - 1 - np.argsort(mus[::-1], kind="stable"))[::-1]  # as sorted(reverse=True)
+    return vectors[ranked], mus[ranked]
+
+
 def order_weights(pattern: InvariancePattern, schedule: WeightSchedule) -> OrderedWeights:
     """Sort the canonical 0/1 vectors by descending effective weight."""
-    weigh = _product_weights(pattern, schedule)
-    vectors, _ = canonical_binary_vectors(pattern)
-    mus = weigh(vectors != 0).tolist()
-    ranked = sorted(range(len(mus)), key=mus.__getitem__, reverse=True)  # ties stay in order
-    reps = vectors.tolist()
-    return OrderedWeights(tuple(tuple(reps[n]) for n in ranked), tuple(mus[n] for n in ranked))
+    vectors, mus = _ranked_weights(pattern, schedule)
+    return OrderedWeights(tuple(map(tuple, vectors.tolist())), tuple(mus.tolist()))
 
 
 def error_lower_bound(n_nodes, pattern: InvariancePattern, schedule: WeightSchedule):
@@ -147,7 +151,7 @@ def error_lower_bound(n_nodes, pattern: InvariancePattern, schedule: WeightSched
     threshold = critical_node_count(pattern)
     if n_nodes >= threshold:
         raise RefusalError(n_nodes, threshold)
-    return order_weights(pattern, schedule).weights[n_nodes]
+    return _ranked_weights(pattern, schedule)[1].item(n_nodes)
 
 
 def construct_weighted_certificate(
@@ -167,17 +171,15 @@ def construct_weighted_certificate(
     ``scale**2 <= weight(k)`` on the support is a hard error: it cannot
     happen for a correct weight implementation.
     """
-    weigh = _product_weights(pattern, schedule)
-    ordered = order_weights(pattern, schedule)
-    prefix = ordered.ordering[: rule.n_nodes + 1]
-    base = construct_certificate(rule, pattern, alpha, mode_order=prefix)
-    floor = float(ordered.weights[rule.n_nodes])
-    scale = math.sqrt(floor * float(ordered.weights[base.solution.pivot_index]))
+    ordering, ordered = _ranked_weights(pattern, schedule)
+    base = construct_certificate(rule, pattern, alpha, mode_order=ordering[: rule.n_nodes + 1])
+    floor = float(ordered[rule.n_nodes])
+    scale = math.sqrt(floor * float(ordered[base.solution.pivot_index]))
     poly = scale * base.polynomial
 
     residuals = dict(base.residuals)
     moduli = np.abs(poly.coeffs)
-    mus = weigh(poly.keys != 0).astype(np.float64)
+    mus = _product_weights(pattern, schedule)(poly.keys != 0).astype(np.float64)
     bounds = np.sqrt(mus)
     stray = moduli[(bounds == 0.0) & (moduli > 1e-12)]
     if stray.size:
@@ -264,7 +266,7 @@ def check_weight_supermultiplicativity(
     if failed.size:
         i = failed[0]
         found = map(tuple, np.stack([vectors[k1[i]], vectors[k2[i]], diffs[i]]).tolist())
-        return SupermultiplicativityReport(False, int(i) + 1, (*found, lhs[i], rhs[i]))
+        return SupermultiplicativityReport(False, int(i) + 1, (*found, lhs.item(i), rhs.item(i)))
     return SupermultiplicativityReport(True, len(lhs), None)
 
 
@@ -294,13 +296,18 @@ def weight_power_sum(
     schedules are all 1 (it is still returned, with the applicability flag
     lowered, so mismatches are visible).
     """
+    return _power_sums(pattern, schedule, exponent, _ranked_weights(pattern, schedule)[1])
+
+
+def _power_sums(pattern, schedule, exponent, mus) -> WeightPowerSums:
+    """``weight_power_sum`` from the weights ``mus`` in any order (``fsum`` is correctly rounded)."""
     exponent = float(exponent)
     if not exponent > 0:
         raise ValueError("exponent must be positive")
-    weigh = _product_weights(pattern, schedule)
+    distinct, inverse = np.unique(mus.astype(np.float64).view(np.uint64), return_inverse=True)
+    powers = np.array([w ** exponent for w in distinct.view(np.float64).tolist()])
+    brute = math.fsum(powers[inverse].tolist())
     group = pattern.groups[0] if pattern.groups else ()
-    vectors, _ = canonical_binary_vectors(pattern)
-    brute = math.fsum(float(mu) ** exponent for mu in weigh(vectors != 0))
     applicable = all(schedule.gammas[i - 1] == 1 for i in group)
     outside = (g for i, g in enumerate(schedule.gammas, 1) if i not in group)
     closed = math.prod((1.0 + float(g) ** exponent for g in outside), start=float(len(group) + 1))

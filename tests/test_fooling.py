@@ -90,16 +90,9 @@ def test_constraint_matrix_matches_brute_force_orbit_sums(max_blocks):
         n_nodes = int(rng.integers(0, len(vectors)))
         psi = [tuple(v) for v in vectors[rng.permutation(len(vectors))[: n_nodes + 1]].tolist()]
         rule = random_rule(rng, pattern.dim, n_nodes)
-        brute = np.array(
-            [
-                [
-                    sum(np.exp(2j * np.pi * np.dot(member, node)) for member in orbit(key, pattern))
-                    for key in psi
-                ]
-                for node in rule.nodes
-            ],
-            dtype=complex,
-        ).reshape(n_nodes, n_nodes + 1) / group_order(pattern)
+        orbits = [np.array(list(orbit(key, pattern))) for key in psi]
+        sums = [np.exp(2j * np.pi * members @ rule.nodes.T).sum(axis=0) for members in orbits]
+        brute = np.stack(sums, axis=1) / group_order(pattern)
         mat = constraint_matrix(rule, pattern, psi)
         assert mat.shape == brute.shape
         assert np.max(np.abs(mat - brute), initial=0.0) <= 1e-13

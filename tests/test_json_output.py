@@ -225,6 +225,51 @@ def test_json_list_kernel_matches_json_dumps(n):
     assert written == json.dumps(expected).encode()
 
 
+def unique_dedupe_reference(keys, fragment):
+    """JSON text of the list by the ``np.unique(axis=0)`` dedupe, and the rows it formats."""
+    _, first, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    texts = [fragment(j) for j in first.tolist()]
+    return ("[" + ", ".join(texts[i] for i in index.reshape(-1).tolist()) + "]").encode(), first.tolist()
+
+
+SIGNED_ZEROS = np.array([0.0, -0.0, 1.5, 0.0, -0.0, 1.5, -0.0, 0.0])
+COMPLEX_KEYS = np.array([0.5 + 0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5, complex(-0.0, 0.0), 0j, 0.5])
+
+
+@pytest.mark.parametrize(
+    "values, fragment",
+    [
+        (SIGNED_ZEROS, lambda v: json.dumps(v)),
+        (SIGNED_ZEROS[:1], lambda v: json.dumps(v)),
+        (np.array([2.0, 1.0, 2.0, 1.0, 3.0, 1.0]), lambda v: json.dumps(v)),
+        (COMPLEX_KEYS, lambda w: json.dumps({"re": w.real, "im": w.imag}, sort_keys=True)),
+        (COMPLEX_KEYS[3:4], lambda w: json.dumps({"re": w.real, "im": w.imag}, sort_keys=True)),
+    ],
+    ids=["signed-zeros", "single-row", "repeats-out-of-order", "complex", "complex-single-row"],
+)
+def test_json_list_dedupe_matches_np_unique(values, fragment):
+    keys = values.view(np.uint64).reshape(len(values), -1)  # bit patterns: -0.0 is not 0.0
+    formatted = []
+
+    def text(j):
+        formatted.append(j)
+        return fragment(values[j].item())
+
+    written = cli._json_list(keys=keys, fragment=text)
+    expected, first = unique_dedupe_reference(keys, lambda j: fragment(values[j].item()))
+    assert written == expected
+    assert sorted(formatted) == sorted(first)
+    assert written == json.dumps([json.loads(fragment(v)) for v in values.tolist()]).encode()
+
+
+def test_json_list_dedupe_of_keys_without_columns():
+    bits = np.array([[0, 1], [1, 1], [0, 0]], dtype=np.uint8)
+    keys = np.zeros((3, 0), dtype=np.intp)  # ``nabla`` with no blocks: every row shares one fragment
+    written = cli._json_list(bits, before=b'{"k": ', after=b', "v": ', keys=keys, fragment=lambda j: f"{j}}}")
+    assert written == json.dumps([{"k": k, "v": 0} for k in bits.tolist()]).encode()
+    assert unique_dedupe_reference(keys, str)[1] == [0]
+
+
 # ---------------------------------------------------------------------------
 # reading a rule: ``rule``'s own text inverts exactly, any other text is read as json.loads reads it
 

@@ -343,3 +343,64 @@ def test_supermultiplicativity_matches_the_pair_loop(monkeypatch, kind):
                 assert report == reference_supermultiplicativity(pattern, schedule)
                 failures += not report.passed
     assert (failures > 0) == (kind is not None)
+
+
+# ---------------------------------------------------------------------------
+# the array weights pass against the scalar path it replaced
+
+
+def scalar_weight(k, group, gammas):
+    """One effective weight in Python arithmetic, in the order of the array pass."""
+    smallest = sorted((gammas[i - 1] for i in group), reverse=True)
+    weight = math.prod(smallest[len(group) - sum(k[i - 1] for i in group) :])
+    for i, g in enumerate(gammas, 1):
+        if k[i - 1] and i not in group:
+            weight = weight * g
+    return weight
+
+
+def scalar_order_weights(pattern, schedule):
+    """Object weights ranked by ``sorted(range, key, reverse=True)``: ties stay lexicographic."""
+    group = pattern.groups[0] if pattern.groups else ()
+    reps = list(map(tuple, canonical_binary_vectors(pattern)[0].tolist()))
+    mus = [scalar_weight(k, group, schedule.gammas) for k in reps]
+    ranked = sorted(range(len(mus)), key=mus.__getitem__, reverse=True)
+    return [reps[n] for n in ranked], [mus[n] for n in ranked]
+
+
+def same_value(new, old, exact):
+    """Equal bit for bit; an exact schedule also keeps the Python type."""
+    if exact:
+        return type(new) is type(old) and new == old
+    return type(new) is float and repr(new) == repr(float(old))
+
+
+SCHEDULES = {
+    "float": (1.0, 0.9, 0.7, 0.7, 0.31, 0.2, 0.05),
+    "fraction": (Fraction(1), Fraction(2, 3), Fraction(2, 3), Fraction(1, 3), Fraction(1, 7), Fraction(1, 10), 0),
+    "int-only": (1, 1, 1, 1, 0, 0, 0),
+    "mixed-int-float": (1, 1, 0.5, 0.5, 0.25, 0, 0),
+    "zeros": (0.5, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0),
+    "ties": (1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
+}
+GROUPS = {"empty": (), "pair": (2, 5), "middle": (3, 4, 5), "full": tuple(range(1, 8))}
+
+
+@pytest.mark.parametrize("group", GROUPS.values(), ids=GROUPS.keys())
+@pytest.mark.parametrize("gammas", SCHEDULES.values(), ids=SCHEDULES.keys())
+def test_weights_pass_matches_the_scalar_path(gammas, group):
+    pattern = InvariancePattern(7, [group] if group else [])
+    schedule = WeightSchedule(7, gammas)
+    exact = np.asarray(gammas).dtype != np.float64
+    reps, mus = scalar_order_weights(pattern, schedule)
+    ordered = order_weights(pattern, schedule)
+    assert isinstance(ordered.ordering, tuple) and all(type(k) is tuple for k in ordered.ordering)
+    assert list(ordered.ordering) == reps
+    assert all(same_value(new, old, exact) for new, old in zip(ordered.weights, mus, strict=True))
+    for n in range(len(mus)):
+        assert same_value(error_lower_bound(n, pattern, schedule), mus[n], exact)
+    for exponent in (0.5, 1.0, 2.5, 3.0):
+        sums = weight_power_sum(pattern, schedule, exponent)
+        assert repr(sums.brute) == repr(math.fsum(float(mu) ** exponent for mu in mus))
+    if gammas is SCHEDULES["fraction"]:
+        assert any(type(w) is Fraction for w in ordered.weights)
