@@ -107,12 +107,13 @@ def _json_text(payload):
 
     The top-level object is assembled here, keys sorted.  A ``bytes`` value
     is JSON text from ``_json_list`` and is written as it stands; every
-    other value goes through ``json.dumps``.
+    other value goes through ``json.dumps``, which refuses NaN and the
+    infinities (they are not JSON) with a ``ValueError``.
     """
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     fields = (
         json.dumps(key).encode() + b": "
-        + (value if isinstance(value, bytes) else json.dumps(value, sort_keys=True).encode())
+        + (value if isinstance(value, bytes) else json.dumps(value, sort_keys=True, allow_nan=False).encode())
         for key, value in sorted(payload.items())
     )
     return b"{" + b", ".join(fields) + b"}\n"
@@ -270,6 +271,8 @@ def _cmd_certify(args):
     if dim != rule.dim:
         raise ValueError(f"--dim {dim} does not match rule dimension {rule.dim}")
     pattern = _pattern_from_args(args, dim)
+    if args.gammas and not args.weighted:
+        raise ValueError("--gammas requires --weighted")
     if args.weighted:
         if not args.gammas:
             raise ValueError("--weighted requires --gammas")

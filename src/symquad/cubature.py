@@ -293,8 +293,8 @@ def rectangle_worst_case_error(dim, alpha, tol=1e-9) -> ErrorReport:
         raise ValueError("dimension must be >= 1")
     a = require_alpha(alpha)
     tol = float(tol)
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
     zeta_tol = tol / (4.0 * dim)
     zeta_val = riemann_zeta(a, zeta_tol)

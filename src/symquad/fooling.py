@@ -38,7 +38,7 @@ from .errors import (
     RefusalError,
     UnsupportedPatternError,
 )
-from .fourier import FourierPolynomial, MultiIndex, _distinct_rows, _from_sorted, characters, exp_2pi_i
+from .fourier import FourierPolynomial, MultiIndex, _collect, _distinct_rows, _from_sorted, characters, exp_2pi_i
 from .korobov import korobov_norm, require_alpha
 from .symmetry import (
     InvariancePattern,
@@ -47,8 +47,6 @@ from .symmetry import (
     critical_node_count,
     group_order,
     orbit_members,
-    orbit_stats,
-    symmetrize,
 )
 
 #: Tolerance of the certificate checks (for the nullspace residual, times max |A|).
@@ -271,23 +269,15 @@ def construct_certificate(
     solution = nullspace_solution(matrix, DEFAULT_CHECK_TOL * np.max(np.abs(matrix), initial=0.0))
     poly = _from_sorted(pattern.dim, *_certificate_terms(pattern, psi, solution.coefficients, solution.pivot_index))
 
-    rule_value = apply_rule(rule, poly)
     integral_value = poly.integral()
     norm_value = korobov_norm(poly, a_smooth)
     residuals = {
         "nullspace": solution.residual,
-        "rule_value": abs(rule_value),
         "integral_deviation": abs(integral_value - 1.0),
         "norm_excess": max(0.0, norm_value - 1.0),
     }
-    rule_tol = DEFAULT_CHECK_TOL * (1.0 + rule.weight_abs_sum())
-    if (
-        residuals["rule_value"] > rule_tol
-        or residuals["integral_deviation"] > 1e-12
-        or residuals["norm_excess"] > DEFAULT_CHECK_TOL
-    ):
-        raise CertificateError("certificate verification failed", residuals)
-
+    limits = {"integral_deviation": 1e-12, "norm_excess": DEFAULT_CHECK_TOL}
+    rule_value = _verified(rule, poly, residuals, limits, "certificate verification failed")
     return FoolingCertificate(
         pattern=pattern,
         alpha=a_smooth,
@@ -299,6 +289,23 @@ def construct_certificate(
         norm_value=norm_value,
         residuals=residuals,
     )
+
+
+def _verified(rule: CubatureRule, poly: FourierPolynomial, residuals, limits, message) -> complex:
+    """The rule's value ``Q(poly)``, once the certificate's residuals pass their limits.
+
+    Stores ``|Q(poly)|`` as ``residuals["rule_value"]`` and bounds it by
+    ``DEFAULT_CHECK_TOL * (1 + sum |w_n|)``; every residual named in
+    ``limits`` is bounded by its limit.  Any excess raises
+    ``CertificateError(message, residuals)``.  Both certificate
+    constructors end here.
+    """
+    value = apply_rule(rule, poly)
+    residuals["rule_value"] = abs(value)
+    limits = {"rule_value": DEFAULT_CHECK_TOL * (1.0 + rule.weight_abs_sum()), **limits}
+    if any(residuals[name] > limit for name, limit in limits.items()):
+        raise CertificateError(message, residuals)
+    return value
 
 
 def _certificate_terms(pattern: InvariancePattern, psi, coefficients, pivot):
@@ -356,18 +363,14 @@ def crosscheck_coefficients(
         raise CapExceededError(f"crosscheck limited to group order <= {CROSSCHECK_MAX_GROUP_ORDER}")
 
     dim = pattern.dim
-    psi = cert.mode_order
-    coeffs_a = cert.solution.coefficients
-    pivot_key = psi[cert.solution.pivot_index]
-    reflected = tuple(-e for e in pivot_key)
-
-    factor_one = float(order) * symmetrize(FourierPolynomial(dim, {reflected: 1.0}), pattern)
-    factor_two = FourierPolynomial(dim, {})
-    for n, key in enumerate(psi):
-        stab = orbit_stats(key, pattern).stabilizer_size
-        factor_two = factor_two + (coeffs_a[n] / stab) * symmetrize(
-            FourierPolynomial(dim, {key: 1.0}), pattern
-        )
+    pivot_key = np.asarray(cert.mode_order[cert.solution.pivot_index])
+    members, _ = orbit_members(pattern, [-pivot_key])
+    factor_one = _collect(dim, members, np.full(len(members), float(order) * (1 / len(members)), np.complex128))
+    # distinct canonical vectors have disjoint orbits, so no two terms collide
+    members, owner = orbit_members(pattern, cert.mode_order)
+    sizes = np.bincount(owner)
+    scaled = cert.solution.coefficients / (order // sizes) * (1 / sizes)
+    factor_two = _collect(dim, members, scaled[owner])
     product = factor_one * factor_two
     if cert.weight_scale is not None:
         product = cert.weight_scale * product

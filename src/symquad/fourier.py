@@ -36,21 +36,24 @@ def validate_multi_index(k, dim=None) -> MultiIndex:
     infinities are not); anything else raises ``ValueError``.
     """
     raw = tuple(k)
-    try:
-        key = tuple(map(int, raw))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"frequency vector {raw!r} has a non-integer entry") from exc
-    if key != raw:
-        raise ValueError(f"frequency vector {raw!r} has a non-integral entry")
-    if len(key) == 0:
+    if not raw:
         raise ValueError("frequency vector must have dimension >= 1")
-    if dim is not None and len(key) != dim:
-        raise DimensionMismatchError(
-            f"frequency vector has dimension {len(key)}, expected {dim}"
-        )
-    if max(key) > MAX_INDEX_MAGNITUDE or min(key) < -MAX_INDEX_MAGNITUDE:
-        raise ValueError(f"frequency vector {key} exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
-    return key
+    return tuple(_checked_keys([raw], len(raw) if dim is None else dim)[0].tolist())
+
+
+def _checked_keys(keys, dim) -> np.ndarray:
+    """``keys`` (a list of vectors) as ``int64`` rows, each of length ``dim``, integral and within the cap."""
+    wrong = set(map(len, keys)) - {dim}
+    if wrong:
+        raise DimensionMismatchError(f"frequency vector has dimension {min(wrong)}, expected {dim}")
+    raw = np.array(keys) if keys else np.zeros((0, dim), dtype=np.int64)
+    if raw.dtype.kind not in "biu":  # each entry must equal its int()
+        raw = np.frompyfunc(lambda v: require_integral(v, "frequency entry"), 1, 1)(np.array(keys, dtype=object))
+    if raw.shape != (len(keys), dim):
+        raise ValueError("a frequency vector has a non-integer entry")
+    if (raw > MAX_INDEX_MAGNITUDE).any() or (raw < -MAX_INDEX_MAGNITUDE).any():
+        raise ValueError(f"a frequency vector exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
+    return raw.astype(np.int64)
 
 
 def require_integral(value, what) -> int:
@@ -98,21 +101,11 @@ class FourierPolynomial:
         self._set_terms(dim, list(map(tuple, keys)), np.fromiter(map(complex, coeffs), np.complex128, len(coeffs)))
 
     def _set_terms(self, dim, keys, coeffs):
-        """Keep ``keys`` (a list of vectors) and ``coeffs`` after the checks of ``validate_multi_index``."""
+        """Keep ``keys`` (a list of vectors) and ``coeffs`` after the checks of ``_checked_keys``."""
         dim = require_integral(dim, "dimension")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        wrong = set(map(len, keys)) - {dim}
-        if wrong:
-            raise DimensionMismatchError(f"frequency vector has dimension {min(wrong)}, expected {dim}")
-        raw = np.array(keys) if keys else np.zeros((0, dim), dtype=np.int64)
-        if raw.dtype.kind not in "biu":  # each entry must equal its int()
-            raw = np.frompyfunc(lambda v: require_integral(v, "frequency entry"), 1, 1)(np.array(keys, dtype=object))
-        if raw.shape != (len(keys), dim):
-            raise ValueError("a frequency vector has a non-integer entry")
-        if (raw > MAX_INDEX_MAGNITUDE).any() or (raw < -MAX_INDEX_MAGNITUDE).any():
-            raise ValueError(f"a frequency vector exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
-        keys = raw.astype(np.int64)
+        keys = _checked_keys(keys, dim)
         order = np.lexsort(keys.T[::-1])
         keys = keys[order]
         repeated = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))

@@ -14,18 +14,18 @@ for a float schedule and in exact types (fractions, ints) otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cubature import CubatureRule, apply_rule
+from .cubature import CubatureRule
 from .errors import (
     CertificateError,
     DimensionMismatchError,
     RefusalError,
     UnsupportedPatternError,
 )
-from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, construct_certificate
+from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, _verified, construct_certificate
 from .fourier import MultiIndex, reject_bools_and_strings, require_integral, validate_multi_index
 from .symmetry import (
     InvariancePattern,
@@ -169,7 +169,9 @@ def construct_weighted_certificate(
     coefficient-by-coefficient, and the integral is checked against the
     guaranteed floor.  A failure of the product inequality
     ``scale**2 <= weight(k)`` on the support is a hard error: it cannot
-    happen for a correct weight implementation.
+    happen for a correct weight implementation.  The result is the
+    verified unweighted certificate with the rescaled fields replaced,
+    checked again by the unweighted constructor's ``_verified``.
     """
     ordering, ordered = _ranked_weights(pattern, schedule)
     base = construct_certificate(rule, pattern, alpha, mode_order=ordering[: rule.n_nodes + 1])
@@ -195,37 +197,17 @@ def construct_weighted_certificate(
     worst_ball = float(np.max(np.where(weighted, moduli - bounds, moduli), initial=0.0))
     norm_value = float(np.max(moduli[weighted] / bounds[weighted], initial=0.0))
 
-    rule_value = apply_rule(rule, poly)
     integral_value = poly.integral()
     residuals.update(
-        {
-            "rule_value": abs(rule_value),
-            "integral_floor_deficit": max(0.0, floor - integral_value.real),
-            "weighted_ball_excess": max(0.0, worst_ball),
-            "weighted_norm_excess": max(0.0, norm_value - 1.0),
-        }
+        integral_floor_deficit=max(0.0, floor - integral_value.real),
+        weighted_ball_excess=max(0.0, worst_ball),
+        weighted_norm_excess=max(0.0, norm_value - 1.0),
     )
-    rule_tol = DEFAULT_CHECK_TOL * (1.0 + rule.weight_abs_sum())
-    if (
-        residuals["rule_value"] > rule_tol
-        or residuals["integral_floor_deficit"] > DEFAULT_CHECK_TOL
-        or residuals["weighted_ball_excess"] > DEFAULT_CHECK_TOL
-    ):
-        raise CertificateError("weighted certificate verification failed", residuals)
-
-    return FoolingCertificate(
-        pattern=pattern,
-        alpha=base.alpha,
-        polynomial=poly,
-        mode_order=base.mode_order,
-        solution=base.solution,
-        rule_value=rule_value,
-        integral_value=integral_value,
-        norm_value=norm_value,
-        residuals=residuals,
-        weight_scale=scale,
-        weight_floor=floor,
-        gammas=schedule.gammas,
+    limits = {"integral_floor_deficit": DEFAULT_CHECK_TOL, "weighted_ball_excess": DEFAULT_CHECK_TOL}
+    rule_value = _verified(rule, poly, residuals, limits, "weighted certificate verification failed")
+    return replace(
+        base, polynomial=poly, rule_value=rule_value, integral_value=integral_value, norm_value=norm_value,
+        residuals=residuals, weight_scale=scale, weight_floor=floor, gammas=schedule.gammas,
     )
 
 
@@ -302,8 +284,8 @@ def weight_power_sum(
 def _power_sums(pattern, schedule, exponent, mus) -> WeightPowerSums:
     """``weight_power_sum`` from the weights ``mus`` in any order (``fsum`` is correctly rounded)."""
     exponent = float(exponent)
-    if not exponent > 0:
-        raise ValueError("exponent must be positive")
+    if not 0 < exponent < math.inf:
+        raise ValueError(f"exponent must be positive and finite, got {exponent!r}")
     distinct, inverse = np.unique(mus.astype(np.float64).view(np.uint64), return_inverse=True)
     powers = np.array([w ** exponent for w in distinct.view(np.float64).tolist()])
     brute = math.fsum(powers[inverse].tolist())

@@ -194,6 +194,31 @@ def test_malformed_json_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["weights", "-d", "4", "--invariant", "1-2", "--gammas", "GAMMAS", "--kappa", "inf"], "exponent"),
+        (["wce", "-d", "3", "--alpha", "2", "--tol", "inf"], "tolerance"),
+    ],
+)
+def test_non_finite_options_exit_1_without_output(capsys, tmp_path, argv, message):
+    gammas = write_json(tmp_path / "g.json", {"dim": 4, "gammas": [1.0, 0.9, 0.5, 0.1]})
+    code, out, err = run(capsys, [gammas if a == "GAMMAS" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err and "finite" in err
+
+
+def test_certify_gammas_requires_weighted(capsys, small_rule_file, tmp_path):
+    gammas = write_json(tmp_path / "g.json", {"dim": 3, "gammas": [1.0, 0.5, 0.25]})
+    code, out, err = run(
+        capsys, ["certify", "--rule", small_rule_file, "--invariant", "1-2", "--alpha", "2", "--gammas", gammas]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --gammas requires --weighted\n"
+
+
 def test_invalid_gammas_exit_code(capsys, small_rule_file, tmp_path):
     gammas = write_json(tmp_path / "g.json", {"dim": 3, "gammas": [0.5, 0.9, 0.1]})
     code, _, err = run(

@@ -207,6 +207,12 @@ def test_wce_matches_zeta_expression():
             assert report.closed_form == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_wce_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        rectangle_worst_case_error(3, 2.0, tol)
+
+
 def test_wce_high_smoothness_vanishes():
     for dim in range(1, 6):
         report = rectangle_worst_case_error(dim, 50.0, 1e-9)

@@ -270,6 +270,12 @@ def test_json_list_dedupe_of_keys_without_columns():
     assert unique_dedupe_reference(keys, str)[1] == [0]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_text_refuses_values_that_are_not_json(value):
+    with pytest.raises(ValueError):
+        cli._json_text({"x": {"y": [value]}})
+
+
 # ---------------------------------------------------------------------------
 # reading a rule: ``rule``'s own text inverts exactly, any other text is read as json.loads reads it
 

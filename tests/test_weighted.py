@@ -293,6 +293,13 @@ def test_power_sum_reports_inapplicable_closed_form():
     assert sums.brute != pytest.approx(sums.closed, rel=1e-6)
 
 
+@pytest.mark.parametrize("exponent", [0.0, -1.0, float("nan"), float("inf")])
+def test_power_sum_rejects_an_exponent_that_is_not_positive_and_finite(exponent):
+    p = InvariancePattern.single(4, (1, 2))
+    with pytest.raises(ValueError, match="exponent must be positive and finite"):
+        weight_power_sum(p, WeightSchedule(4, (1.0, 0.9, 0.5, 0.1)), exponent)
+
+
 def reference_supermultiplicativity(pattern, schedule):
     """The per-pair loop over ``orbit()`` that the array check replaced."""
     weigh = weighted._product_weights(pattern, schedule)
