@@ -27,7 +27,7 @@ from .cubature import (
 )
 from .errors import CertificateError, NullspaceError, RefusalError
 from .fooling import construct_certificate
-from .fourier import FourierPolynomial
+from .fourier import FourierPolynomial, _distinct_rows
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
@@ -141,8 +141,7 @@ def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None,
     ``bits`` is None), followed by the text ``fragment(j)``, where ``j`` is
     the first row of the 2-D ``keys`` equal to ``keys[i]``.  The rows are
     fixed-width text written into one ``uint8`` buffer; each fragment is
-    formatted once, however many elements share it.  Equal keys are found
-    as runs of one stable ``lexsort``, so each run starts at its first row.
+    formatted once, however many elements share it.
     """
     pieces = []
     if bits is not None:
@@ -157,12 +156,10 @@ def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None,
         if keys is None:
             return b"[" + rows.tobytes()[:-2] + b"]"
         pieces.append(rows.view(f"S{rows.shape[1]}").ravel().astype(object))
-    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (np.diff(keys[order], axis=0) != 0).any(axis=1)
-    texts = np.array([f"{fragment(j)}, ".encode() for j in order[starts].tolist()], dtype=object)
-    index = np.empty_like(order)
-    index[order] = np.cumsum(starts) - 1
+    distinct, index = _distinct_rows(keys)
+    first = np.full(len(distinct), len(keys))
+    np.minimum.at(first, index, np.arange(len(keys)))
+    texts = np.array([f"{fragment(j)}, ".encode() for j in first.tolist()], dtype=object)
     pieces.append(texts[index])
     return b"[" + b"".join(np.stack(pieces, axis=1).ravel().tolist())[:-2] + b"]"
 
@@ -224,6 +221,8 @@ def _cmd_rule(args):
     if args.rectangle == args.folded:
         raise ValueError("choose exactly one of --rectangle / --folded")
     if args.rectangle:
+        if args.invariant or args.groups:
+            raise ValueError("--rectangle takes no --invariant or --groups")
         rule = rectangle_rule(args.dim, node_cap=args.cap)
     else:
         pattern = _pattern_from_args(args, args.dim)

@@ -153,14 +153,14 @@ def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
 
 def _apply_by_parity(bits, weights, f):
     """``apply_rule`` at the nodes ``bits / 2``, ``bits`` a 0/1 float array."""
-    classes, inverse = _distinct_rows((f.keys & 1).astype(np.uint8))
+    class_bytes, inverse = _distinct_rows(np.packbits(f.keys & 1, axis=1))
 
     # W(p) = sum(w) - 2 * (sum of w_n over the nodes where p.b_n is odd), with no BLAS
     # product: a threaded BLAS leaves its idle workers spinning on a second core.
-    node_bytes, class_bytes = np.packbits(bits != 0, axis=1), np.packbits(classes, axis=1)
+    node_bytes = np.packbits(bits != 0, axis=1)
     w_parts = np.stack([weights.real, weights.imag])
-    odd_sums = np.zeros((2, len(classes)))
-    chunk = max(1, (1 << 18) // len(classes))
+    odd_sums = np.zeros((2, len(class_bytes)))
+    chunk = max(1, (1 << 18) // len(class_bytes))
     for lo in range(0, len(node_bytes), chunk):
         odd = node_bytes[lo:lo + chunk, :1] & class_bytes[:, 0]
         for j in range(1, class_bytes.shape[1]):  # XOR the bytes of p & b_n, then the bits
@@ -215,8 +215,10 @@ def bench(dims, fractions, repetitions=3, seed=0, n_terms=8):
     For each dimension and invariant fraction, an invariant integrand is
     built by orbit-averaging a random low-frequency polynomial (ones-count
     at most 2, so orbit sizes stay small) and both rules are timed on it.
-    Returns a list of row dicts.
+    Returns a list of row dicts; a fraction outside ``[0, 1]`` is refused.
     """
+    if not all(0 <= fraction <= 1 for fraction in fractions):
+        raise ValueError(f"invariant fractions must lie in [0, 1], got {list(fractions)!r}")
     rng = np.random.default_rng(seed)
     rows = []
     for dim in dims:
@@ -288,7 +290,7 @@ def rectangle_worst_case_error(dim, alpha, tol=1e-9) -> ErrorReport:
         Accuracy request; the truncation index is capped at ``2^20`` terms,
         and ``tail_bound`` always reports the bound actually achieved.
     """
-    dim = int(dim)
+    dim = require_integral(dim, "dimension")
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     a = require_alpha(alpha)

@@ -129,13 +129,15 @@ def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolut
     ``Q`` satisfies ``A conj(q) = 0``; it is formed by applying the ``n``
     reflectors to ``e_{n+1}``, not by forming ``Q``.  That vector is divided
     by its first entry of maximal modulus, whose position becomes
-    ``pivot_index``.  Raises ``NullspaceError`` when the residual
-    ``max |A v|`` exceeds ``residual_tol`` (the caller may retry with a
-    different mode order).
+    ``pivot_index``.  Raises ``ValueError`` for a non-finite entry, and
+    ``NullspaceError`` unless the residual ``max |A v|`` is at most
+    ``residual_tol`` (the caller may retry with a different mode order).
     """
     a_mat = np.asarray(matrix, dtype=np.complex128)
     if a_mat.ndim != 2 or a_mat.shape[1] != a_mat.shape[0] + 1:
         raise ValueError(f"expected an n x (n+1) matrix, got shape {a_mat.shape}")
+    if not np.isfinite(a_mat).all():
+        raise ValueError("the matrix has a non-finite entry")
     # Row j of h holds reflector v_j right of the diagonal, where R's diagonal
     # (not needed) is replaced by v_j's leading 1: Q = H_0 ... H_{n-1} with
     # H_j = I - tau_j v_j v_j^H acting on entries j..n.
@@ -152,7 +154,7 @@ def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolut
     vec[pivot_index] = 1.0
     vec /= np.maximum(np.abs(vec), 1.0)  # rounding may leave a modulus just above 1
     residual = float(np.max(np.abs(a_mat @ vec), initial=0.0))
-    if residual > residual_tol:
+    if not residual <= residual_tol:  # a NaN tolerance accepts nothing
         raise NullspaceError(
             f"nullspace residual {residual:.3e} exceeds tolerance {residual_tol:.3e}",
             residual,
@@ -303,7 +305,7 @@ def _verified(rule: CubatureRule, poly: FourierPolynomial, residuals, limits, me
     value = apply_rule(rule, poly)
     residuals["rule_value"] = abs(value)
     limits = {"rule_value": DEFAULT_CHECK_TOL * (1.0 + rule.weight_abs_sum()), **limits}
-    if any(residuals[name] > limit for name, limit in limits.items()):
+    if not all(residuals[name] <= limit for name, limit in limits.items()):  # NaN fails
         raise CertificateError(message, residuals)
     return value
 

@@ -105,13 +105,10 @@ class FourierPolynomial:
         dim = require_integral(dim, "dimension")
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        keys = _checked_keys(keys, dim)
-        order = np.lexsort(keys.T[::-1])
-        keys = keys[order]
-        repeated = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
-        if repeated.size:
-            raise ValueError(f"duplicate frequency vector {tuple(keys[repeated[0]].tolist())}")
-        _from_sorted(dim, keys, coeffs[order], self)
+        rows, slot = _distinct_rows(_checked_keys(keys, dim))
+        if len(rows) < len(slot):  # name the smallest duplicated key
+            raise ValueError(f"duplicate frequency vector {tuple(rows[np.argmax(np.bincount(slot) > 1)].tolist())}")
+        _from_sorted(dim, rows, coeffs[np.argsort(slot)], self)
 
     dim = property(lambda self: self._dim)
     keys = property(lambda self: self._keys)
@@ -241,8 +238,7 @@ def _collect(dim, keys, coeffs) -> FourierPolynomial:
         raise ValueError(f"a frequency vector exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
     rows, slot = _distinct_rows(keys)
     sums = np.bincount(slot, coeffs.real, len(rows)) + 1j * np.bincount(slot, coeffs.imag, len(rows))
-    order = np.lexsort(rows.T[::-1])
-    return _from_sorted(dim, rows[order], sums[order])
+    return _from_sorted(dim, rows, sums)
 
 
 def _product(a, b) -> np.ndarray:
@@ -296,9 +292,7 @@ def evaluate_at_points(f: FourierPolynomial, points) -> np.ndarray:
         return np.zeros(n, dtype=np.complex128)
     keys, coeffs = f.keys.astype(np.float64), f.coeffs        # (t, d), (t,)
     n_terms, s = len(keys), (f.dim + 1) // 2
-    # Keys are in lexicographic order, so equal lower halves are contiguous runs.
-    starts = np.append(True, (keys[1:, :s] != keys[:-1, :s]).any(axis=1))
-    lo, lo_of = keys[starts, :s], np.cumsum(starts) - 1
+    lo, lo_of = _distinct_rows(keys[:, :s])
     hi, hi_of = _distinct_rows(keys[:, s:])
     saved = n_terms - len(lo) - len(hi)  # exponentials per node the halves save
     if len(lo) * len(hi) > min(_TABLE_LIMIT, _TABLE_ENTRIES_PER_EXP * saved):
@@ -333,17 +327,19 @@ def characters(points, keys) -> np.ndarray:
 
 
 def _distinct_rows(block):
-    """Distinct rows of a 2-D numeric array and each row's index among them.
+    """Distinct rows of a 2-D numeric array, lexicographically, and each row's index among them.
 
-    One sort of the rows as byte strings (``np.unique(axis=0)`` is far
-    slower); the order of the distinct rows is unspecified.
+    Equal rows are runs of one stable ``np.lexsort`` (``np.unique(axis=0)``
+    is far slower).  Rows compare by value, so ``-0.0`` equals ``0.0``; a
+    block with no columns has one distinct row.
     """
-    block = np.ascontiguousarray(block)
-    if block.shape[1] == 0:
-        return block[:1], np.zeros(len(block), dtype=np.intp)
-    codes = block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel()
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    return block[first], inverse.reshape(-1)
+    order = np.lexsort(block.T[::-1]) if block.shape[1] else np.arange(len(block))
+    rows = block[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return rows[starts], inverse
 
 
 def exp_2pi_i(phases) -> np.ndarray:

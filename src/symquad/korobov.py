@@ -37,8 +37,8 @@ def riemann_zeta(alpha, tol=1e-12) -> float:
     """
     a = require_alpha(alpha)
     tol = float(tol)
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     c = a * (a + 1.0) * (a + 2.0) / 360.0
     m_cut = max(10, math.ceil((c / tol) ** (1.0 / (a + 3.0))))
     partial = math.fsum(m ** -a for m in range(1, m_cut + 1))

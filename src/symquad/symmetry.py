@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .fourier import FourierPolynomial, MultiIndex, _distinct_rows, _from_sorted, require_integral, validate_multi_index
+from .fourier import FourierPolynomial, MultiIndex, _collect, _distinct_rows, require_integral, validate_multi_index
 
 #: Default ceiling on the size of materialized enumerations.
 DEFAULT_ENUMERATION_CAP = 1 << 26
@@ -154,7 +154,7 @@ def orbit_stats(k, pattern: InvariancePattern) -> OrbitStats:
     stab = math.prod(
         math.factorial(c) for g in pattern.groups for c in Counter(key[i - 1] for i in g).values()
     )
-    return OrbitStats(canonicalize(key, pattern), stab, group_order(pattern) // stab)
+    return OrbitStats(tuple(canonical_rows(pattern, [key])[0].tolist()), stab, group_order(pattern) // stab)
 
 
 def _distinct_arrangements(multisets) -> tuple[np.ndarray, np.ndarray]:
@@ -305,8 +305,7 @@ def symmetrize(f: FourierPolynomial, pattern: InvariancePattern) -> FourierPolyn
     avg = np.empty(len(canon), dtype=np.complex128)  # bincount adds in array order from +0.0
     avg.real = np.bincount(bucket, f.coeffs.real) / sizes
     avg.imag = np.bincount(bucket, f.coeffs.imag) / sizes
-    order = np.lexsort(members.T[::-1])
-    return _from_sorted(f.dim, members[order], avg[owner[order]])
+    return _collect(f.dim, members, avg[owner])  # the members are distinct: one value each
 
 
 def is_invariant(f: FourierPolynomial, pattern: InvariancePattern, tol=0.0) -> bool:
@@ -318,8 +317,8 @@ def is_invariant(f: FourierPolynomial, pattern: InvariancePattern, tol=0.0) -> b
     """
     if f.dim != pattern.dim:
         raise DimensionMismatchError("polynomial and pattern dimensions differ")
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
     rows, index = _distinct_rows(np.concatenate([canonical_rows(pattern, f.keys), f.keys]))
     table = np.zeros(len(rows), dtype=np.complex128)  # a canonical key outside the support is 0j
     table[index[len(f) :]] = f.coeffs

@@ -145,7 +145,7 @@ def error_lower_bound(n_nodes, pattern: InvariancePattern, schedule: WeightSched
     Equals the ``(n_nodes+1)``-th largest effective weight; only defined
     below the critical node count (beyond it no such guarantee exists).
     """
-    n_nodes = int(n_nodes)
+    n_nodes = require_integral(n_nodes, "node count")
     if n_nodes < 0:
         raise ValueError("node count must be >= 0")
     threshold = critical_node_count(pattern)

@@ -4,6 +4,8 @@ Each failing case patches one name so that one check sees an excess, and
 pins the exception type, its message and the residual keys it carries.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ def test_unweighted_check_failures(monkeypatch, rule, name, fake, key, excess):
         construct_certificate(rule, PATTERN, 2.0)
     assert set(err.value.residuals) == UNWEIGHTED_KEYS
     assert err.value.residuals[key] == pytest.approx(excess, rel=1e-12)
+
+
+def test_a_nan_rule_value_fails_verification(monkeypatch, rule):
+    monkeypatch.setattr(fooling, "apply_rule", lambda rule, poly: complex(math.nan, 0.0))
+    with pytest.raises(CertificateError, match="^certificate verification failed$") as err:
+        construct_certificate(rule, PATTERN, 2.0)
+    assert math.isnan(err.value.residuals["rule_value"])
 
 
 def test_unweighted_rule_value_tolerance(monkeypatch, rule):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symquad import fooling
 from symquad.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,6 +208,44 @@ def test_non_finite_options_exit_1_without_output(capsys, tmp_path, argv, messag
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--dims", "4", "--fractions", "-0.5", "--reps", "1"], "fractions must lie in [0, 1]"),
+        (["bench", "--dims", "4", "--fractions", "1.0,1.5", "--reps", "1"], "fractions must lie in [0, 1]"),
+        (["rule", "--rectangle", "-d", "3", "--invariant", "1-2"], "--rectangle takes no --invariant"),
+        (["rule", "--rectangle", "-d", "3", "--groups", "1-2"], "--rectangle takes no --invariant"),
+    ],
+)
+def test_options_that_passed_quietly_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("DEFAULT_CHECK_TOL", -1.0, "nullspace residual"),  # every residual exceeds a negative tolerance
+        ("apply_rule", lambda rule, poly: 1.0 + 0j, "certificate verification failed"),  # Q(f) is not 0
+    ],
+)
+def test_certify_numerical_failure_exits_1(capsys, small_rule_file, monkeypatch, name, value, message):
+    monkeypatch.setattr(fooling, name, value)
+    code, out, err = run(capsys, ["certify", "--rule", small_rule_file, "--invariant", "1-2", "--alpha", "2"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"numerical failure: {message}")
+
+
+def test_bench_out_writes_the_csv(capsys, tmp_path):
+    argv = ["bench", "--dims", "6", "--fractions", "0.5", "--reps", "1"]
+    code, out, _ = run(capsys, argv + ["--out", str(tmp_path / "bench.csv")])
+    assert (code, out) == (0, "")
+    lines = (tmp_path / "bench.csv").read_text().splitlines()
+    assert lines[0] == "dim,invariant_count,nodes_full,nodes_folded,time_full_s,time_folded_s,speedup,max_abs_diff"
+    assert lines[1].split(",")[:4] == ["6", "3", "64", "32"]
 
 
 def test_certify_gammas_requires_weighted(capsys, small_rule_file, tmp_path):

@@ -1,5 +1,6 @@
 """Certificate construction, the nullspace solver, and the convolution crosscheck."""
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -15,11 +16,13 @@ from symquad import (
     NullspaceError,
     RefusalError,
     UnsupportedPatternError,
+    WeightSchedule,
     apply_rule,
     canonical_binary_vectors,
     canonicalize,
     constraint_matrix,
     construct_certificate,
+    construct_weighted_certificate,
     critical_node_count,
     crosscheck_coefficients,
     group_order,
@@ -495,3 +498,23 @@ def test_nullspace_check_is_relative_to_the_matrix_scale(monkeypatch):
     )
     with pytest.raises(NullspaceError):
         construct_certificate(rule, pattern, 2.0)
+
+
+def test_crosscheck_of_a_weighted_certificate_applies_its_scale():
+    rng = np.random.default_rng(15)
+    pattern = InvariancePattern.single(4, (1, 2, 3))
+    schedule = WeightSchedule(4, (1.0, 0.5, 0.5, 0.25))
+    cert = construct_weighted_certificate(random_rule(rng, 4, 5), pattern, 2.0, schedule)
+    assert cert.weight_scale < 0.9
+    assert crosscheck_coefficients(cert, pattern).max_abs_deviation <= 1e-10
+    unscaled = crosscheck_coefficients(dataclasses.replace(cert, weight_scale=None), pattern)
+    assert unscaled.max_abs_deviation > 0.01
+
+
+def test_constraint_matrix_refuses_a_rule_at_the_critical_count():
+    pattern = InvariancePattern.single(3, (1, 2))  # six canonical 0/1 vectors
+    rule = random_rule(np.random.default_rng(16), 3, critical_node_count(pattern))
+    psi = canonical_binary_vectors(pattern)[0]
+    with pytest.raises(RefusalError) as err:
+        constraint_matrix(rule, pattern, psi)
+    assert (err.value.n_nodes, err.value.threshold) == (6, 6)

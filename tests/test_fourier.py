@@ -365,3 +365,33 @@ def test_korobov_norm_matches_the_dict_loop():
     for f in cases:
         for alpha in (1.5, 2.0, 3.7):
             assert korobov_norm(f, alpha).hex() == reference_korobov_norm(f, alpha).hex()
+
+
+# ---------------------------------------------------------------------------
+# grouping equal rows
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+def test_distinct_rows_are_lexicographic_and_the_inverse_maps_back(dtype):
+    block = np.random.default_rng(3).integers(0, 3, (300, 4)).astype(dtype)[:, ::-1]  # a strided view
+    rows, inverse = fourier._distinct_rows(block)
+    assert np.array_equal(rows[inverse], block)
+    assert list(map(tuple, rows.tolist())) == sorted(set(map(tuple, block.tolist())))
+    unique, unique_inverse = np.unique(block, axis=0, return_inverse=True)
+    assert np.array_equal(rows, unique) and np.array_equal(inverse, unique_inverse.reshape(-1))
+
+
+def test_distinct_rows_compare_floats_by_value_and_their_bits_by_pattern():
+    values = np.array([[0.0], [-0.0], [1.5], [0.0]])
+    rows, inverse = fourier._distinct_rows(values)
+    assert rows.tolist() == [[0.0], [1.5]] and inverse.tolist() == [0, 0, 1, 0]
+    bits = values.view(np.uint64)
+    rows, inverse = fourier._distinct_rows(bits)
+    assert np.array_equal(rows[inverse], bits) and len(rows) == 3
+
+
+@pytest.mark.parametrize("shape, n_rows", [((0, 3), 0), ((4, 0), 1), ((0, 0), 0)])
+def test_distinct_rows_of_empty_blocks(shape, n_rows):
+    rows, inverse = fourier._distinct_rows(np.zeros(shape, dtype=np.int64))
+    assert rows.shape == (n_rows, shape[1])
+    assert inverse.tolist() == [0] * shape[0]

@@ -416,3 +416,29 @@ def test_integrate_command_reports_deeply_nested_json(tmp_path, deep_flag):
     done = subprocess.run([sys.executable, "-m", "symquad.cli", *argv], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+# ---------------------------------------------------------------------------
+# library arguments that computed something else instead of being refused
+
+BLOCK = InvariancePattern.single(3, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: symquad.rectangle_worst_case_error(2.5, 2.0), "dimension 2.5 is not integral"),
+        (lambda: symquad.error_lower_bound(1.7, BLOCK, WeightSchedule(3, (1.0, 0.5, 0.25))), "node count 1.7"),
+        (lambda: symquad.is_invariant(FourierPolynomial(3, {(1, 0, 0): 1.0}), BLOCK, tol=math.nan), "tolerance"),
+        (lambda: symquad.riemann_zeta(2.0, tol=math.inf), "positive and finite"),
+        (lambda: symquad.nullspace_solution([[1.0, math.nan]]), "non-finite"),
+    ],
+)
+def test_arguments_that_passed_quietly_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_nan_residual_tolerance_accepts_no_nullspace_vector():
+    with pytest.raises(symquad.NullspaceError):
+        symquad.nullspace_solution([[1.0, 1.0]], residual_tol=math.nan)
