@@ -4,11 +4,13 @@ Machine output is JSON with a top-level ``schema_version``; ``--format
 table`` switches to aligned text for humans.  Exit codes: 0 on success,
 1 on bad input or numerical failure, and 2 when certification is refused
 because the rule already has enough nodes (the folded-rule error bound is
-printed instead).
+printed instead).  Each ``_cmd_*`` returns the bytes of its output and
+``main`` writes them, to ``--out`` or to standard output.
 """
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -58,10 +60,9 @@ def _load_rule(path):
     """
     with open(path, "rb") as handle:
         raw = handle.read()
-    rule = _rule_from_writer_text(raw)
-    if rule is None:
-        rule = CubatureRule.from_json_dict(json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")))
-    return rule
+    return _rule_from_writer_text(raw) or CubatureRule.from_json_dict(
+        json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    )
 
 
 _RULE_HEAD = re.compile(rb'\{"dim": ([1-9][0-9]{0,8}), "nodes": \[')
@@ -119,18 +120,11 @@ def _json_text(payload):
     return b"{" + b", ".join(fields) + b"}\n"
 
 
-def _emit(args, payload, table_lines):
-    """Write the JSON text of the payload, or the lines (maybe a lazy generator) for tables."""
-    if getattr(args, "format", "json") == "table":
-        text = "\n".join(table_lines) + "\n"
-    else:
-        text = _json_text(payload).decode("ascii")
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(args, payload, table_lines):
+    """The bytes of a command's output: the payload's JSON text, or the (maybe lazy) table lines."""
+    if args.format == "table":
+        return ("\n".join(table_lines) + "\n").encode()
+    return _json_text(payload)
 
 
 def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None, fragment=None):
@@ -165,11 +159,11 @@ def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None,
 
 
 def _pattern_from_args(args, dim):
-    if getattr(args, "groups", None) and getattr(args, "invariant", None):
+    if args.groups and args.invariant:
         raise ValueError("--invariant and --groups are mutually exclusive")
-    if getattr(args, "groups", None):
+    if args.groups:
         return InvariancePattern(dim, parse_groups(args.groups))
-    if getattr(args, "invariant", None):
+    if args.invariant:
         return InvariancePattern.single(dim, parse_coordinate_set(args.invariant))
     return InvariancePattern.trivial(dim)
 
@@ -198,8 +192,7 @@ def _cmd_nabla(args):
             yield f"{str(tuple(k)):<{width}} {size:>5} {order // size:>10}"
         yield f"count {len(vectors)}, orbit sizes sum {payload['orbit_size_total']}"
 
-    _emit(args, payload, table())
-    return 0
+    return _output(args, payload, table())
 
 
 def _rule_payload(rule):
@@ -233,8 +226,7 @@ def _cmd_rule(args):
         for node, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
             yield f"{str(tuple(node)):<{8 * rule.dim}} {w.real:.12g}"
 
-    _emit(args, _rule_payload(rule), table())
-    return 0
+    return _output(args, _rule_payload(rule), table())
 
 
 def _cmd_integrate(args):
@@ -242,26 +234,18 @@ def _cmd_integrate(args):
     poly = FourierPolynomial.from_json_dict(_load_json(args.poly))
     value = apply_rule(rule, poly)
     payload = {"value": {"re": value.real, "im": value.imag}, "n_nodes": rule.n_nodes}
-    _emit(args, payload, [f"value {value.real:.15g} {value.imag:+.15g}i"])
-    return 0
+    return _output(args, payload, [f"value {value.real:.15g} {value.imag:+.15g}i"])
 
 
 def _cmd_wce(args):
     report = rectangle_worst_case_error(args.dim, args.alpha, args.tol)
-    payload = {
-        "dim": args.dim,
-        "alpha": args.alpha,
-        "closed_form": report.closed_form,
-        "oracle_value": report.oracle_value,
-        "tail_bound": report.tail_bound,
-    }
+    payload = {"dim": args.dim, "alpha": args.alpha, **dataclasses.asdict(report)}
     lines = [
         f"closed form  {report.closed_form:.15g}",
         f"oracle value {report.oracle_value:.15g}",
         f"tail bound   {report.tail_bound:.3g}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return _output(args, payload, lines)
 
 
 def _cmd_certify(args):
@@ -270,11 +254,9 @@ def _cmd_certify(args):
     if dim != rule.dim:
         raise ValueError(f"--dim {dim} does not match rule dimension {rule.dim}")
     pattern = _pattern_from_args(args, dim)
-    if args.gammas and not args.weighted:
-        raise ValueError("--gammas requires --weighted")
+    if bool(args.gammas) != args.weighted:
+        raise ValueError("--gammas requires --weighted" if args.gammas else "--weighted requires --gammas")
     if args.weighted:
-        if not args.gammas:
-            raise ValueError("--weighted requires --gammas")
         schedule = WeightSchedule.from_json_dict(_load_json(args.gammas))
         cert = construct_weighted_certificate(rule, pattern, args.alpha, schedule)
     else:
@@ -287,8 +269,7 @@ def _cmd_certify(args):
         f"norm         {cert.norm_value:.15g}",
         "certificate valid: the rule cannot beat the guaranteed error",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return _output(args, payload, lines)
 
 
 def _cmd_weights(args):
@@ -318,19 +299,13 @@ def _cmd_weights(args):
                 f"closed {sums.closed:.12g}, closed form applicable: {sums.closed_form_applicable}"
             )
 
-    _emit(args, payload, table())
-    return 0
+    return _output(args, payload, table())
 
 
 def _cmd_tract(args):
     profile = InvarianceProfile.from_json_dict(_load_json(args.profile))
-    grid = []
-    for part in args.st.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        s_str, t_str = part.split(",")
-        grid.append((float(s_str), float(t_str)))
+    pairs = (part.split(",") for part in args.st.split(";") if part.strip())
+    grid = [(float(s), float(t)) for s, t in pairs]
     report = evaluate_profile(profile, grid or ((1.0, 1.0),))
     payload = {
         "samples": [list(row) for row in report.profile.samples],
@@ -350,8 +325,7 @@ def _cmd_tract(args):
         lines.append(f"{name}: {verdict}")
     for (s, t), verdict in report.st_weak.items():
         lines.append(f"weak(s={s}, t={t}): {verdict}")
-    _emit(args, payload, lines)
-    return 0
+    return _output(args, payload, lines)
 
 
 def _cmd_bench(args):
@@ -359,26 +333,10 @@ def _cmd_bench(args):
     fractions = [float(v) for v in args.fractions.split(",") if v.strip()]
     rows = bench(dims, fractions, repetitions=args.reps, seed=args.seed)
     buffer = io.StringIO()
-    fields = [
-        "dim",
-        "invariant_count",
-        "nodes_full",
-        "nodes_folded",
-        "time_full_s",
-        "time_folded_s",
-        "speedup",
-        "max_abs_diff",
-    ]
-    writer = csv.DictWriter(buffer, fieldnames=fields)
+    writer = csv.DictWriter(buffer, fieldnames=rows[0])
     writer.writeheader()
     writer.writerows(rows)
-    text = buffer.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return buffer.getvalue().encode()
 
 
 def _add_pattern_flags(parser):
@@ -489,7 +447,14 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        data = args.func(args)
+        if args.out:
+            with open(args.out, "wb") as handle:
+                handle.write(data)
+        else:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+        return 0
     except RefusalError as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 2

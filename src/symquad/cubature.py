@@ -215,8 +215,11 @@ def bench(dims, fractions, repetitions=3, seed=0, n_terms=8):
     For each dimension and invariant fraction, an invariant integrand is
     built by orbit-averaging a random low-frequency polynomial (ones-count
     at most 2, so orbit sizes stay small) and both rules are timed on it.
-    Returns a list of row dicts; a fraction outside ``[0, 1]`` is refused.
+    Returns a list of row dicts; a fraction outside ``[0, 1]``, or an empty
+    ``dims`` or ``fractions``, is refused.
     """
+    if not dims or not fractions:
+        raise ValueError("bench needs at least one dimension and one invariant fraction")
     if not all(0 <= fraction <= 1 for fraction in fractions):
         raise ValueError(f"invariant fractions must lie in [0, 1], got {list(fractions)!r}")
     rng = np.random.default_rng(seed)
@@ -306,11 +309,12 @@ def rectangle_worst_case_error(dim, alpha, tol=1e-9) -> ErrorReport:
     # One-dimensional even-frequency factor, plainly truncated at m_cut.
     two_pow = 2.0 ** (1.0 - a)
     target = tol / (2.0 * dim * max(1.0, factor_closed) ** (dim - 1) * two_pow) * (a - 1.0)
-    if target > 0:
-        m_needed = math.ceil(target ** (-1.0 / (a - 1.0))) if target < 1 else 64
-    else:  # pragma: no cover - target is positive by construction
-        m_needed = 1 << 20
-    m_cut = int(min(1 << 20, max(64, m_needed)))
+    # target ** (-1/(a-1)) overflows for alpha near 1: take it only below the cap
+    cap = 1 << 20
+    if target > 0 and -math.log(target) / (a - 1.0) < math.log(cap):
+        m_cut = min(cap, max(64, math.ceil(target ** (-1.0 / (a - 1.0)))))
+    else:
+        m_cut = cap
     m = np.arange(1, m_cut + 1, dtype=np.float64)
     partial = float(np.sum(m ** -a))
     factor_trunc = 1.0 + two_pow * partial

@@ -19,7 +19,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .fourier import FourierPolynomial, MultiIndex, _collect, _distinct_rows, require_integral, validate_multi_index
+from .fourier import FourierPolynomial, MultiIndex, _collect, _distinct_rows, validate_multi_index
+from .fourier import reject_bools_and_strings, require_integral
 
 #: Default ceiling on the size of materialized enumerations.
 DEFAULT_ENUMERATION_CAP = 1 << 26
@@ -82,7 +83,12 @@ class InvariancePattern:
 
     @classmethod
     def from_json_dict(cls, data) -> "InvariancePattern":
-        return cls(data["dim"], [tuple(g) for g in data.get("groups", [])])
+        try:
+            dim, groups = data["dim"], [tuple(g) for g in data.get("groups", [])]
+            reject_bools_and_strings([dim, *(i for g in groups for i in g)], "pattern JSON")
+            return cls(dim, groups)
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed pattern JSON: {exc!r}") from exc
 
 
 def parse_coordinate_set(spec: str) -> tuple[int, ...]:
@@ -212,7 +218,7 @@ def canonical_binary_vectors(
     """
     count = critical_node_count(pattern)
     if stop is not None:
-        count = min(count, max(0, int(stop)))
+        count = min(count, max(0, require_integral(stop, "stop")))
     if cap is not None and count > cap:
         raise CapExceededError(f"enumeration of {count} representatives exceeds cap {cap}")
     group_of = {i: gi for gi, g in enumerate(pattern.groups) for i in g}

@@ -1,14 +1,18 @@
 """Command-line interface: schemas, exit codes, reproducibility, help text."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symquad
 from symquad import fooling
-from symquad.cli import main
+from symquad.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -217,6 +221,7 @@ def test_non_finite_options_exit_1_without_output(capsys, tmp_path, argv, messag
         (["bench", "--dims", "4", "--fractions", "1.0,1.5", "--reps", "1"], "fractions must lie in [0, 1]"),
         (["rule", "--rectangle", "-d", "3", "--invariant", "1-2"], "--rectangle takes no --invariant"),
         (["rule", "--rectangle", "-d", "3", "--groups", "1-2"], "--rectangle takes no --invariant"),
+        (["bench", "--dims", "", "--reps", "1"], "at least one dimension and one invariant fraction"),
     ],
 )
 def test_options_that_passed_quietly_exit_1(capsys, argv, message):
@@ -256,6 +261,60 @@ def test_certify_gammas_requires_weighted(capsys, small_rule_file, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: --gammas requires --weighted\n"
+
+
+def test_certify_weighted_requires_gammas(capsys, small_rule_file):
+    code, out, err = run(capsys, ["certify", "--rule", small_rule_file, "--invariant", "1-2", "--alpha", "2", "--weighted"])
+    assert (code, out, err) == (1, "", "error: --weighted requires --gammas\n")
+
+
+def test_wce_and_certify_refusal_near_alpha_one(capsys, tmp_path):
+    code, out, err = run(capsys, ["wce", "-d", "2", "--alpha", "1.01"])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert 0 < data["closed_form"] - data["oracle_value"] <= data["tail_bound"]
+    rule, cert = str(tmp_path / "r.json"), tmp_path / "cert.json"
+    run(capsys, ["rule", "--folded", "-d", "4", "--invariant", "1-2", "--out", rule])  # 12 nodes, the threshold
+    code, out, err = run(capsys, ["certify", "--rule", rule, "--invariant", "1-2", "--alpha", "1.01", "--out", str(cert)])
+    assert (code, out) == (2, "")
+    assert err.startswith("refused: rule uses 12 nodes") and "error <=" in err
+    assert not cert.exists()
+
+
+def test_tract_skips_empty_grid_parts(capsys, tmp_path):
+    profile = write_json(tmp_path / "p.json", {"samples": [[4, 0], [8, 0], [16, 0]]})
+    outputs = [run(capsys, ["tract", "--profile", profile, "--st", st]) for st in ("1,1;;0.5,0.5", " 1,1 ; 0.5,0.5;")]
+    assert outputs[0] == outputs[1] == run(capsys, ["tract", "--profile", profile, "--st", "1,1;0.5,0.5"])
+    assert sorted(json.loads(outputs[0][1])["st_weak"]) == ["0.5,0.5", "1.0,1.0"]
+
+
+OUTPUT_ARGVS = [
+    ["rule", "--folded", "-d", "8", "--invariant", "1-4"],
+    ["rule", "--rectangle", "-d", "3", "--format", "table"],
+    ["nabla", "-d", "6", "--invariant", "1-3", "--format", "table"],
+    ["wce", "-d", "4", "--alpha", "2"],
+    ["wce", "-d", "4", "--alpha", "2", "--format", "table"],
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS)
+def test_commands_return_their_bytes_and_main_writes_them(capsys, tmp_path, argv):
+    args = build_parser().parse_args(argv)
+    data = args.func(args)
+    assert isinstance(data, bytes) and capsys.readouterr() == ("", "")
+    assert run(capsys, argv) == (0, data.decode(), "")
+    out = tmp_path / "out"
+    assert run(capsys, argv + ["--out", str(out)]) == (0, "", "")
+    assert out.read_bytes() == data
+
+
+def test_stdout_through_a_pipe_equals_out_file(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symquad.__file__)))
+    for n, argv in enumerate(OUTPUT_ARGVS):
+        out = tmp_path / f"out{n}"
+        piped = subprocess.run([sys.executable, "-m", "symquad.cli", *argv], capture_output=True, env=env, check=True)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert piped.stdout == out.read_bytes()
 
 
 def test_invalid_gammas_exit_code(capsys, small_rule_file, tmp_path):

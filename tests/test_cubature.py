@@ -1,14 +1,17 @@
 """Rules, folding, and the worst-case error formula with its lattice oracle."""
 
 import cmath
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from symquad import (
     CapExceededError,
     CubatureRule,
+    DimensionMismatchError,
     FourierPolynomial,
     InvariancePattern,
     apply_rule,
@@ -22,6 +25,7 @@ from symquad import (
     riemann_zeta,
     symmetrize,
 )
+from symquad.cubature import bench
 from symquad.symmetry import binary_orbit_representatives
 
 # Frozen via the analytic zeta values pi^2/6 and pi^4/90.
@@ -63,6 +67,11 @@ def test_apply_zero_rule():
     zero = CubatureRule(3, [], [])
     rng = np.random.default_rng(0)
     assert apply_rule(zero, random_polynomial(3, 5, rng)) == 0
+
+
+def test_apply_rule_refuses_a_polynomial_of_another_dimension():
+    with pytest.raises(DimensionMismatchError, match="rule and polynomial dimensions differ"):
+        apply_rule(rectangle_rule(2), FourierPolynomial(3, {(0, 0, 0): 1.0}))
 
 
 def test_apply_rectangle_one_dim_mode():
@@ -233,6 +242,23 @@ def test_wce_monotonicity():
     for dim in range(1, 9):
         values = [rectangle_worst_case_error(dim, a, 1e-9).closed_form for a in (1.5, 2.0, 3.0, 6.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("dim, alpha", [(2, 1.01), (1, 1.0001), (12, 1.001)])
+def test_wce_near_alpha_one_truncates_at_the_cap(dim, alpha):
+    # the truncation index target ** (-1/(alpha-1)) would overflow; the oracle stops at 2^20 terms
+    report = rectangle_worst_case_error(dim, alpha)
+    m = np.arange(1, (1 << 20) + 1, dtype=np.float64)
+    assert report.oracle_value == math.expm1(dim * math.log1p(2.0 ** (1.0 - alpha) * float(np.sum(m**-alpha))))
+    z = mpmath.zeta(alpha)
+    assert report.closed_form == pytest.approx(float((1 + z / mpmath.mpf(2) ** (alpha - 1)) ** dim - 1), rel=1e-9)
+    assert 0 < report.closed_form - report.oracle_value <= report.tail_bound
+
+
+@pytest.mark.parametrize("dims, fractions", [([], [1.0]), ([4], []), ([], [])])
+def test_bench_refuses_empty_lists(dims, fractions):
+    with pytest.raises(ValueError, match="at least one dimension and one invariant fraction"):
+        bench(dims, fractions, repetitions=1)
 
 
 def test_even_sublattice_factorization_one_dim():

@@ -74,6 +74,14 @@ def test_every_stop_gives_the_prefix(pattern):
         assert ones.shape == (min(stop, len(full)), len(pattern.groups))
 
 
+def test_stop_must_be_integral():
+    pattern = InvariancePattern.trivial(3)
+    for stop in (1.7, 0.5, math.inf, "2"):
+        with pytest.raises(ValueError, match="stop"):
+            canonical_binary_vectors(pattern, stop=stop)
+    assert canonical_binary_vectors(pattern, stop=2.0)[0].tolist() == [[0, 0, 0], [0, 0, 1]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(patterns())
 def test_orbit_sizes_equal_orbit_stats(pattern):

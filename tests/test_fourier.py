@@ -76,6 +76,9 @@ def test_dimension_validation():
     f = FourierPolynomial(2, {(1, 0): 1.0})
     with pytest.raises(DimensionMismatchError):
         f((0.1, 0.2, 0.3))
+    for points in ([[0.1, 0.2, 0.3]], [0.1, 0.2], [[[0.1, 0.2]]]):
+        with pytest.raises(DimensionMismatchError, match=r"points must have shape \(n, 2\)"):
+            evaluate_at_points(f, points)
 
 
 def test_json_roundtrip():

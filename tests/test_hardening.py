@@ -97,6 +97,12 @@ def test_malformed_rule_json_raises_value_error(data):
         CubatureRule.from_json_dict(data)
 
 
+@pytest.mark.parametrize("data", [5, [3], {"groups": [[1, 2]]}, {"dim": 3, "groups": 5}, {"dim": 3, "groups": [2]}])
+def test_malformed_pattern_json_raises_value_error(data):
+    with pytest.raises(ValueError, match="malformed pattern JSON"):
+        InvariancePattern.from_json_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -353,9 +359,12 @@ GOOD_POLY = '{"dim": 1, "terms": [{"k": [0], "re": 1.0, "im": 0.0}]}'
         (FourierPolynomial.from_json_dict, {"dim": 1, "terms": [{"k": ["0"], "re": 1.0, "im": 0.0}]}),
         (WeightSchedule.from_json_dict, {"dim": 3, "gammas": [1.0, "0.5", 0.25]}),
         (InvarianceProfile.from_json_dict, {"samples": [[3, "1"]]}),
+        (InvariancePattern.from_json_dict, {"dim": 3, "groups": [[1, "2"]]}),
+        (InvariancePattern.from_json_dict, {"dim": "3", "groups": [[1, 2]]}),
+        (InvariancePattern.from_json_dict, {"dim": 3, "groups": [[2, True]]}),
     ],
     ids=["rule-node", "rule-re", "rule-im", "polynomial-re", "polynomial-im", "polynomial-k",
-         "schedule-gamma", "profile-count"],
+         "schedule-gamma", "profile-count", "pattern-member", "pattern-dim", "pattern-boolean-member"],
 )
 def test_json_readers_reject_strings(reader, data):
     with pytest.raises(ValueError, match="string"):

@@ -123,3 +123,19 @@ def test_grid_validation():
         evaluate_profile(profile, ((0.0, 1.0),))
     with pytest.raises(ValueError):
         evaluate_profile(profile, ((1.0, 1.5),))
+
+
+def test_polynomial_needs_three_samples_with_d_at_least_2():
+    # ln(1) = 0, so a d = 1 sample gives no free_count / ln d ratio
+    report = evaluate_profile(InvarianceProfile([(1, 0), (2, 1), (4, 2)]), ((1.0, 1.0),))
+    assert report.verdicts["polynomial"] == VERDICT_NOT_EVALUABLE
+    assert report.verdicts["curse"] != VERDICT_NOT_EVALUABLE
+    assert "polynomial check needs at least 3 samples with d >= 2" in report.notes
+
+
+@pytest.mark.parametrize("tag", [None, "half-invariant"])
+def test_profile_json_round_trip(tag):
+    profile = InvarianceProfile([(8, 4), (2, 1), (4, 2)], tag)
+    data = profile.to_json_dict()
+    assert ("tag" in data) == (tag is not None)
+    assert InvarianceProfile.from_json_dict(data) == profile

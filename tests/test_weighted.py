@@ -1,6 +1,7 @@
 """Effective weights, the weighted lower bound, and the power-sum identity."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -70,6 +71,15 @@ def test_schedule_validation():
     with pytest.raises(Exception):
         WeightSchedule(3, (1.0, 0.5))  # length mismatch
     WeightSchedule(3, (1.0, 1.0, 0.0))  # zeros allowed
+
+
+def test_schedule_json_round_trip():
+    schedule = WeightSchedule(4, (1.0, 0.8, 0.5, 0.0))
+    data = json.loads(json.dumps(schedule.to_json_dict()))
+    assert data == {"dim": 4, "gammas": [1.0, 0.8, 0.5, 0.0]}
+    assert WeightSchedule.from_json_dict(data) == schedule
+    exact = harmonic_schedule(3)  # Fraction weights are written as floats
+    assert WeightSchedule.from_json_dict(exact.to_json_dict()).gammas == tuple(map(float, exact.gammas))
 
 
 def test_weight_of_zero_vector_is_one():
