@@ -159,13 +159,17 @@ def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None,
 
 
 def _pattern_from_args(args, dim):
-    if args.groups and args.invariant:
+    if args.groups is not None and args.invariant is not None:
         raise ValueError("--invariant and --groups are mutually exclusive")
-    if args.groups:
-        return InvariancePattern(dim, parse_groups(args.groups))
-    if args.invariant:
-        return InvariancePattern.single(dim, parse_coordinate_set(args.invariant))
-    return InvariancePattern.trivial(dim)
+    if args.groups is not None:
+        flag, spec, groups = "--groups", args.groups, parse_groups(args.groups)
+    elif args.invariant is not None:
+        flag, spec, groups = "--invariant", args.invariant, (parse_coordinate_set(args.invariant),)
+    else:
+        return InvariancePattern.trivial(dim)
+    if not any(groups):  # a spec that is given names at least one coordinate
+        raise ValueError(f"{flag} {spec!r} names no coordinate")
+    return InvariancePattern(dim, groups)
 
 
 def _cmd_nabla(args):
@@ -214,7 +218,7 @@ def _cmd_rule(args):
     if args.rectangle == args.folded:
         raise ValueError("choose exactly one of --rectangle / --folded")
     if args.rectangle:
-        if args.invariant or args.groups:
+        if args.invariant is not None or args.groups is not None:
             raise ValueError("--rectangle takes no --invariant or --groups")
         rule = rectangle_rule(args.dim, node_cap=args.cap)
     else:
@@ -303,9 +307,12 @@ def _cmd_weights(args):
 
 
 def _cmd_tract(args):
-    profile = InvarianceProfile.from_json_dict(_load_json(args.profile))
-    pairs = (part.split(",") for part in args.st.split(";") if part.strip())
+    pairs = [part.split(",") for part in args.st.split(";") if part.strip()]
+    bad = [",".join(pair) for pair in pairs if len(pair) != 2]
+    if bad:
+        raise ValueError(f"--st part {bad[0].strip()!r} is not an 's,t' pair")
     grid = [(float(s), float(t)) for s, t in pairs]
+    profile = InvarianceProfile.from_json_dict(_load_json(args.profile))
     report = evaluate_profile(profile, grid or ((1.0, 1.0),))
     payload = {
         "samples": [list(row) for row in report.profile.samples],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 
@@ -26,10 +25,13 @@ from .fourier import (
     _distinct_rows,
     evaluate_at_points,
     random_polynomial,
+    reading,
     reject_bools_and_strings,
+    require_dimension,
     require_integral,
+    require_positive,
 )
-from .korobov import require_alpha, riemann_zeta
+from .korobov import require_alpha, riemann_zeta, zeta_floor
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
@@ -55,9 +57,7 @@ class CubatureRule:
     __slots__ = ("_dim", "_nodes", "_weights")
 
     def __init__(self, dim, nodes, weights):
-        dim = require_integral(dim, "dimension")
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
+        dim = require_dimension(dim)
         nodes = np.asarray(nodes, dtype=np.float64)
         if not nodes.size:
             nodes = np.zeros((0, dim))
@@ -107,9 +107,7 @@ class CubatureRule:
 
     @classmethod
     def from_json_dict(cls, data) -> "CubatureRule":
-        if not isinstance(data, Mapping) or not {"dim", "nodes", "weights"} <= data.keys():
-            raise ValueError("rule JSON must carry 'dim', 'nodes' and 'weights'")
-        try:
+        with reading("rule JSON"):
             rows, terms = data["nodes"], data["weights"]
             coords = list(chain.from_iterable(rows))
             re, im = [w["re"] for w in terms], [w["im"] for w in terms]
@@ -120,8 +118,6 @@ class CubatureRule:
             weights = np.empty(len(terms), dtype=np.complex128)
             weights.real, weights.imag = np.array(re, dtype=np.float64), np.array(im, dtype=np.float64)
             return cls(data["dim"], nodes, weights)
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed rule JSON: {exc!r}") from exc
 
 
 def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
@@ -197,8 +193,7 @@ def folded_rectangle_rule(
     return CubatureRule(pattern.dim, vectors * 0.5, weights)
 
 
-def _time_apply(rule, poly, repetitions):
-    loops = max(1, int(repetitions))
+def _time_apply(rule, poly, loops):
     while True:
         start = time.perf_counter()
         for _ in range(loops):
@@ -215,9 +210,12 @@ def bench(dims, fractions, repetitions=3, seed=0, n_terms=8):
     For each dimension and invariant fraction, an invariant integrand is
     built by orbit-averaging a random low-frequency polynomial (ones-count
     at most 2, so orbit sizes stay small) and both rules are timed on it.
-    Returns a list of row dicts; a fraction outside ``[0, 1]``, or an empty
-    ``dims`` or ``fractions``, is refused.
+    Returns a list of row dicts; a fraction outside ``[0, 1]``, an empty
+    ``dims`` or ``fractions``, or ``repetitions`` below 1 is refused.
     """
+    repetitions = require_integral(repetitions, "repetitions")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if not dims or not fractions:
         raise ValueError("bench needs at least one dimension and one invariant fraction")
     if not all(0 <= fraction <= 1 for fraction in fractions):
@@ -267,7 +265,7 @@ class ErrorReport:
     ``closed_form`` evaluates ``(1 + zeta(alpha)/2**(alpha-1))**d - 1``;
     ``oracle_value`` sums the even-frequency weights directly through a
     truncated one-dimensional factor; ``tail_bound`` is a rigorous bound on
-    how far the two may lie apart (truncation plus zeta tolerance).
+    how far the two may lie apart (truncation, zeta tolerance and rounding).
     """
 
     closed_form: float
@@ -290,24 +288,28 @@ def rectangle_worst_case_error(dim, alpha, tol=1e-9) -> ErrorReport:
     dim : int
     alpha : float, > 1
     tol : float, > 0
-        Accuracy request; the truncation index is capped at ``2^20`` terms,
-        and ``tail_bound`` always reports the bound actually achieved.
-    """
-    dim = require_integral(dim, "dimension")
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    a = require_alpha(alpha)
-    tol = float(tol)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+        Accuracy request, refused below ``zeta_floor(alpha)``; zeta is asked
+        for no more than that floor, the truncation index is capped at
+        ``2^20`` terms, and ``tail_bound`` reports the bound achieved.
 
-    zeta_tol = tol / (4.0 * dim)
+    Raises ``OverflowError`` when the closed form exceeds ``1.8e308`` or
+    ``2^(1-alpha)`` underflows to 0.
+    """
+    dim, a = require_dimension(dim), require_alpha(alpha)
+    tol = require_positive(tol, "tolerance")
+
+    # the zeta share of a reachable tol is raised to the floor; riemann_zeta refuses an unreachable tol
+    zeta_tol = max(tol / (4.0 * dim), min(tol, zeta_floor(a)))
     zeta_val = riemann_zeta(a, zeta_tol)
-    factor_closed = 1.0 + zeta_val / (2.0 ** (a - 1.0))
-    closed = math.expm1(dim * math.log1p(zeta_val / (2.0 ** (a - 1.0))))
+    two_pow = 2.0 ** (1.0 - a)
+    log_closed = dim * math.log1p(zeta_val * two_pow)  # 0.0 exactly when two_pow underflows
+    if not 0.0 < log_closed <= math.log(np.finfo(np.float64).max):  # beyond it expm1 overflows
+        side = "exceeds the float range (1.8e308)" if log_closed else "underflows: 2^(1-alpha) is below 4.9e-324"
+        raise OverflowError(f"the closed form {side}")
+    closed = math.expm1(log_closed)
+    factor_closed = 1.0 + zeta_val * two_pow
 
     # One-dimensional even-frequency factor, plainly truncated at m_cut.
-    two_pow = 2.0 ** (1.0 - a)
     target = tol / (2.0 * dim * max(1.0, factor_closed) ** (dim - 1) * two_pow) * (a - 1.0)
     # target ** (-1/(a-1)) overflows for alpha near 1: take it only below the cap
     cap = 1 << 20
@@ -324,4 +326,6 @@ def rectangle_worst_case_error(dim, alpha, tol=1e-9) -> ErrorReport:
     one_dim_tail = two_pow * m_cut ** (1.0 - a) / (a - 1.0)
     factor_up = max(factor_closed + zeta_tol * two_pow, factor_trunc + one_dim_tail)
     bound = dim * factor_up ** (dim - 1) * (one_dim_tail + zeta_tol * two_pow) + 1e-12
-    return ErrorReport(closed_form=closed, oracle_value=oracle, tail_bound=bound)
+    # Rounding: about 25u relative per factor (mostly the pairwise sum), scaled by 1 + log(1 + closed).
+    rounding = 2.0**-48 * (1.0 + log_closed) * max(closed, oracle)
+    return ErrorReport(closed_form=closed, oracle_value=oracle, tail_bound=bound + rounding)

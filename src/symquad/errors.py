@@ -41,10 +41,11 @@ class RefusalError(Exception):
 
     Certifying is refused once the node count reaches the critical count for
     the pattern; ``upper_bound_error`` (when available) is the worst-case
-    error the folded rectangle rule guarantees at that size.
+    error the folded rectangle rule guarantees at that size, and ``reason``
+    says why it is not available.
     """
 
-    def __init__(self, n_nodes, threshold, upper_bound_error=None):
+    def __init__(self, n_nodes, threshold, upper_bound_error=None, reason=None):
         self.n_nodes = int(n_nodes)
         self.threshold = int(threshold)
         self.upper_bound_error = upper_bound_error
@@ -53,5 +54,7 @@ class RefusalError(Exception):
             f"requires fewer than {threshold}"
         )
         if upper_bound_error is not None:
-            msg += f"; at {threshold} nodes the folded rule achieves error <= {upper_bound_error:.6g}"
+            reason = f"the folded rule achieves error <= {upper_bound_error:.6g}"
+        if reason is not None:
+            msg += f"; at {threshold} nodes {reason}"
         super().__init__(msg)

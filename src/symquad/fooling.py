@@ -24,7 +24,6 @@ largest deviation, providing an independent route through the algebra.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,6 @@ DEFAULT_CHECK_TOL = 1e-9
 
 #: ``crosscheck_coefficients`` expands the product literally only up to here.
 CROSSCHECK_MAX_DIM = 8
-CROSSCHECK_MAX_GROUP_ORDER = math.factorial(10)
 
 
 @dataclass(frozen=True)
@@ -261,7 +259,10 @@ def construct_certificate(
     n_nodes = rule.n_nodes
     threshold = critical_node_count(pattern)
     if n_nodes >= threshold:
-        upper = rectangle_worst_case_error(pattern.dim, a_smooth).closed_form
+        try:
+            upper = rectangle_worst_case_error(pattern.dim, a_smooth).closed_form
+        except OverflowError as exc:  # the closed form leaves the float range: say so
+            raise RefusalError(n_nodes, threshold, reason=str(exc)) from None
         raise RefusalError(n_nodes, threshold, upper_bound_error=upper)
 
     if mode_order is None:
@@ -361,9 +362,6 @@ def crosscheck_coefficients(
     if pattern.dim > CROSSCHECK_MAX_DIM:
         raise CapExceededError(f"crosscheck limited to dimension <= {CROSSCHECK_MAX_DIM}")
     order = group_order(pattern)
-    if order > CROSSCHECK_MAX_GROUP_ORDER:
-        raise CapExceededError(f"crosscheck limited to group order <= {CROSSCHECK_MAX_GROUP_ORDER}")
-
     dim = pattern.dim
     pivot_key = np.asarray(cert.mode_order[cert.solution.pivot_index])
     members, _ = orbit_members(pattern, [-pivot_key])

@@ -15,6 +15,7 @@ import cmath
 import json
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from itertools import chain
 from typing import Mapping
 
@@ -36,9 +37,7 @@ def validate_multi_index(k, dim=None) -> MultiIndex:
     infinities are not); anything else raises ``ValueError``.
     """
     raw = tuple(k)
-    if not raw:
-        raise ValueError("frequency vector must have dimension >= 1")
-    return tuple(_checked_keys([raw], len(raw) if dim is None else dim)[0].tolist())
+    return tuple(_checked_keys([raw], require_dimension(len(raw)) if dim is None else dim)[0].tolist())
 
 
 def _checked_keys(keys, dim) -> np.ndarray:
@@ -67,10 +66,35 @@ def require_integral(value, what) -> int:
     return out
 
 
+def require_dimension(dim) -> int:
+    """``dim`` as an ``int``, refusing a value that is not integral or is below 1."""
+    dim = require_integral(dim, "dimension")
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    return dim
+
+
+def require_positive(value, what) -> float:
+    """``float(value)``, refusing zero, negatives, NaN and the infinities."""
+    out = float(value)
+    if not 0 < out < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {out!r}")
+    return out
+
+
 def reject_bools_and_strings(values, what):
     """Refuse JSON ``true``/``false`` and strings where numbers belong (``float("1")`` is 1.0)."""
     if {bool, str} & set(map(type, values)):
         raise ValueError(f"{what} holds a boolean or a string where a number belongs")
+
+
+@contextmanager
+def reading(schema):
+    """Turn the ``TypeError``, ``KeyError`` or ``IndexError`` of malformed ``schema`` data into a ``ValueError``."""
+    try:
+        yield
+    except (TypeError, KeyError, IndexError) as exc:
+        raise ValueError(f"malformed {schema}: {exc!r}") from exc
 
 
 class FourierPolynomial:
@@ -102,9 +126,7 @@ class FourierPolynomial:
 
     def _set_terms(self, dim, keys, coeffs):
         """Keep ``keys`` (a list of vectors) and ``coeffs`` after the checks of ``_checked_keys``."""
-        dim = require_integral(dim, "dimension")
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
+        dim = require_dimension(dim)
         rows, slot = _distinct_rows(_checked_keys(keys, dim))
         if len(rows) < len(slot):  # name the smallest duplicated key
             raise ValueError(f"duplicate frequency vector {tuple(rows[np.argmax(np.bincount(slot) > 1)].tolist())}")
@@ -195,10 +217,8 @@ class FourierPolynomial:
 
     @classmethod
     def from_json_dict(cls, data) -> "FourierPolynomial":
-        if not isinstance(data, Mapping) or "dim" not in data or "terms" not in data:
-            raise ValueError("polynomial JSON must carry 'dim' and 'terms'")
         out = cls.__new__(cls)
-        try:
+        with reading("polynomial JSON"):
             terms = data["terms"]
             keys = [entry["k"] for entry in terms]
             re, im = [entry["re"] for entry in terms], [entry["im"] for entry in terms]
@@ -207,8 +227,6 @@ class FourierPolynomial:
             coeffs = np.empty(len(keys), dtype=np.complex128)
             coeffs.real, coeffs.imag = re, im
             out._set_terms(data["dim"], keys, coeffs)
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed polynomial JSON: {exc!r}") from exc
         return out
 
     def to_json(self) -> str:

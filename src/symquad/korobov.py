@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .fourier import FourierPolynomial
+from .fourier import FourierPolynomial, require_positive
 
 
 def require_alpha(alpha) -> float:
@@ -24,6 +24,11 @@ def require_alpha(alpha) -> float:
     return a
 
 
+def zeta_floor(alpha) -> float:
+    """Smallest ``riemann_zeta`` tolerance: 8 ulp of ``1 + 1/(alpha-1) > zeta(alpha)`` (its sum errs by <= 3.3 ulp)."""
+    return 8.0 * math.ulp(1.0 + 1.0 / (require_alpha(alpha) - 1.0))
+
+
 def riemann_zeta(alpha, tol=1e-12) -> float:
     """Evaluate ``sum_{m>=1} m**-alpha`` to absolute accuracy ``tol``.
 
@@ -32,15 +37,16 @@ def riemann_zeta(alpha, tol=1e-12) -> float:
     completely monotone summand the neglected remainder is below
     ``alpha*(alpha+1)*(alpha+2) * M**(-alpha-3) / 720``, and ``M`` is chosen
     so twice that bound is at most ``tol``.  This keeps the term count small
-    (a few hundred) uniformly in ``alpha > 1``, where a plain truncated sum
-    would need astronomically many terms as ``alpha`` approaches 1.
+    (about a thousand at most) uniformly in ``alpha > 1``, where a plain
+    truncated sum would need astronomically many terms as ``alpha``
+    approaches 1.  A ``tol`` below ``zeta_floor(alpha)`` is refused.
     """
     a = require_alpha(alpha)
-    tol = float(tol)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    c = a * (a + 1.0) * (a + 2.0) / 360.0
-    m_cut = max(10, math.ceil((c / tol) ** (1.0 / (a + 3.0))))
+    tol = require_positive(tol, "tolerance")
+    if tol < zeta_floor(a):
+        raise ValueError(f"tolerance {tol!r} is below {zeta_floor(a):.3g}, the float floor of zeta({a!r})")
+    ratio = a * (a + 1.0) * (a + 2.0) / 360.0 / tol  # infinite only where its (alpha+3)-th root is near 1
+    m_cut = max(10, math.ceil(ratio ** (1.0 / (a + 3.0)))) if ratio < math.inf else 10
     partial = math.fsum(m ** -a for m in range(1, m_cut + 1))
     tail = (
         m_cut ** (1.0 - a) / (a - 1.0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
 from .fourier import FourierPolynomial, MultiIndex, _collect, _distinct_rows, validate_multi_index
-from .fourier import reject_bools_and_strings, require_integral
+from .fourier import reading, reject_bools_and_strings, require_dimension, require_integral
 
 #: Default ceiling on the size of materialized enumerations.
 DEFAULT_ENUMERATION_CAP = 1 << 26
@@ -38,9 +38,7 @@ class InvariancePattern:
     groups: tuple[tuple[int, ...], ...]
 
     def __init__(self, dim, groups=()):
-        dim = require_integral(dim, "dimension")
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
+        dim = require_dimension(dim)
         norm = []
         seen: set[int] = set()
         for g in groups:
@@ -83,12 +81,10 @@ class InvariancePattern:
 
     @classmethod
     def from_json_dict(cls, data) -> "InvariancePattern":
-        try:
+        with reading("pattern JSON"):
             dim, groups = data["dim"], [tuple(g) for g in data.get("groups", [])]
             reject_bools_and_strings([dim, *(i for g in groups for i in g)], "pattern JSON")
             return cls(dim, groups)
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed pattern JSON: {exc!r}") from exc
 
 
 def parse_coordinate_set(spec: str) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-from .fourier import reject_bools_and_strings, require_integral
+from .fourier import reading, reject_bools_and_strings, require_integral
 from .symmetry import InvariancePattern, critical_node_count
 
 VERDICT_EXCLUDED = "excluded-at-scale"
@@ -68,12 +68,10 @@ class InvarianceProfile:
 
     @classmethod
     def from_json_dict(cls, data) -> "InvarianceProfile":
-        try:
+        with reading("profile JSON"):
             rows = [(row[0], row[1]) for row in data["samples"]]
             reject_bools_and_strings(chain.from_iterable(rows), "profile JSON")
             return cls(rows, data.get("tag"))
-        except (TypeError, KeyError, IndexError) as exc:
-            raise ValueError(f"malformed profile JSON: {exc!r}") from exc
 
     def to_json_dict(self) -> dict:
         out = {"samples": [list(row) for row in self.samples]}

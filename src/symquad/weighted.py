@@ -26,7 +26,8 @@ from .errors import (
     UnsupportedPatternError,
 )
 from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, _verified, construct_certificate
-from .fourier import MultiIndex, reject_bools_and_strings, require_integral, validate_multi_index
+from .fourier import MultiIndex, reading, reject_bools_and_strings, require_dimension, require_integral
+from .fourier import require_positive, validate_multi_index
 from .symmetry import (
     InvariancePattern,
     canonical_binary_vectors,
@@ -46,12 +47,10 @@ class WeightSchedule:
     gammas: tuple
 
     def __init__(self, dim, gammas):
-        dim = require_integral(dim, "dimension")
+        dim = require_dimension(dim)
         gammas = tuple(gammas)
         if len(gammas) != dim:
             raise DimensionMismatchError(f"expected {dim} weights, got {len(gammas)}")
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
         previous = 1
         for g in gammas:
             if not 0 <= g <= 1:
@@ -67,11 +66,9 @@ class WeightSchedule:
 
     @classmethod
     def from_json_dict(cls, data) -> "WeightSchedule":
-        try:
+        with reading("weight schedule JSON"):
             reject_bools_and_strings([data["dim"], *data["gammas"]], "weight schedule JSON")
             return cls(data["dim"], tuple(data["gammas"]))
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed weight schedule JSON: {exc!r}") from exc
 
 
 def min_product_weight(k, pattern: InvariancePattern, schedule: WeightSchedule):
@@ -283,9 +280,7 @@ def weight_power_sum(
 
 def _power_sums(pattern, schedule, exponent, mus) -> WeightPowerSums:
     """``weight_power_sum`` from the weights ``mus`` in any order (``fsum`` is correctly rounded)."""
-    exponent = float(exponent)
-    if not 0 < exponent < math.inf:
-        raise ValueError(f"exponent must be positive and finite, got {exponent!r}")
+    exponent = require_positive(exponent, "exponent")
     distinct, inverse = np.unique(mus.astype(np.float64).view(np.uint64), return_inverse=True)
     powers = np.array([w ** exponent for w in distinct.view(np.float64).tolist()])
     brute = math.fsum(powers[inverse].tolist())

@@ -222,6 +222,19 @@ def test_non_finite_options_exit_1_without_output(capsys, tmp_path, argv, messag
         (["rule", "--rectangle", "-d", "3", "--invariant", "1-2"], "--rectangle takes no --invariant"),
         (["rule", "--rectangle", "-d", "3", "--groups", "1-2"], "--rectangle takes no --invariant"),
         (["bench", "--dims", "", "--reps", "1"], "at least one dimension and one invariant fraction"),
+        (["bench", "--dims", "4", "--reps", "0"], "repetitions must be >= 1"),
+        (["bench", "--dims", "4", "--reps", "-2"], "repetitions must be >= 1"),
+        (["rule", "--folded", "-d", "3", "--invariant", ","], "--invariant ',' names no coordinate"),
+        (["rule", "--folded", "-d", "3", "--invariant", " "], "--invariant ' ' names no coordinate"),
+        (["rule", "--folded", "-d", "3", "--invariant", ""], "--invariant '' names no coordinate"),
+        (["rule", "--folded", "-d", "3", "--groups", ";"], "--groups ';' names no coordinate"),
+        (["nabla", "-d", "3", "--groups", ""], "--groups '' names no coordinate"),
+        (["rule", "--rectangle", "-d", "3", "--invariant", ""], "--rectangle takes no --invariant"),
+        (["tract", "--profile", "unread.json", "--st", "1"], "--st part '1' is not an 's,t' pair"),
+        (["tract", "--profile", "unread.json", "--st", "1,1; 1,2,3"], "--st part '1,2,3' is not an 's,t' pair"),
+        (["wce", "-d", "3", "--alpha", "2", "--tol", "1e-300"], "tolerance 1e-300 is below"),
+        (["wce", "-d", "400", "--alpha", "1.01"], "the closed form exceeds the float range (1.8e308)"),
+        (["wce", "-d", "3", "--alpha", "1100"], "the closed form underflows"),
     ],
 )
 def test_options_that_passed_quietly_exit_1(capsys, argv, message):
@@ -352,3 +365,26 @@ def test_help_golden(capsys, name, argv):
     out = capsys.readouterr().out
     golden = (GOLDEN / f"help_{name}.txt").read_text()
     assert _normalize(out) == _normalize(golden)
+
+
+@pytest.mark.parametrize(
+    "dim, invariant, alpha, reason",
+    [
+        ("4", "1-2", "1100", "at 12 nodes the closed form underflows: 2^(1-alpha) is below 4.9e-324"),
+        ("400", "1-400", "1.01", "at 401 nodes the closed form exceeds the float range (1.8e308)"),
+    ],
+)
+def test_certify_refusal_outside_the_float_range_exits_2(capsys, tmp_path, dim, invariant, alpha, reason):
+    rule, cert = str(tmp_path / "r.json"), tmp_path / "cert.json"
+    run(capsys, ["rule", "--folded", "-d", dim, "--invariant", invariant, "--out", rule])  # at the threshold
+    argv = ["certify", "--rule", rule, "--invariant", invariant, "--alpha", alpha, "--out", str(cert)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("refused: rule uses") and err.rstrip().endswith(reason)
+    assert not cert.exists()
+
+
+def test_wce_for_large_alpha_exits_0(capsys):
+    code, out, err = run(capsys, ["wce", "-d", "3", "--alpha", "1025"])
+    assert (code, err) == (0, "")
+    assert 0 < json.loads(out)["closed_form"] < 1e-300

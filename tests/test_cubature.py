@@ -26,6 +26,7 @@ from symquad import (
     symmetrize,
 )
 from symquad.cubature import bench
+from symquad.korobov import zeta_floor
 from symquad.symmetry import binary_orbit_representatives
 
 # Frozen via the analytic zeta values pi^2/6 and pi^4/90.
@@ -292,3 +293,60 @@ def test_initial_error():
     assert abs(witness.integral() - apply_rule(zero, witness)) == 1.0
     with pytest.raises(ValueError):
         initial_error(1.0)
+
+
+@pytest.mark.parametrize("alpha", [1025.0, 1074.0])
+def test_wce_for_large_alpha_stays_in_the_float_range(alpha):
+    # 2^(alpha-1) overflows here; 2^(1-alpha) is still a (subnormal) float
+    report = rectangle_worst_case_error(3, alpha)
+    assert 0 < report.closed_form < 1e-300
+    assert abs(report.closed_form - report.oracle_value) <= report.tail_bound
+
+
+@pytest.mark.parametrize(
+    "dim, alpha, message",
+    [
+        (3, 1100.0, "underflows"),
+        (2, 1e300, "underflows"),
+        (400, 1.01, "exceeds the float range"),
+        (2000, 2.0, "exceeds the float range"),
+        (100000, 2.0, "exceeds the float range"),
+    ],
+)
+def test_wce_names_a_closed_form_outside_the_float_range(dim, alpha, message):
+    with pytest.raises(OverflowError, match=f"the closed form {message}"):
+        rectangle_worst_case_error(dim, alpha)
+
+
+@pytest.mark.parametrize(
+    "dim, alpha, tol",
+    [
+        (1, 1.0000000000011344, 0.003819636570123756),  # near 1e12 the float rounding exceeds the analytic bound
+        (1, 1.0000000003715908, 1.0821247627219072e-05),
+        (1, 1.0 + 1e-12, 1e-3),
+    ],
+)
+def test_wce_tail_bound_covers_rounding(dim, alpha, tol):
+    report = rectangle_worst_case_error(dim, alpha, tol)
+    assert report.closed_form > 1e8
+    assert abs(report.closed_form - report.oracle_value) <= report.tail_bound
+
+
+def test_wce_refuses_a_tolerance_below_the_zeta_floor():
+    with pytest.raises(ValueError, match="tolerance 1e-300 is below"):
+        rectangle_worst_case_error(3, 2.0, 1e-300)
+    with pytest.raises(ValueError, match="tolerance 1e-09 is below"):
+        rectangle_worst_case_error(1, 1.0 + 1e-12)  # zeta is about 1e12, so 1e-9 is out of reach
+
+
+def test_wce_asks_zeta_for_at_most_its_floor():
+    floor = zeta_floor(2.0)
+    report = rectangle_worst_case_error(1, 2.0, 2 * floor)  # reachable, but its zeta share tol / 4 is not
+    assert report.closed_form == math.expm1(math.log1p(riemann_zeta(2.0, floor) * 0.5))
+    assert abs(report.closed_form - report.oracle_value) <= report.tail_bound
+
+
+@pytest.mark.parametrize("repetitions", [0, -2, 1.5])
+def test_bench_refuses_repetitions_below_one(repetitions):
+    with pytest.raises(ValueError, match="repetitions"):
+        bench([4], [0.5], repetitions=repetitions)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symquad
-from symquad import CubatureRule, FourierPolynomial, InvariancePattern, InvarianceProfile, WeightSchedule
+from symquad import CubatureRule, DimensionMismatchError, FourierPolynomial, InvariancePattern, InvarianceProfile
+from symquad import WeightSchedule
 from symquad.cli import main
 from symquad.fourier import validate_multi_index
 
@@ -75,6 +76,7 @@ def test_non_finite_frequencies_are_rejected(key, bad):
         {"dim": 1, "terms": [{"k": [1], "re": None, "im": 0.0}]},
         {"dim": 1, "terms": [{"k": [[1]], "re": 1.0, "im": 0.0}]},
         {"dim": None, "terms": []},
+        {},
     ],
 )
 def test_malformed_polynomial_json_raises_value_error(data):
@@ -451,3 +453,40 @@ def test_arguments_that_passed_quietly_are_refused(call, message):
 def test_a_nan_residual_tolerance_accepts_no_nullspace_vector():
     with pytest.raises(symquad.NullspaceError):
         symquad.nullspace_solution([[1.0, 1.0]], residual_tol=math.nan)
+
+
+# ---------------------------------------------------------------------------
+# error branches of the library that no other test reaches
+
+RULE_3 = CubatureRule(3, [[0.0, 0.0, 0.0]], [1.0])
+POLY_2 = FourierPolynomial(2, {(1, 0): 1.0})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: symquad.constraint_matrix(RULE_3, InvariancePattern.single(2, (1, 2)), [(0, 0)] * 2),
+         DimensionMismatchError, "rule and pattern dimensions differ"),
+        (lambda: symquad.construct_certificate(RULE_3, InvariancePattern.single(2, (1, 2)), 2.0),
+         DimensionMismatchError, "rule and pattern dimensions differ"),
+        (lambda: symquad.symmetrize(POLY_2, BLOCK), DimensionMismatchError, "polynomial and pattern dimensions"),
+        (lambda: symquad.is_invariant(POLY_2, BLOCK), DimensionMismatchError, "polynomial and pattern dimensions"),
+        (lambda: symquad.min_product_weight((1, 0, 0), BLOCK, WeightSchedule(2, (1.0, 0.5))),
+         DimensionMismatchError, "schedule and pattern dimensions differ"),
+        (lambda: POLY_2 + FourierPolynomial(3, {}), DimensionMismatchError, "cannot add"),
+        (lambda: POLY_2 * FourierPolynomial(3, {}), DimensionMismatchError, "cannot multiply"),
+        (lambda: symquad.nullspace_solution([[1.0, 0.0, 0.0]]), ValueError, r"expected an n x \(n\+1\) matrix"),
+        (lambda: symquad.nullspace_solution([1.0, 0.0]), ValueError, r"expected an n x \(n\+1\) matrix"),
+        (lambda: validate_multi_index(()), ValueError, "dimension must be >= 1"),
+        (lambda: symquad.parse_coordinate_set("3-1"), ValueError, "bad coordinate range '3-1'"),
+        (lambda: symquad.error_lower_bound(-1, BLOCK, WeightSchedule(3, (1.0, 0.5, 0.25))),
+         ValueError, "node count must be >= 0"),
+        (lambda: symquad.rectangle_worst_case_error(0, 2.0), ValueError, "dimension must be >= 1"),
+    ],
+    ids=["constraint-matrix", "construct-certificate", "symmetrize", "is-invariant", "product-weights",
+         "add", "multiply", "nullspace-shape", "nullspace-vector", "empty-key", "reversed-range",
+         "negative-node-count", "dimension-zero"],
+)
+def test_error_branches_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

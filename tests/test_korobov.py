@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symquad import FourierPolynomial, korobov_norm, korobov_weight, riemann_zeta
+from symquad.korobov import zeta_floor
 
 PI = math.pi
 
@@ -95,3 +97,23 @@ def test_integral_bounded_by_norm():
     f = FourierPolynomial(2, {(0, 0): 0.3 - 0.4j, (1, 1): 0.9, (5, 2): 0.001})
     for alpha in (1.5, 2.0, 4.0):
         assert abs(f.integral()) <= korobov_norm(f, alpha) + 1e-15
+
+
+@pytest.mark.parametrize("alpha", [1 + 1e-12, 1 + 1e-6, 1.01, 1.5, 2.0, 6.0, 50.0, 1100.0])
+def test_zeta_at_its_floor_is_within_the_floor(alpha):
+    floor = zeta_floor(alpha)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(riemann_zeta(alpha, floor)) - mpmath.zeta(alpha)) <= floor
+    with pytest.raises(ValueError, match="is below"):
+        riemann_zeta(alpha, floor / 2)
+
+
+@pytest.mark.parametrize("alpha", [1e5, 1e100, 1e300])
+def test_zeta_for_huge_alpha(alpha):
+    # alpha (alpha+1) (alpha+2) / 360 / tol overflows for alpha above about 1e98 at tol = 1e-12
+    assert riemann_zeta(alpha) == 1.0
+
+
+def test_zeta_refuses_an_unreachable_tolerance_at_once():
+    with pytest.raises(ValueError, match="tolerance 1e-300 is below"):
+        riemann_zeta(2.0, 1e-300)  # would have summed about 10^60 terms

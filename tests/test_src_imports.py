@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -33,3 +34,19 @@ def test_no_unused_imports(path):
 def test_the_guard_sees_an_unused_import():
     source = "from .cubature import CubatureRule, apply_rule\nimport numpy as np\n\nx = np.zeros(1)\nCubatureRule\n"
     assert unused_imports(source) == [(1, "apply_rule")]
+
+
+def test_all_is_the_names_init_imports():
+    tree = ast.parse(Path(symquad.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert len(imported) == 55
+    assert sorted(symquad.__all__) == sorted(imported)
+    assert not any(isinstance(getattr(symquad, name), ModuleType) for name in symquad.__all__)
+    namespace = {}
+    exec("from symquad import *", namespace)
+    assert set(namespace) - {"__builtins__"} == imported
