@@ -273,6 +273,20 @@ class ErrorReport:
     tail_bound: float
 
 
+def _closed_form(dim: int, a: float, tol: float):
+    """The closed form ``(1 + step)^d - 1``, ``step = 2^(1-a) zeta(a)``, and zeta's tolerance.
+
+    zeta is asked for ``tol / (4 d)``, raised to ``zeta_floor(a)`` unless ``tol`` is below it (refused there).
+    """
+    zeta_tol = max(tol / (4.0 * dim), min(tol, zeta_floor(a)))
+    step = riemann_zeta(a, zeta_tol) * 2.0 ** (1.0 - a)
+    log_closed = dim * math.log1p(step)  # 0.0 exactly when 2^(1-a) underflows
+    if not 0.0 < log_closed <= math.log(np.finfo(np.float64).max):  # beyond it expm1 overflows
+        side = "exceeds the float range (1.8e308)" if log_closed else "underflows: 2^(1-alpha) is below 4.9e-324"
+        raise OverflowError(f"the closed form {side}")
+    return math.expm1(log_closed), step, zeta_tol
+
+
 def rectangle_worst_case_error(dim, alpha, tol=1e-9) -> ErrorReport:
     """Worst-case integration error of the ``2^d``-node rectangle rule.
 
@@ -297,17 +311,9 @@ def rectangle_worst_case_error(dim, alpha, tol=1e-9) -> ErrorReport:
     """
     dim, a = require_dimension(dim), require_alpha(alpha)
     tol = require_positive(tol, "tolerance")
-
-    # the zeta share of a reachable tol is raised to the floor; riemann_zeta refuses an unreachable tol
-    zeta_tol = max(tol / (4.0 * dim), min(tol, zeta_floor(a)))
-    zeta_val = riemann_zeta(a, zeta_tol)
+    closed, step, zeta_tol = _closed_form(dim, a, tol)
     two_pow = 2.0 ** (1.0 - a)
-    log_closed = dim * math.log1p(zeta_val * two_pow)  # 0.0 exactly when two_pow underflows
-    if not 0.0 < log_closed <= math.log(np.finfo(np.float64).max):  # beyond it expm1 overflows
-        side = "exceeds the float range (1.8e308)" if log_closed else "underflows: 2^(1-alpha) is below 4.9e-324"
-        raise OverflowError(f"the closed form {side}")
-    closed = math.expm1(log_closed)
-    factor_closed = 1.0 + zeta_val * two_pow
+    factor_closed = 1.0 + step
 
     # One-dimensional even-frequency factor, plainly truncated at m_cut.
     target = tol / (2.0 * dim * max(1.0, factor_closed) ** (dim - 1) * two_pow) * (a - 1.0)
@@ -327,5 +333,5 @@ def rectangle_worst_case_error(dim, alpha, tol=1e-9) -> ErrorReport:
     factor_up = max(factor_closed + zeta_tol * two_pow, factor_trunc + one_dim_tail)
     bound = dim * factor_up ** (dim - 1) * (one_dim_tail + zeta_tol * two_pow) + 1e-12
     # Rounding: about 25u relative per factor (mostly the pairwise sum), scaled by 1 + log(1 + closed).
-    rounding = 2.0**-48 * (1.0 + log_closed) * max(closed, oracle)
+    rounding = 2.0**-48 * (1.0 + dim * math.log1p(step)) * max(closed, oracle)
     return ErrorReport(closed_form=closed, oracle_value=oracle, tail_bound=bound + rounding)

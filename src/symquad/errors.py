@@ -42,19 +42,12 @@ class RefusalError(Exception):
     Certifying is refused once the node count reaches the critical count for
     the pattern; ``upper_bound_error`` (when available) is the worst-case
     error the folded rectangle rule guarantees at that size, and ``reason``
-    says why it is not available.
+    (when given) ends the message, stating that bound or why it is missing.
     """
 
     def __init__(self, n_nodes, threshold, upper_bound_error=None, reason=None):
         self.n_nodes = int(n_nodes)
         self.threshold = int(threshold)
         self.upper_bound_error = upper_bound_error
-        msg = (
-            f"rule uses {n_nodes} nodes, but the lower-bound construction "
-            f"requires fewer than {threshold}"
-        )
-        if upper_bound_error is not None:
-            reason = f"the folded rule achieves error <= {upper_bound_error:.6g}"
-        if reason is not None:
-            msg += f"; at {threshold} nodes {reason}"
-        super().__init__(msg)
+        msg = f"rule uses {n_nodes} nodes, but the lower-bound construction requires fewer than {threshold}"
+        super().__init__(msg if reason is None else f"{msg}; at {threshold} nodes {reason}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubature import CubatureRule, apply_rule, rectangle_worst_case_error
+from .cubature import CubatureRule, _closed_form, apply_rule
 from .errors import (
     CapExceededError,
     CertificateError,
@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedPatternError,
 )
 from .fourier import FourierPolynomial, MultiIndex, _collect, _distinct_rows, _from_sorted, characters, exp_2pi_i
-from .korobov import korobov_norm, require_alpha
+from .korobov import korobov_norm, require_alpha, zeta_floor
 from .symmetry import (
     InvariancePattern,
     canonical_binary_vectors,
@@ -259,11 +259,11 @@ def construct_certificate(
     n_nodes = rule.n_nodes
     threshold = critical_node_count(pattern)
     if n_nodes >= threshold:
-        try:
-            upper = rectangle_worst_case_error(pattern.dim, a_smooth).closed_form
+        try:  # the closed form at the default tolerance of 1e-9, raised to zeta's floor
+            upper = _closed_form(pattern.dim, a_smooth, max(1e-9, zeta_floor(a_smooth)))[0]
         except OverflowError as exc:  # the closed form leaves the float range: say so
-            raise RefusalError(n_nodes, threshold, reason=str(exc)) from None
-        raise RefusalError(n_nodes, threshold, upper_bound_error=upper)
+            raise RefusalError(n_nodes, threshold, None, str(exc)) from None
+        raise RefusalError(n_nodes, threshold, upper, f"the folded rule achieves error <= {upper:.6g}")
 
     if mode_order is None:
         mode_order = canonical_binary_vectors(pattern, stop=n_nodes + 1, cap=None)[0]

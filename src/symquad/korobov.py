@@ -29,7 +29,7 @@ def zeta_floor(alpha) -> float:
     return 8.0 * math.ulp(1.0 + 1.0 / (require_alpha(alpha) - 1.0))
 
 
-def riemann_zeta(alpha, tol=1e-12) -> float:
+def riemann_zeta(alpha, tol=None) -> float:
     """Evaluate ``sum_{m>=1} m**-alpha`` to absolute accuracy ``tol``.
 
     A partial sum over ``m <= M`` is completed with the integral of the
@@ -39,10 +39,11 @@ def riemann_zeta(alpha, tol=1e-12) -> float:
     so twice that bound is at most ``tol``.  This keeps the term count small
     (about a thousand at most) uniformly in ``alpha > 1``, where a plain
     truncated sum would need astronomically many terms as ``alpha``
-    approaches 1.  A ``tol`` below ``zeta_floor(alpha)`` is refused.
+    approaches 1.  ``tol`` defaults to ``1e-12`` or, where larger,
+    ``zeta_floor(alpha)``; a given ``tol`` below that floor is refused.
     """
     a = require_alpha(alpha)
-    tol = require_positive(tol, "tolerance")
+    tol = max(1e-12, zeta_floor(a)) if tol is None else require_positive(tol, "tolerance")
     if tol < zeta_floor(a):
         raise ValueError(f"tolerance {tol!r} is below {zeta_floor(a):.3g}, the float floor of zeta({a!r})")
     ratio = a * (a + 1.0) * (a + 2.0) / 360.0 / tol  # infinite only where its (alpha+3)-th root is near 1

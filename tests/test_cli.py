@@ -372,6 +372,8 @@ def test_help_golden(capsys, name, argv):
     [
         ("4", "1-2", "1100", "at 12 nodes the closed form underflows: 2^(1-alpha) is below 4.9e-324"),
         ("400", "1-400", "1.01", "at 401 nodes the closed form exceeds the float range (1.8e308)"),
+        # the default tol of 1e-9 is below zeta's floor here, and the refusal asks for the floor
+        ("4", "1-2", "1.0000001", "at 12 nodes the folded rule achieves error <= 1e+28"),
     ],
 )
 def test_certify_refusal_outside_the_float_range_exits_2(capsys, tmp_path, dim, invariant, alpha, reason):

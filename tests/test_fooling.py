@@ -283,6 +283,19 @@ def test_certificate_refusal_at_threshold():
     assert err.value.upper_bound_error > 0
 
 
+@pytest.mark.parametrize("alpha, upper", [(1.0000001, 1e28), (1100.0, None)])
+def test_certificate_refusal_near_1_and_past_the_float_range(alpha, upper):
+    # near 1 the closed form is asked for zeta's floor, not the unreachable 1e-9; at 1100 it underflows
+    rng = np.random.default_rng(4)
+    pattern = InvariancePattern(4, [(1, 2)])
+    with pytest.raises(RefusalError) as err:
+        construct_certificate(random_rule(rng, 4, critical_node_count(pattern)), pattern, alpha)
+    if upper is None:
+        assert err.value.upper_bound_error is None and str(err.value).endswith("is below 4.9e-324")
+    else:
+        assert err.value.upper_bound_error == pytest.approx(upper, rel=1e-6)
+
+
 def test_certificate_rejects_multi_group():
     rng = np.random.default_rng(5)
     pattern = InvariancePattern(4, [(1, 2), (3, 4)])

@@ -108,6 +108,14 @@ def test_zeta_at_its_floor_is_within_the_floor(alpha):
         riemann_zeta(alpha, floor / 2)
 
 
+@pytest.mark.parametrize("alpha", [1 + 1e-9, 1.0001, 1.001, 2.0])
+def test_zeta_default_tolerance_is_reachable_near_1(alpha):
+    # the default 1e-12 is below the floor for alpha under about 1.0001: it is raised to the floor
+    tol = max(1e-12, zeta_floor(alpha))
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(riemann_zeta(alpha)) - mpmath.zeta(alpha)) <= tol
+
+
 @pytest.mark.parametrize("alpha", [1e5, 1e100, 1e300])
 def test_zeta_for_huge_alpha(alpha):
     # alpha (alpha+1) (alpha+2) / 360 / tol overflows for alpha above about 1e98 at tol = 1e-12
