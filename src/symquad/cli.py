@@ -104,20 +104,23 @@ def _rule_from_writer_text(raw):
 
 
 def _json_text(payload):
-    """``json.dumps({"schema_version": 1, **payload}, sort_keys=True) + "\\n"``, as bytes.
+    """``json.dumps({"schema_version": 1, **payload}, sort_keys=True) + "\\n"``, as bytes."""
+    return b"{" + _json_members({"schema_version": SCHEMA_VERSION, **payload}) + b"}\n"
 
-    The top-level object is assembled here, keys sorted.  A ``bytes`` value
-    is JSON text from ``_json_list`` and is written as it stands; every
-    other value goes through ``json.dumps``, which refuses NaN and the
-    infinities (they are not JSON) with a ``ValueError``.
+
+def _json_members(mapping):
+    """The text between the braces of ``json.dumps(mapping, sort_keys=True)``, as bytes (``str`` keys).
+
+    A ``bytes`` value is JSON text and is written as it stands; every other
+    value goes through ``json.dumps``, which refuses NaN and the infinities
+    (they are not JSON) with a ``ValueError``.
     """
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
     fields = (
         json.dumps(key).encode() + b": "
         + (value if isinstance(value, bytes) else json.dumps(value, sort_keys=True, allow_nan=False).encode())
-        for key, value in sorted(payload.items())
+        for key, value in sorted(mapping.items())
     )
-    return b"{" + b", ".join(fields) + b"}\n"
+    return b", ".join(fields)
 
 
 def _output(args, payload, table_lines):
@@ -127,35 +130,39 @@ def _output(args, payload, table_lines):
     return _json_text(payload)
 
 
-def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None, fragment=None):
+def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None, fragment=None, head=None):
     """JSON text (``bytes``) of a list, byte for byte what ``json.dumps`` writes for it.
 
-    Element ``i`` is ``before + [t, t, ...] + after`` for the 0/1 row
-    ``bits[i]`` (``t`` from the two equal-width ``tokens``; nothing when
-    ``bits`` is None), followed by the text ``fragment(j)``, where ``j`` is
-    the first row of the 2-D ``keys`` equal to ``keys[i]``.  The rows are
-    fixed-width text written into one ``uint8`` buffer; each fragment is
-    formatted once, however many elements share it.
+    Element ``i`` is ``head(j) + before + [t, t, ...] + after + fragment(j)``,
+    with ``t = tokens[b]`` for each ``b`` in ``bits[i]`` (no row when ``bits``
+    is None) and ``j`` the first row of the 2-D ``keys`` equal to ``keys[i]``.
+    Rows are fixed-width text in one ``uint8`` buffer, shorter tokens padded
+    with NUL bytes (``json.dumps`` writes none), dropped at the end; each text
+    is formatted once, however many elements share it.
     """
     pieces = []
     if bits is not None:
         n = len(bits)
         open_, close = before + b"[", b"]" + after + (b", " if keys is None else b"")
-        cells = np.frombuffer(b"".join(t + b", " for t in tokens), dtype=np.uint8).reshape(2, -1)
+        padded = b"".join(t.ljust(max(map(len, tokens)), b"\0") + b", " for t in tokens)
+        cells = np.frombuffer(padded, dtype=np.uint8).reshape(len(tokens), -1)
         body = np.take(cells, bits, axis=0).reshape(n, bits.shape[1] * cells.shape[1])[:, :-2]
         rows = np.empty((n, len(open_) + body.shape[1] + len(close)), dtype=np.uint8)
         rows[:, : len(open_)] = np.frombuffer(open_, dtype=np.uint8)
         rows[:, len(open_) : -len(close)] = body
         rows[:, -len(close) :] = np.frombuffer(close, dtype=np.uint8)
         if keys is None:
-            return b"[" + rows.tobytes()[:-2] + b"]"
+            return b"[" + rows.tobytes()[:-2].replace(b"\0", b"") + b"]"
         pieces.append(rows.view(f"S{rows.shape[1]}").ravel().astype(object))
     distinct, index = _distinct_rows(keys)
     first = np.full(len(distinct), len(keys))
     np.minimum.at(first, index, np.arange(len(keys)))
-    texts = np.array([f"{fragment(j)}, ".encode() for j in first.tolist()], dtype=object)
-    pieces.append(texts[index])
-    return b"[" + b"".join(np.stack(pieces, axis=1).ravel().tolist())[:-2] + b"]"
+
+    def texts(text, end):  # text(j) of each element, formatted once per distinct key
+        return np.array([f"{text(j)}{end}".encode() for j in first.tolist()], dtype=object)[index]
+
+    pieces = ([texts(head, "")] if head else []) + pieces + [texts(fragment, ", ")]
+    return b"[" + b"".join(np.stack(pieces, axis=1).ravel().tolist())[:-2].replace(b"\0", b"") + b"]"
 
 
 def _pattern_from_args(args, dim):
@@ -252,6 +259,17 @@ def _cmd_wce(args):
     return _output(args, payload, lines)
 
 
+def _certificate_payload(cert):
+    """``cert.to_json_dict()`` with its polynomial (keys in ``{-1, 0, 1}^d``) and mode order as text."""
+    poly = cert.polynomial
+    re, im = poly.coeffs.real.tolist(), poly.coeffs.imag.tolist()
+    terms = _json_list(
+        poly.keys + 1, (b"-1", b"0", b"1"), b', "k": ', b', "re": ', poly.coeffs.view(np.uint64).reshape(-1, 2),
+        fragment=lambda j: f"{re[j]!r}}}", head=lambda j: f'{{"im": {im[j]!r}',
+    )
+    return cert._json_dict(b"{" + _json_members(poly._json_dict(terms)) + b"}", _json_list(np.array(cert.mode_order)))
+
+
 def _cmd_certify(args):
     rule = _load_rule(args.rule)
     dim = rule.dim if args.dim is None else args.dim
@@ -265,7 +283,6 @@ def _cmd_certify(args):
         cert = construct_weighted_certificate(rule, pattern, args.alpha, schedule)
     else:
         cert = construct_certificate(rule, pattern, args.alpha)
-    payload = cert.to_json_dict()
     lines = [
         f"nodes {rule.n_nodes}, threshold {critical_node_count(pattern)}",
         f"rule value   |A(f)| = {abs(cert.rule_value):.3e}",
@@ -273,7 +290,7 @@ def _cmd_certify(args):
         f"norm         {cert.norm_value:.15g}",
         "certificate valid: the rule cannot beat the guaranteed error",
     ]
-    return _output(args, payload, lines)
+    return _output(args, _certificate_payload(cert), lines)
 
 
 def _cmd_weights(args):

@@ -190,23 +190,22 @@ class FoolingCertificate:
         return self.weight_scale is not None
 
     def to_json_dict(self) -> dict:
+        return self._json_dict(self.polynomial.to_json_dict(), [list(k) for k in self.mode_order])
+
+    def _json_dict(self, polynomial, mode_order) -> dict:
+        """``to_json_dict()`` with its two largest values given: ``cli`` passes their JSON text."""
         data = {
             "schema_version": 1,
             "kind": "fooling-certificate",
             "dim": self.pattern.dim,
             "pattern": self.pattern.to_json_dict(),
             "alpha": self.alpha,
-            "polynomial": self.polynomial.to_json_dict(),
-            "mode_order": [list(k) for k in self.mode_order],
-            "combination": [
-                {"re": z.real, "im": z.imag} for z in self.solution.coefficients
-            ],
+            "polynomial": polynomial,
+            "mode_order": mode_order,
+            "combination": [{"re": z.real, "im": z.imag} for z in self.solution.coefficients],
             "pivot_index": self.solution.pivot_index,
             "rule_value": {"re": self.rule_value.real, "im": self.rule_value.imag},
-            "integral_value": {
-                "re": self.integral_value.real,
-                "im": self.integral_value.imag,
-            },
+            "integral_value": {"re": self.integral_value.real, "im": self.integral_value.imag},
             "norm_value": self.norm_value,
             "residuals": dict(sorted(self.residuals.items())),
         }
