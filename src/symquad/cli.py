@@ -206,18 +206,23 @@ def _cmd_nabla(args):
     return _output(args, payload, table())
 
 
+def _complex_list(values):
+    """JSON text of ``[{"re": z.real, "im": z.imag} for z in values]``; each distinct bit pattern is formatted once.
+
+    The values are finite (a rule's weights, a verified certificate's
+    combination), and ``json.dumps`` writes a finite float as its ``repr``.
+    """
+    re, im = values.real.tolist(), values.imag.tolist()
+    return _json_list(keys=values.view(np.uint64).reshape(-1, 2), fragment=lambda j: f'{{"im": {im[j]!r}, "re": {re[j]!r}}}')
+
+
 def _rule_payload(rule):
     """The JSON payload of a rule whose nodes all lie in ``{0, 1/2}^d``, as ``rule`` writes it."""
     half = rule.nodes == 0.5
-
-    def weight_text(j):
-        w = rule.weights[j].item()
-        return json.dumps({"re": w.real, "im": w.imag}, sort_keys=True)
-
     return {
         "dim": rule.dim,
         "nodes": _json_list(half.view(np.uint8), (b"0.0", b"0.5")),
-        "weights": _json_list(keys=rule.weights.view(np.uint64).reshape(-1, 2), fragment=weight_text),
+        "weights": _complex_list(rule.weights),
     }
 
 
@@ -260,14 +265,18 @@ def _cmd_wce(args):
 
 
 def _certificate_payload(cert):
-    """``cert.to_json_dict()`` with its polynomial (keys in ``{-1, 0, 1}^d``) and mode order as text."""
+    """``cert.to_json_dict()`` with its polynomial (keys in ``{-1, 0, 1}^d``), mode order and combination as text."""
     poly = cert.polynomial
     re, im = poly.coeffs.real.tolist(), poly.coeffs.imag.tolist()
     terms = _json_list(
         poly.keys + 1, (b"-1", b"0", b"1"), b', "k": ', b', "re": ', poly.coeffs.view(np.uint64).reshape(-1, 2),
         fragment=lambda j: f"{re[j]!r}}}", head=lambda j: f'{{"im": {im[j]!r}',
     )
-    return cert._json_dict(b"{" + _json_members(poly._json_dict(terms)) + b"}", _json_list(np.array(cert.mode_order)))
+    return cert._json_dict(
+        b"{" + _json_members(poly._json_dict(terms)) + b"}",
+        _json_list(np.array(cert.mode_order)),
+        _complex_list(cert.solution.coefficients),
+    )
 
 
 def _cmd_certify(args):
@@ -290,7 +299,7 @@ def _cmd_certify(args):
         f"norm         {cert.norm_value:.15g}",
         "certificate valid: the rule cannot beat the guaranteed error",
     ]
-    return _output(args, _certificate_payload(cert), lines)
+    return _output(args, None if args.format == "table" else _certificate_payload(cert), lines)
 
 
 def _cmd_weights(args):

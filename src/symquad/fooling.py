@@ -121,32 +121,32 @@ def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
 def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolution:
     """Nontrivial nullspace vector of an ``n x (n+1)`` complex matrix ``A``.
 
-    One Householder QR factorization ``A^T = QR`` (LAPACK, raw mode; Golub &
-    Van Loan, *Matrix Computations*, 5.1.6 and 5.2).  ``R`` has a zero last
-    row, so whatever the rank of ``A``, the last column ``q = Q e_{n+1}`` of
-    ``Q`` satisfies ``A conj(q) = 0``; it is formed by applying the ``n``
-    reflectors to ``e_{n+1}``, not by forming ``Q``.  That vector is divided
-    by its first entry of maximal modulus, whose position becomes
-    ``pivot_index``.  Raises ``ValueError`` for a non-finite entry, and
-    ``NullspaceError`` unless the residual ``max |A v|`` is at most
-    ``residual_tol`` (the caller may retry with a different mode order).
+    First one LU solve (LAPACK ``getrf``, partial pivoting; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 9) of the
+    bordered square system ``M = [A; c^T]``, where ``c`` is a fixed row of
+    unit-modulus phases times ``max |A|``: the solution ``y`` of
+    ``M y = e_{n+1}`` satisfies ``A y = 0``.  A second right-hand side, a
+    fixed phase vector, probes ``|M^-1|`` in the same factorization.  When
+    ``M`` is singular, or the largest modulus of the two solution columns
+    times ``max |A|`` reaches ``1e8`` (nullity above one, or a border nearly
+    orthogonal to the nullspace), one Householder QR factorization
+    ``A^T = QR`` runs instead (raw mode; Golub & Van Loan, *Matrix
+    Computations*, 5.1.6 and 5.2): ``R`` has a zero last row, so whatever
+    the rank of ``A`` the last column ``q`` of ``Q`` satisfies
+    ``A conj(q) = 0``.  Either vector is divided by its first entry of
+    maximal modulus, whose position becomes ``pivot_index``.  Raises
+    ``ValueError`` for a non-finite entry, and ``NullspaceError`` unless
+    the residual ``max |A v|`` is at most ``residual_tol`` (the caller may
+    retry with a different mode order).
     """
     a_mat = np.asarray(matrix, dtype=np.complex128)
     if a_mat.ndim != 2 or a_mat.shape[1] != a_mat.shape[0] + 1:
         raise ValueError(f"expected an n x (n+1) matrix, got shape {a_mat.shape}")
     if not np.isfinite(a_mat).all():
         raise ValueError("the matrix has a non-finite entry")
-    # Row j of h holds reflector v_j right of the diagonal, where R's diagonal
-    # (not needed) is replaced by v_j's leading 1: Q = H_0 ... H_{n-1} with
-    # H_j = I - tau_j v_j v_j^H acting on entries j..n.
-    h, tau = np.linalg.qr(a_mat.T, mode="raw")
-    np.fill_diagonal(h, 1.0)
-    vec = np.zeros(a_mat.shape[1], dtype=np.complex128)
-    vec[-1] = 1.0
-    for j in range(len(tau) - 1, -1, -1):
-        reflector = h[j, j:]
-        vec[j:] -= (tau[j] * np.vdot(reflector, vec[j:])) * reflector
-    vec = vec.conj()
+    vec = _bordered_null_vector(a_mat)
+    if vec is None:
+        vec = _qr_null_vector(a_mat)
     pivot_index = int(np.argmax(np.abs(vec)))
     vec = vec / vec[pivot_index]
     vec[pivot_index] = 1.0
@@ -158,6 +158,50 @@ def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolut
             residual,
         )
     return NullspaceSolution(vec, pivot_index, residual)
+
+
+#: The bordered solve is trusted while ``max |M^-1 [e_{n+1}, r]| * max |A|`` stays below this.
+_BORDER_LIMIT = 1e8
+
+
+def _bordered_null_vector(a_mat):
+    """``y`` with ``A y = 0`` from one LU solve of ``[A; c^T] y = e_{n+1}``, or None if that is unsafe.
+
+    ``c_j = max |A| exp(2 pi i j g)`` and the probe ``r_j = exp(2 pi i j s)``
+    (``g``, ``s`` the fractional parts of the golden ratio and of
+    ``sqrt 2``) are fixed, so the result depends on ``A`` alone.
+    """
+    n_rows = len(a_mat)
+    scale = np.max(np.abs(a_mat), initial=0.0)
+    steps = np.arange(n_rows + 1)
+    bordered = np.empty((n_rows + 1, n_rows + 1), dtype=np.complex128)
+    bordered[:n_rows] = a_mat
+    bordered[n_rows] = scale * exp_2pi_i(steps * ((5**0.5 - 1) / 2))
+    rhs = np.zeros((n_rows + 1, 2), dtype=np.complex128)
+    rhs[n_rows, 0] = 1.0
+    rhs[:, 1] = exp_2pi_i(steps * (2**0.5 - 1))
+    try:
+        solved = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError:  # an exactly singular M
+        return None
+    if not np.max(np.abs(solved)) * scale < _BORDER_LIMIT:  # a NaN or infinite entry fails too
+        return None
+    return solved[:, 0]
+
+
+def _qr_null_vector(a_mat):
+    """``conj(Q e_{n+1})`` of ``A^T = QR``, from the ``n`` raw reflectors (``Q`` is never formed)."""
+    # Row j of h holds reflector v_j right of the diagonal, where R's diagonal
+    # (not needed) is replaced by v_j's leading 1: Q = H_0 ... H_{n-1} with
+    # H_j = I - tau_j v_j v_j^H acting on entries j..n.
+    h, tau = np.linalg.qr(a_mat.T, mode="raw")
+    np.fill_diagonal(h, 1.0)
+    vec = np.zeros(a_mat.shape[1], dtype=np.complex128)
+    vec[-1] = 1.0
+    for j in range(len(tau) - 1, -1, -1):
+        reflector = h[j, j:]
+        vec[j:] -= (tau[j] * np.vdot(reflector, vec[j:])) * reflector
+    return vec.conj()
 
 
 @dataclass(frozen=True)
@@ -190,10 +234,11 @@ class FoolingCertificate:
         return self.weight_scale is not None
 
     def to_json_dict(self) -> dict:
-        return self._json_dict(self.polynomial.to_json_dict(), [list(k) for k in self.mode_order])
+        combination = [{"re": z.real, "im": z.imag} for z in self.solution.coefficients.tolist()]
+        return self._json_dict(self.polynomial.to_json_dict(), [list(k) for k in self.mode_order], combination)
 
-    def _json_dict(self, polynomial, mode_order) -> dict:
-        """``to_json_dict()`` with its two largest values given: ``cli`` passes their JSON text."""
+    def _json_dict(self, polynomial, mode_order, combination) -> dict:
+        """``to_json_dict()`` with its three largest values given: ``cli`` passes their JSON text."""
         data = {
             "schema_version": 1,
             "kind": "fooling-certificate",
@@ -202,7 +247,7 @@ class FoolingCertificate:
             "alpha": self.alpha,
             "polynomial": polynomial,
             "mode_order": mode_order,
-            "combination": [{"re": z.real, "im": z.imag} for z in self.solution.coefficients],
+            "combination": combination,
             "pivot_index": self.solution.pivot_index,
             "rule_value": {"re": self.rule_value.real, "im": self.rule_value.imag},
             "integral_value": {"re": self.integral_value.real, "im": self.integral_value.imag},

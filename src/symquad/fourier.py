@@ -311,14 +311,15 @@ def evaluate_at_points(f: FourierPolynomial, points) -> np.ndarray:
     n = pts.shape[0]
     if n == 0 or len(f) == 0:
         return np.zeros(n, dtype=np.complex128)
-    keys, coeffs = f.keys.astype(np.float64), f.coeffs        # (t, d), (t,)
+    keys, coeffs = f.keys, f.coeffs  # (t, d), (t,)
     n_terms, s = len(keys), (f.dim + 1) // 2
-    lo, lo_of = _distinct_rows(keys[:, :s])
+    lo, lo_of = _distinct_rows(keys[:, :s])  # integer rows group fastest
     hi, hi_of = _distinct_rows(keys[:, s:])
     saved = n_terms - len(lo) - len(hi)  # exponentials per node the halves save
     if len(lo) * len(hi) > min(_TABLE_LIMIT, _TABLE_ENTRIES_PER_EXP * saved):
         s, lo, lo_of = 0, keys[:1, :0], np.zeros(n_terms, dtype=np.intp)
         hi, hi_of = keys, np.arange(n_terms)
+    lo, hi = lo.astype(np.float64), hi.astype(np.float64)  # |k_m| < 2^31: exact
     table = np.zeros((len(hi), len(lo)), dtype=np.complex128)
     table[hi_of, lo_of] = coeffs
     out = np.empty(n, dtype=np.complex128)
@@ -350,17 +351,42 @@ def characters(points, keys) -> np.ndarray:
 def _distinct_rows(block):
     """Distinct rows of a 2-D numeric array, lexicographically, and each row's index among them.
 
-    Equal rows are runs of one stable ``np.lexsort`` (``np.unique(axis=0)``
-    is far slower).  Rows compare by value, so ``-0.0`` equals ``0.0``; a
-    block with no columns has one distinct row.
+    Equal rows are runs of one stable sort (``np.unique(axis=0)`` is far
+    slower): of the rows' mixed-radix codes (``_row_codes``) when they fit
+    in ``int64``, else one ``np.lexsort`` over the columns.  Rows compare by
+    value, so ``-0.0`` equals ``0.0``; a block with no columns has one
+    distinct row.
     """
-    order = np.lexsort(block.T[::-1]) if block.shape[1] else np.arange(len(block))
+    codes = _row_codes(block)
+    if codes is None:
+        order = np.lexsort(block.T[::-1]) if block.shape[1] else np.arange(len(block))
+    else:
+        order = np.argsort(codes, kind="stable")
     rows = block[order]
+    compared = rows if codes is None else codes[order, None]  # a row's code compares like the row
     starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts[1:] = (compared[1:] != compared[:-1]).any(axis=1)
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return rows[starts], inverse
+
+
+def _row_codes(block):
+    """Each row of an integer block as one ``int64`` that sorts like the row, or None.
+
+    With ``lo`` the block's least entry and ``s = max - lo + 1`` its span,
+    row ``x`` codes as ``sum_m (x_m - lo) s^(c-1-m)`` over its ``c``
+    columns; None for float and empty blocks, and when ``s^c >= 2^63``.
+    """
+    if block.dtype.kind not in "iu" or block.size == 0:
+        return None
+    lo = block.min()
+    span = int(block.max()) - int(lo) + 1
+    if span ** block.shape[1] >= 2**63:
+        return None
+    # unsigned entries minus lo stay in range; signed ones are widened first
+    digits = (block - lo if block.dtype.kind == "u" else block.astype(np.int64) - lo).astype(np.int64, copy=False)
+    return digits @ span ** np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
 def exp_2pi_i(phases) -> np.ndarray:

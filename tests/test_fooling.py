@@ -30,6 +30,7 @@ from symquad import (
     nullspace_solution,
     orbit,
     orbit_stats,
+    order_weights,
 )
 from symquad.fooling import DEFAULT_CHECK_TOL
 from symquad.fourier import exp_2pi_i
@@ -236,6 +237,48 @@ def test_nullspace_deterministic():
     b = nullspace_solution(mat.copy())
     assert np.array_equal(a.coefficients, b.coefficients)
     assert a.pivot_index == b.pivot_index
+
+
+def qr_calls(monkeypatch):
+    """The argument shapes of every later ``np.linalg.qr`` call, which still runs."""
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs: calls.append(a.shape) or qr(a, *args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("dim, block, n_nodes", [(10, (2, 5, 9), 505), (12, (1, 3, 4, 7, 8, 11), 300)])
+def test_bordered_solve_matches_complete_qr_on_constraint_matrices(monkeypatch, weighted, dim, block, n_nodes):
+    rng = np.random.default_rng(33)
+    pattern = InvariancePattern.single(dim, block)
+    assert n_nodes < critical_node_count(pattern)
+    if weighted:
+        schedule = WeightSchedule(dim, tuple(sorted(rng.uniform(0.3, 1.0, dim), reverse=True)))
+        psi = order_weights(pattern, schedule).ordering[: n_nodes + 1]
+    else:
+        psi = canonical_binary_vectors(pattern, stop=n_nodes + 1)[0]
+    mat = constraint_matrix(random_rule(rng, dim, n_nodes), pattern, psi)
+    expected = complete_qr_null_vector(mat)
+    calls = qr_calls(monkeypatch)
+    sol = nullspace_solution(mat, DEFAULT_CHECK_TOL * np.max(np.abs(mat)))
+    assert calls == []  # the bordered LU solve gave the vector
+    assert_parallel(sol.coefficients, expected, 1e-12)
+
+
+def test_a_duplicated_node_certifies_through_qr(monkeypatch):
+    rng = np.random.default_rng(34)
+    pattern = InvariancePattern.single(6, (1, 2, 3))
+    rule = random_rule(rng, 6, 20)
+    nodes = rule.nodes.copy()
+    nodes[7] = nodes[3]  # two equal rows of the constraint matrix: nullity 2
+    rule = CubatureRule(6, nodes, rule.weights)
+    calls = qr_calls(monkeypatch)
+    cert = construct_certificate(rule, pattern, 2.0)
+    assert calls == [(21, 20)]
+    assert cert.residuals["nullspace"] <= DEFAULT_CHECK_TOL * np.max(
+        np.abs(constraint_matrix(rule, pattern, cert.mode_order))
+    )
+    assert cert.solution.coefficients[cert.solution.pivot_index] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +540,29 @@ def test_mode_order_accepts_any_distinct_canonical_rows():
 
 def test_nullspace_check_is_relative_to_the_matrix_scale(monkeypatch):
     # full(19): every constraint-matrix entry is below 1e-16 (orbit sums over
-    # 19!), so an absolute residual bound of 1e-9 accepts any vector.  With a
-    # raw QR whose reflectors are all the identity (h = 0, tau = 0) the "null
-    # vector" is the unit vector e_{n+1}, whose residual is a whole column of
-    # A; it must be rejected as a nullspace failure.
+    # 19!), so an absolute residual bound of 1e-9 accepts any vector.  On
+    # either route a "null vector" equal to the unit vector e_{n+1} has a
+    # whole column of A as its residual; it must be rejected as a nullspace
+    # failure.  The LU route is fed e_{n+1} as its solution; the QR route is
+    # reached by making the bordered solve fail, and then sees a raw QR whose
+    # reflectors are all the identity (h = 0, tau = 0).
     rule = random_rule(np.random.default_rng(5), 19, 2)
     pattern = InvariancePattern.full(19)
     assert construct_certificate(rule, pattern, 2.0).residuals["nullspace"] < 1e-30
+
+    def unit_solution(a, b):
+        out = np.zeros(b.shape, dtype=complex)
+        out[-1] = 1.0
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", unit_solution)
+    with pytest.raises(NullspaceError):
+        construct_certificate(rule, pattern, 2.0)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
     monkeypatch.setattr(
         np.linalg,
         "qr",

@@ -384,6 +384,22 @@ def test_distinct_rows_are_lexicographic_and_the_inverse_maps_back(dtype):
     assert np.array_equal(rows, unique) and np.array_equal(inverse, unique_inverse.reshape(-1))
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        np.array([[-100, 100], [100, -100], [-100, 100], [0, -1]], dtype=np.int8),  # a span int8 cannot hold
+        np.array([[2**64 - 1, 2**64 - 2], [2**64 - 2, 2**64 - 1], [2**64 - 1, 2**64 - 2]], dtype=np.uint64),
+        np.array([1.5 + 0j, 2.0**-40, 1.5, 3.0]).view(np.uint64).reshape(-1, 2),  # real weights' bit patterns
+        np.array([[-(2**62), 2**62], [2**62, -(2**62)], [-(2**62), 2**62]], dtype=np.int64),  # too wide to code
+        np.random.default_rng(4).integers(-1, 2, (200, 40)),  # 3^40 codes overflow int64
+    ],
+)
+def test_distinct_rows_agree_with_unique_for_any_integer_span(block):
+    rows, inverse = fourier._distinct_rows(block)
+    unique, unique_inverse = np.unique(block, axis=0, return_inverse=True)
+    assert np.array_equal(rows, unique) and np.array_equal(inverse, unique_inverse.reshape(-1))
+
+
 def test_distinct_rows_compare_floats_by_value_and_their_bits_by_pattern():
     values = np.array([[0.0], [-0.0], [1.5], [0.0]])
     rows, inverse = fourier._distinct_rows(values)
