@@ -212,8 +212,12 @@ def _complex_list(values):
     The values are finite (a rule's weights, a verified certificate's
     combination), and ``json.dumps`` writes a finite float as its ``repr``.
     """
-    re, im = values.real.tolist(), values.imag.tolist()
-    return _json_list(keys=values.view(np.uint64).reshape(-1, 2), fragment=lambda j: f'{{"im": {im[j]!r}, "re": {re[j]!r}}}')
+
+    def text(j):
+        z = values.item(j)
+        return f'{{"im": {z.imag!r}, "re": {z.real!r}}}'
+
+    return _json_list(keys=values.view(np.uint64).reshape(-1, 2), fragment=text)
 
 
 def _rule_payload(rule):

@@ -360,10 +360,10 @@ def _distinct_rows(block):
     codes = _row_codes(block)
     if codes is None:
         order = np.lexsort(block.T[::-1]) if block.shape[1] else np.arange(len(block))
+        rows = compared = block[order]
     else:
         order = np.argsort(codes, kind="stable")
-    rows = block[order]
-    compared = rows if codes is None else codes[order, None]  # a row's code compares like the row
+        rows, compared = block[order], codes[order, None]  # a row's code compares like the row
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = (compared[1:] != compared[:-1]).any(axis=1)
     inverse = np.empty(len(rows), dtype=np.intp)
@@ -376,9 +376,10 @@ def _row_codes(block):
 
     With ``lo`` the block's least entry and ``s = max - lo + 1`` its span,
     row ``x`` codes as ``sum_m (x_m - lo) s^(c-1-m)`` over its ``c``
-    columns; None for float and empty blocks, and when ``s^c >= 2^63``.
+    columns; None for float and empty blocks, for one column (already a
+    single sort key), and when ``s^c >= 2^63``.
     """
-    if block.dtype.kind not in "iu" or block.size == 0:
+    if block.dtype.kind not in "iu" or block.size == 0 or block.shape[1] == 1:
         return None
     lo = block.min()
     span = int(block.max()) - int(lo) + 1
