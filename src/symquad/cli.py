@@ -66,41 +66,61 @@ def _load_rule(path):
 
 
 _RULE_HEAD = re.compile(rb'\{"dim": ([1-9][0-9]{0,8}), "nodes": \[')
-_WEIGHTS_KEY = b'"weights": ['
+_WEIGHTS_HEAD = b' "schema_version": 1, "weights": [{'
 
 
 def _rule_from_writer_text(raw):
     """The rule whose ``rule`` output is the bytes ``raw``, or None.
 
-    The inverse of ``_rule_payload``: node rows are ``5 d + 2`` bytes wide
-    and the digit of each ``0.0``/``0.5`` token gives the coordinate; the
-    weights are split on ``}, {`` and each distinct fragment is parsed
-    once.  The rule is built through ``CubatureRule`` and kept only if
-    writing it gives back ``raw`` byte for byte.  Since ``json.dumps``
-    writes every float64 so that it reads back as itself, ``json.loads``
-    would then have given the same values, signed zeros included.  Any
-    other text, or any failure on the way, gives None.
+    A rule is returned exactly when ``_json_text(_rule_payload(rule)) ==
+    raw``, which is checked where the bytes lie instead of by writing the
+    rule again.  The ``n`` node rows are ``5 d + 2`` bytes wide, and each
+    must equal the row ``[0.0, ..., 0.0], `` except that the digit of a
+    token may be ``5`` (the coordinate ``0.5``) and the last row ends in
+    ``],``.  ``_WEIGHTS_HEAD`` follows them.  The weights are split on
+    ``}, {`` (or compared whole with ``n`` copies of the first, when they
+    are one value); each distinct weight text is parsed once and must be
+    the writer's text (``_complex_text``) of the value it parses to.  Since
+    ``json.dumps`` writes every float64 so that it reads back as itself,
+    ``json.loads`` would then have given the same values, signed zeros
+    included.  Any other text, or any failure on the way, gives None.
     """
     head = _RULE_HEAD.match(raw)
-    split = raw.find(_WEIGHTS_KEY) if head else -1
+    split = raw.find(_WEIGHTS_HEAD, head.end()) if head else -1
     if split < 0 or not raw.endswith(b"}]}\n"):
         return None
     dim, start = int(head.group(1)), head.end()
-    width = 5 * dim + 2
-    n, rem = divmod(raw.rfind(b"]", start, split) + 2 - start, width)
-    fragments = raw[split + len(_WEIGHTS_KEY) + 1 : -4].split(b"}, {")
-    if rem or len(fragments) != n:
+    n, rem = divmod(split - start, 5 * dim + 2)
+    if rem or not n:
         return None
-    digits = np.frombuffer(raw, dtype=np.uint8, count=n * width, offset=start).reshape(n, width)[:, 3::5]
+    body = raw[split + len(_WEIGHTS_HEAD) : -4]
+    first = body.partition(b"}, {")[0]
+    # one weight text throughout, as in a rectangle rule; the copies are made only when they fit the body
+    uniform = len(body) == n * (len(first) + 4) - 4 and body == (first + b"}, {") * (n - 1) + first
+    fragments = [first] if uniform else body.split(b"}, {")
+    if not uniform and len(fragments) != n:
+        return None
+    rows = np.frombuffer(raw, dtype=np.uint8, count=split - start, offset=start).reshape(n, -1)
+    half = rows[:, 3::5] == ord("5")
+    wrong = rows != np.frombuffer(b"[" + b", ".join([b"0.0"] * dim) + b"], ", dtype=np.uint8)
+    wrong[:, 3::5] &= ~half
+    wrong[-1, -2:] = rows[-1, -2:] != np.frombuffer(b"],", dtype=np.uint8)
+    if wrong.any():
+        return None
     distinct = dict.fromkeys(fragments)
+    values = np.empty(len(distinct), dtype=np.complex128)
     try:
-        for fragment in distinct:
-            value = json.loads(b"{" + fragment + b"}")
-            distinct[fragment] = complex(value["re"], value["im"])
-        rule = CubatureRule(dim, (digits == ord("5")) * 0.5, list(map(distinct.__getitem__, fragments)))
+        for j, fragment in enumerate(distinct):
+            text = b"{" + fragment + b"}"
+            value = json.loads(text)
+            values[j] = z = complex(value["re"], value["im"])
+            if _complex_text(z).encode() != text:
+                return None
+            distinct[fragment] = j
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
         return None
-    return rule if _json_text(_rule_payload(rule)) == raw else None
+    index = np.zeros(n, np.intp) if uniform else np.fromiter(map(distinct.__getitem__, fragments), np.intp, n)
+    return CubatureRule(dim, half * 0.5, values[index])
 
 
 def _json_text(payload):
@@ -206,18 +226,17 @@ def _cmd_nabla(args):
     return _output(args, payload, table())
 
 
+def _complex_text(z):
+    """``json.dumps({"re": z.real, "im": z.imag}, sort_keys=True)`` of a finite ``z``: each part as its ``repr``."""
+    return f'{{"im": {z.imag!r}, "re": {z.real!r}}}'
+
+
 def _complex_list(values):
     """JSON text of ``[{"re": z.real, "im": z.imag} for z in values]``; each distinct bit pattern is formatted once.
 
-    The values are finite (a rule's weights, a verified certificate's
-    combination), and ``json.dumps`` writes a finite float as its ``repr``.
+    The values are finite: a rule's weights, a verified certificate's combination.
     """
-
-    def text(j):
-        z = values.item(j)
-        return f'{{"im": {z.imag!r}, "re": {z.real!r}}}'
-
-    return _json_list(keys=values.view(np.uint64).reshape(-1, 2), fragment=text)
+    return _json_list(keys=values.view(np.uint64).reshape(-1, 2), fragment=lambda j: _complex_text(values.item(j)))
 
 
 def _rule_payload(rule):

@@ -103,14 +103,15 @@ def constraint_matrix(rule: CubatureRule, pattern: InvariancePattern, psi) -> np
 
 
 def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
-    """``psi`` as a float array, checked to hold distinct canonical 0/1 rows."""
+    """``psi`` as an ``int64`` array, checked to hold distinct canonical 0/1 rows."""
     if len(psi) != n_nodes + 1:
         raise ValueError(f"mode order must list {n_nodes + 1} vectors, got {len(psi)}")
     if any(len(k) != pattern.dim for k in psi):
         raise DimensionMismatchError("mode order entry has wrong dimension")
     modes = np.array(psi, dtype=np.float64).reshape(n_nodes + 1, pattern.dim)
-    if not np.isin(modes, (0, 1)).all():  # also rejects 0.5, which int() would truncate
+    if not np.isin(modes, (0, 1)).all():  # checked as floats, so 0.5 is refused rather than truncated
         raise ValueError("mode order entries must be 0/1 vectors")
+    modes = modes.astype(np.int64)
     if not np.array_equal(canonical_rows(pattern, modes), modes):
         raise ValueError("mode order entries must be canonical under the pattern")
     if len(_distinct_rows(modes)[0]) != len(modes):
@@ -118,7 +119,7 @@ def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
     return modes
 
 
-def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolution:
+def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL, *, _scale=None) -> NullspaceSolution:
     """Nontrivial nullspace vector of an ``n x (n+1)`` complex matrix ``A``.
 
     First one LU solve (LAPACK ``getrf``, partial pivoting; Higham,
@@ -137,14 +138,16 @@ def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolut
     maximal modulus, whose position becomes ``pivot_index``.  Raises
     ``ValueError`` for a non-finite entry, and ``NullspaceError`` unless
     the residual ``max |A v|`` is at most ``residual_tol`` (the caller may
-    retry with a different mode order).
+    retry with a different mode order).  The private ``_scale`` is
+    ``max |A|`` when the caller has already taken it.
     """
     a_mat = np.asarray(matrix, dtype=np.complex128)
     if a_mat.ndim != 2 or a_mat.shape[1] != a_mat.shape[0] + 1:
         raise ValueError(f"expected an n x (n+1) matrix, got shape {a_mat.shape}")
     if not np.isfinite(a_mat).all():
         raise ValueError("the matrix has a non-finite entry")
-    vec = _bordered_null_vector(a_mat)
+    scale = np.max(np.abs(a_mat), initial=0.0) if _scale is None else _scale
+    vec = _bordered_null_vector(a_mat, scale)
     if vec is None:
         vec = _qr_null_vector(a_mat)
     pivot_index = int(np.argmax(np.abs(vec)))
@@ -164,15 +167,15 @@ def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolut
 _BORDER_LIMIT = 1e8
 
 
-def _bordered_null_vector(a_mat):
+def _bordered_null_vector(a_mat, scale):
     """``y`` with ``A y = 0`` from one LU solve of ``[A; c^T] y = e_{n+1}``, or None if that is unsafe.
 
-    ``c_j = max |A| exp(2 pi i j g)`` and the probe ``r_j = exp(2 pi i j s)``
-    (``g``, ``s`` the fractional parts of the golden ratio and of
-    ``sqrt 2``) are fixed, so the result depends on ``A`` alone.
+    ``c_j = scale exp(2 pi i j g)`` (``scale`` is ``max |A|``) and the probe
+    ``r_j = exp(2 pi i j s)`` (``g``, ``s`` the fractional parts of the
+    golden ratio and of ``sqrt 2``) are fixed, so the result depends on
+    ``A`` alone.
     """
     n_rows = len(a_mat)
-    scale = np.max(np.abs(a_mat), initial=0.0)
     steps = np.arange(n_rows + 1)
     bordered = np.empty((n_rows + 1, n_rows + 1), dtype=np.complex128)
     bordered[:n_rows] = a_mat
@@ -313,7 +316,8 @@ def construct_certificate(
         mode_order = canonical_binary_vectors(pattern, stop=n_nodes + 1, cap=None)[0]
     matrix = constraint_matrix(rule, pattern, mode_order)
     psi = np.asarray(mode_order, dtype=np.int64)  # validated 0/1 rows, so nothing is truncated
-    solution = nullspace_solution(matrix, DEFAULT_CHECK_TOL * np.max(np.abs(matrix), initial=0.0))
+    scale = np.max(np.abs(matrix), initial=0.0)
+    solution = nullspace_solution(matrix, DEFAULT_CHECK_TOL * scale, _scale=scale)
     poly = _from_sorted(pattern.dim, *_certificate_terms(pattern, psi, solution.coefficients, solution.pivot_index))
 
     integral_value = poly.integral()

@@ -29,6 +29,8 @@ MultiIndex = tuple[int, ...]
 #: 32-bit consumers of the JSON form.
 MAX_INDEX_MAGNITUDE = 2**31 - 1
 
+_OVER_CAP = f"a frequency vector exceeds magnitude cap {MAX_INDEX_MAGNITUDE}"
+
 
 def validate_multi_index(k, dim=None) -> MultiIndex:
     """Coerce ``k`` to a tuple of ints and check dimension and magnitude.
@@ -40,19 +42,36 @@ def validate_multi_index(k, dim=None) -> MultiIndex:
     return tuple(_checked_keys([raw], require_dimension(len(raw)) if dim is None else dim)[0].tolist())
 
 
-def _checked_keys(keys, dim) -> np.ndarray:
-    """``keys`` (a list of vectors) as ``int64`` rows, each of length ``dim``, integral and within the cap."""
+def _checked_keys(keys, dim, schema=None) -> np.ndarray:
+    """``keys`` (a list of vectors) as ``int64`` rows, each of length ``dim``, integral and within the cap.
+
+    The entries are flattened once and their types taken in one pass: all
+    ``int`` go straight to ``int64``, any other mix through ``np.array``
+    and ``require_integral``.  A list or tuple entry is refused; so are
+    booleans and strings when ``schema`` names the JSON data the keys come
+    from (see ``reject_bools_and_strings``).
+    """
     wrong = set(map(len, keys)) - {dim}
     if wrong:
         raise DimensionMismatchError(f"frequency vector has dimension {min(wrong)}, expected {dim}")
-    raw = np.array(keys) if keys else np.zeros((0, dim), dtype=np.int64)
-    if raw.dtype.kind not in "biu":  # each entry must equal its int()
-        raw = np.frompyfunc(lambda v: require_integral(v, "frequency entry"), 1, 1)(np.array(keys, dtype=object))
-    if raw.shape != (len(keys), dim):
+    flat = list(chain.from_iterable(keys))
+    kinds = set(map(type, flat))
+    if schema is not None:
+        _reject_bool_and_str_types(kinds, schema)
+    if kinds <= {int}:
+        try:
+            raw = np.fromiter(flat, np.int64, len(flat))
+        except OverflowError:  # beyond int64, so beyond the cap
+            raise ValueError(_OVER_CAP) from None
+    elif not kinds & {list, tuple}:  # which numpy would read as rows of their own
+        raw = np.array(flat)
+        if raw.dtype.kind not in "biu":  # each entry must equal its int()
+            raw = np.frompyfunc(lambda v: require_integral(v, "frequency entry"), 1, 1)(np.array(flat, dtype=object))
+    if kinds & {list, tuple} or raw.shape != (len(flat),):
         raise ValueError("a frequency vector has a non-integer entry")
     if (raw > MAX_INDEX_MAGNITUDE).any() or (raw < -MAX_INDEX_MAGNITUDE).any():
-        raise ValueError(f"a frequency vector exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
-    return raw.astype(np.int64)
+        raise ValueError(_OVER_CAP)
+    return raw.astype(np.int64).reshape(len(keys), dim)
 
 
 def require_integral(value, what) -> int:
@@ -84,7 +103,12 @@ def require_positive(value, what) -> float:
 
 def reject_bools_and_strings(values, what):
     """Refuse JSON ``true``/``false`` and strings where numbers belong (``float("1")`` is 1.0)."""
-    if {bool, str} & set(map(type, values)):
+    _reject_bool_and_str_types(set(map(type, values)), what)
+
+
+def _reject_bool_and_str_types(kinds, what):
+    """``reject_bools_and_strings`` of values whose types are ``kinds``."""
+    if {bool, str} & kinds:
         raise ValueError(f"{what} holds a boolean or a string where a number belongs")
 
 
@@ -124,10 +148,10 @@ class FourierPolynomial:
         keys, coeffs = tuple(zip(*pairs, strict=True)) or ((), ())
         self._set_terms(dim, list(map(tuple, keys)), np.fromiter(map(complex, coeffs), np.complex128, len(coeffs)))
 
-    def _set_terms(self, dim, keys, coeffs):
+    def _set_terms(self, dim, keys, coeffs, schema=None):
         """Keep ``keys`` (a list of vectors) and ``coeffs`` after the checks of ``_checked_keys``."""
         dim = require_dimension(dim)
-        rows, slot = _distinct_rows(_checked_keys(keys, dim))
+        rows, slot = _distinct_rows(_checked_keys(keys, dim, schema))
         if len(rows) < len(slot):  # name the smallest duplicated key
             raise ValueError(f"duplicate frequency vector {tuple(rows[np.argmax(np.bincount(slot) > 1)].tolist())}")
         _from_sorted(dim, rows, coeffs[np.argsort(slot)], self)
@@ -225,11 +249,10 @@ class FourierPolynomial:
             terms = data["terms"]
             keys = [entry["k"] for entry in terms]
             re, im = [entry["re"] for entry in terms], [entry["im"] for entry in terms]
-            numbers = chain([data["dim"]], chain.from_iterable(keys), re, im)
-            reject_bools_and_strings(numbers, "polynomial JSON")
+            reject_bools_and_strings(chain([data["dim"]], re, im), "polynomial JSON")
             coeffs = np.empty(len(keys), dtype=np.complex128)
             coeffs.real, coeffs.imag = re, im
-            out._set_terms(data["dim"], keys, coeffs)
+            out._set_terms(data["dim"], keys, coeffs, "polynomial JSON")
         return out
 
     def to_json(self) -> str:
@@ -256,7 +279,7 @@ def _from_sorted(dim, keys, coeffs, out=None) -> FourierPolynomial:
 def _collect(dim, keys, coeffs) -> FourierPolynomial:
     """Polynomial summing ``coeffs`` over equal integer ``keys``: from 0, in array order (``np.bincount``)."""
     if (np.abs(keys) > MAX_INDEX_MAGNITUDE).any():
-        raise ValueError(f"a frequency vector exceeds magnitude cap {MAX_INDEX_MAGNITUDE}")
+        raise ValueError(_OVER_CAP)
     rows, slot = _distinct_rows(keys)
     sums = np.bincount(slot, coeffs.real, len(rows)) + 1j * np.bincount(slot, coeffs.imag, len(rows))
     return _from_sorted(dim, rows, sums)
@@ -341,10 +364,10 @@ def characters(points, keys) -> np.ndarray:
     Key-major, so that both gathers copy whole rows.
     """
     s = (keys.shape[1] + 1) // 2
-    lo, lo_of = _distinct_rows(keys[:, :s])
+    lo, lo_of = _distinct_rows(keys[:, :s])  # integer rows group fastest
     hi, hi_of = _distinct_rows(keys[:, s:])
-    out = exp_2pi_i(lo @ points[:, :s].T)[lo_of]
-    out *= exp_2pi_i(hi @ points[:, s:].T)[hi_of]
+    out = exp_2pi_i(lo.astype(np.float64) @ points[:, :s].T)[lo_of]
+    out *= exp_2pi_i(hi.astype(np.float64) @ points[:, s:].T)[hi_of]
     return out
 
 

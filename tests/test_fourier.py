@@ -414,3 +414,65 @@ def test_distinct_rows_of_empty_blocks(shape, n_rows):
     rows, inverse = fourier._distinct_rows(np.zeros(shape, dtype=np.int64))
     assert rows.shape == (n_rows, shape[1])
     assert inverse.tolist() == [0] * shape[0]
+
+
+# ---------------------------------------------------------------------------
+# reading frequency entries from JSON: one flattened pass over all the keys
+
+CAP_MESSAGE = "a frequency vector exceeds magnitude cap 2147483647"
+NOT_A_NUMBER = "polynomial JSON holds a boolean or a string where a number belongs"
+
+
+@pytest.mark.parametrize(
+    "entry, outcome",
+    [
+        (2.0, 2),
+        (2**31 - 1, 2**31 - 1),
+        (1.7, "frequency entry 1.7 is not integral"),
+        (True, NOT_A_NUMBER),
+        ("1", NOT_A_NUMBER),
+        (2**31, CAP_MESSAGE),
+        (-(2**31), CAP_MESSAGE),
+        (2**63, CAP_MESSAGE),
+        (-(2**63), CAP_MESSAGE),
+        (2**70, CAP_MESSAGE),
+        (math.nan, "cannot convert float NaN to integer"),
+        (1e300, CAP_MESSAGE),
+        (None, "frequency entry None is not an integer"),
+        ({}, "frequency entry {} is not an integer"),
+    ],
+    ids=["integral-float", "at-cap", "fraction-float", "bool", "string", "2^31", "-2^31", "2^63", "-2^63", "2^70",
+         "nan", "1e300", "none", "object"],
+)
+def test_json_key_entries_read_or_refused_as_before(entry, outcome):
+    # the entry sits beside plain ints, in a key of its own and after a valid key
+    data = {"dim": 2, "terms": [{"k": [1, 0], "re": 1.0, "im": 0.0}, {"k": [0, entry], "re": 2.5, "im": 0.0}]}
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as err:
+            FourierPolynomial.from_json_dict(data)
+        assert type(err.value) is ValueError and str(err.value) == outcome
+    else:
+        f = FourierPolynomial.from_json_dict(data)
+        assert f.keys.tolist() == sorted([[0, outcome], [1, 0]])
+        assert f.coefficient((0, outcome)) == 2.5
+
+
+@pytest.mark.parametrize("entry", [[1], [1, 2], [], [[0]]], ids=["list", "pair", "empty", "nested"])
+def test_sequence_entries_are_refused_with_the_library_message(entry):
+    # numpy would read a sequence entry as a row of its own and say so in its own words
+    message = "a frequency vector has a non-integer entry"
+    for k in ([entry, 0], [0, entry]):
+        data = {"dim": 2, "terms": [{"k": [1, 0], "re": 1.0, "im": 0.0}, {"k": k, "re": 1.0, "im": 0.0}]}
+        with pytest.raises(ValueError) as err:
+            FourierPolynomial.from_json_dict(data)
+        assert type(err.value) is ValueError and str(err.value) == message
+    for key in (((1,), 0), (0, (1, 2)), ((), 0)):
+        with pytest.raises(ValueError) as err:
+            FourierPolynomial(2, [((0, 0), 1.0), (key, 1.0)])
+        assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_int_keys_beyond_int64_meet_the_cap_in_the_constructor_too():
+    for big in (2**63, -(2**63) - 1, 2**64, 2**100):
+        with pytest.raises(ValueError, match="magnitude cap"):
+            FourierPolynomial(2, [((0, 0), 1.0), ((1, big), 1.0)])

@@ -9,10 +9,13 @@ text gives what the ``json.loads`` route gives.
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symquad import cli
 from symquad.cubature import CubatureRule, folded_rectangle_rule, rectangle_rule
@@ -348,3 +351,74 @@ def test_altered_writer_text_reads_as_json_loads_reads_it(capsys, tmp_path, monk
         assert code == 1
     if case in ("node-0.7", "whitespace-in-weights", "reordered-keys", "no-final-newline", "empty-rule"):
         assert code == 0
+
+
+def round_trip(raw):
+    """The rule ``json.loads`` reads from ``raw``, when ``rule`` would write it as ``raw``; else None."""
+    try:
+        rule = CubatureRule.from_json_dict(json.loads(raw))
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+        return None
+    return rule if rule.n_nodes and cli._json_text(cli._rule_payload(rule)) == raw else None
+
+
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.5, -0.25, 1.0, 0.1, 1e16]),
+    st.integers(-(2**12), 2**12).map(lambda m: m / 2**8),  # dyadic
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def written_rules(draw):
+    """``rule``'s text of a rectangle or folded rule at d <= 6, its own weights or a few drawn complex values."""
+    dim = draw(st.integers(1, 6))
+    block = draw(st.sets(st.integers(1, dim), max_size=dim))
+    rule = folded_rectangle_rule(InvariancePattern.single(dim, sorted(block))) if block else rectangle_rule(dim)
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.builds(complex, PARTS, PARTS), min_size=1, max_size=4))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=rule.n_nodes, max_size=rule.n_nodes))
+        rule = CubatureRule(dim, rule.nodes, picks)
+    return cli._json_text(cli._rule_payload(rule))
+
+
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["substitute", "delete", "insert"]),
+        st.integers(0, 2**16),
+        st.one_of(st.sampled_from(b'05.,-e[]{}": 19\n'), st.integers(0, 255)),
+    ),
+    max_size=2,
+)
+
+#: ``rule``'s text of the two-node rectangle rule with the ``{`` that opens the weights replaced by a space
+UNOPENED_WEIGHTS = cli._json_text(cli._rule_payload(rectangle_rule(1))).replace(b"[{", b"[ ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=written_rules(), edits=EDITS)
+@example(raw=UNOPENED_WEIGHTS, edits=[])
+def test_rule_reader_accepts_exactly_the_texts_that_write_back(raw, edits):
+    # single-byte substitutions, deletions and insertions at positions taken modulo the text's length
+    for op, at, byte in edits:
+        at %= len(raw) + (op == "insert")
+        cut = at + (op != "insert")
+        raw = raw[:at] + (b"" if op == "delete" else bytes([byte])) + raw[cut:]
+    expected = round_trip(raw)
+    if expected is None:
+        assert cli._rule_from_writer_text(raw) is None
+    else:
+        read_back(raw)
+
+
+def test_a_long_weights_text_is_refused_without_copies_of_it():
+    # 100,000 one-coordinate node rows and a 1 MB weights text without a separator
+    raw = (b'{"dim": 1, "nodes": [' + b"[0.0], " * 99_999 + b'[0.0]], "schema_version": 1, "weights": [{'
+           + b"0" * 1_000_000 + b"}]}\n")
+    tracemalloc.start()
+    try:
+        assert cli._rule_from_writer_text(raw) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * len(raw)
