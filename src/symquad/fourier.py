@@ -51,13 +51,13 @@ def _checked_keys(keys, dim, schema=None) -> np.ndarray:
     booleans and strings when ``schema`` names the JSON data the keys come
     from (see ``reject_bools_and_strings``).
     """
-    wrong = set(map(len, keys)) - {dim}
-    if wrong:
-        raise DimensionMismatchError(f"frequency vector has dimension {min(wrong)}, expected {dim}")
     flat = list(chain.from_iterable(keys))
     kinds = set(map(type, flat))
     if schema is not None:
         _reject_bool_and_str_types(kinds, schema)
+    wrong = set(map(len, keys)) - {dim}
+    if wrong:
+        raise DimensionMismatchError(f"frequency vector has dimension {min(wrong)}, expected {dim}")
     if kinds <= {int}:
         try:
             raw = np.fromiter(flat, np.int64, len(flat))
