@@ -21,10 +21,9 @@ import numpy as np
 
 from .cubature import (
     CubatureRule,
+    _folded_classes,
     apply_rule,
     bench,
-    folded_rectangle_rule,
-    rectangle_rule,
     rectangle_worst_case_error,
 )
 from .errors import CertificateError, NullspaceError, RefusalError
@@ -33,7 +32,7 @@ from .fourier import FourierPolynomial, _distinct_rows
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
-    binary_orbit_sizes,
+    _binary_orbit_size_classes,
     canonical_binary_vectors,
     critical_node_count,
     group_order,
@@ -124,23 +123,22 @@ def _rule_from_writer_text(raw):
 
 
 def _json_text(payload):
-    """``json.dumps({"schema_version": 1, **payload}, sort_keys=True) + "\\n"``, as bytes."""
-    return b"{" + _json_members({"schema_version": SCHEMA_VERSION, **payload}) + b"}\n"
+    """``json.dumps({"schema_version": 1, **payload}, sort_keys=True) + "\\n"``, as bytes joined once."""
+    return b"".join([b"{", *_json_members({"schema_version": SCHEMA_VERSION, **payload}), b"}\n"])
 
 
 def _json_members(mapping):
-    """The text between the braces of ``json.dumps(mapping, sort_keys=True)``, as bytes (``str`` keys).
+    """The text between the braces of ``json.dumps(mapping, sort_keys=True)``, as ``bytes`` pieces (``str`` keys).
 
-    A ``bytes`` value is JSON text and is written as it stands; every other
+    A ``bytes`` value is JSON text and is taken as it stands; every other
     value goes through ``json.dumps``, which refuses NaN and the infinities
     (they are not JSON) with a ``ValueError``.
     """
-    fields = (
-        json.dumps(key).encode() + b": "
-        + (value if isinstance(value, bytes) else json.dumps(value, sort_keys=True, allow_nan=False).encode())
-        for key, value in sorted(mapping.items())
-    )
-    return b", ".join(fields)
+    pieces = []
+    for key, value in sorted(mapping.items()):
+        text = value if isinstance(value, bytes) else json.dumps(value, sort_keys=True, allow_nan=False).encode()
+        pieces += (b", ", json.dumps(key).encode(), b": ", text)
+    return pieces[1:]
 
 
 def _output(args, payload, table_lines):
@@ -150,39 +148,59 @@ def _output(args, payload, table_lines):
     return _json_text(payload)
 
 
-def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None, fragment=None, head=None):
-    """JSON text (``bytes``) of a list, byte for byte what ``json.dumps`` writes for it.
+def _cells(texts):
+    """The texts as the rows of one ``uint8`` array, shorter ones padded with NUL bytes."""
+    width = max(map(len, texts))
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), dtype=np.uint8).reshape(len(texts), width)
 
-    Element ``i`` is ``head(j) + before + [t, t, ...] + after + fragment(j)``,
-    with ``t = tokens[b]`` for each ``b`` in ``bits[i]`` (no row when ``bits``
-    is None) and ``j`` the first row of the 2-D ``keys`` equal to ``keys[i]``.
-    Rows are fixed-width text in one ``uint8`` buffer, shorter tokens padded
-    with NUL bytes (``json.dumps`` writes none), dropped at the end; each text
-    is formatted once, however many elements share it.
+
+def _rows_text(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", index=None, tails=(b"",), heads=(b"",)):
+    """JSON text (``bytes``) of the list of ``heads[c] + before + [t, t, ...] + after + tails[c]``, one per row.
+
+    Row ``i`` has ``c = index[i]`` and ``t = tokens[b]`` for each ``b`` in ``bits[i]`` (no ``[...]`` when
+    ``bits`` is None).  The rows lie in one ``uint8`` buffer: a template row is broadcast, the bytes in which
+    a token differs from ``tokens[0]`` are added where ``bits`` takes it, and the texts of more than one class
+    go in by ``index``.  Shorter texts are padded with NULs (``json.dumps`` writes none), dropped if any are.
     """
-    pieces = []
-    if bits is not None:
-        n = len(bits)
-        open_, close = before + b"[", b"]" + after + (b", " if keys is None else b"")
-        padded = b"".join(t.ljust(max(map(len, tokens)), b"\0") + b", " for t in tokens)
-        cells = np.frombuffer(padded, dtype=np.uint8).reshape(len(tokens), -1)
-        body = np.take(cells, bits, axis=0).reshape(n, bits.shape[1] * cells.shape[1])[:, :-2]
-        rows = np.empty((n, len(open_) + body.shape[1] + len(close)), dtype=np.uint8)
-        rows[:, : len(open_)] = np.frombuffer(open_, dtype=np.uint8)
-        rows[:, len(open_) : -len(close)] = body
-        rows[:, -len(close) :] = np.frombuffer(close, dtype=np.uint8)
-        if keys is None:
-            return b"[" + rows.tobytes()[:-2].replace(b"\0", b"") + b"]"
-        pieces.append(rows.view(f"S{rows.shape[1]}").ravel().astype(object))
+    n = len(index if bits is None else bits)
+    if not n:
+        return b"[]"
+    tokens, heads, tails = _cells(tokens), _cells(heads), _cells(tails)
+    m = 0 if bits is None else bits.shape[1]
+    digits = b"" if bits is None else b"[" + b", ".join([tokens[0].tobytes()] * m) + b"]"
+    template = heads[0].tobytes() + before + digits + after + tails[0].tobytes() + b", "
+    out = np.empty(n * len(template) + 1, dtype=np.uint8)
+    out[0] = ord("[")
+    rows = out[1:].reshape(n, len(template))
+    rows[:] = np.frombuffer(template, dtype=np.uint8)
+    start, step = heads.shape[1] + len(before) + 1, tokens.shape[1] + 2
+    for t in range(1, len(tokens) if m else 0):
+        hit, delta = bits == t, tokens[t] - tokens[0]  # uint8 differences wrap, and so do the sums
+        for p in np.flatnonzero(delta).tolist():
+            rows[:, start + p :: step][:, :m] += hit * delta[p]
+    if len(heads) > 1:
+        rows[:, : heads.shape[1]] = heads[index]
+    if len(tails) > 1:
+        rows[:, -2 - tails.shape[1] : -2] = tails[index]
+    out[-2] = ord("]")  # over the last row's ", "
+    text, padded = out[:-1].tobytes(), 0 in tokens or 0 in heads or 0 in tails
+    del out, rows  # freed before the text without NULs is made
+    return text.replace(b"\0", b"") if padded else text
+
+
+def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None, fragment=None, head=None):
+    """``_rows_text`` of the list with ``head(j)`` and ``fragment(j)`` around each row: ``json.dumps``'s bytes.
+
+    ``j`` is the first row of the 2-D ``keys`` equal to ``keys[i]``, so each
+    text is formatted once, however many elements share it.
+    """
+    if keys is None:
+        return _rows_text(bits, tokens, before, after)
     distinct, index = _distinct_rows(keys)
     first = np.full(len(distinct), len(keys))
     np.minimum.at(first, index, np.arange(len(keys)))
-
-    def texts(text, end):  # text(j) of each element, formatted once per distinct key
-        return np.array([f"{text(j)}{end}".encode() for j in first.tolist()], dtype=object)[index]
-
-    pieces = ([texts(head, "")] if head else []) + pieces + [texts(fragment, ", ")]
-    return b"[" + b"".join(np.stack(pieces, axis=1).ravel().tolist())[:-2].replace(b"\0", b"") + b"]"
+    heads = [head(j).encode() for j in first.tolist()] if head else [b""]
+    return _rows_text(bits, tokens, before, after, index, [fragment(j).encode() for j in first.tolist()], heads)
 
 
 def _pattern_from_args(args, dim):
@@ -202,24 +220,21 @@ def _pattern_from_args(args, dim):
 def _cmd_nabla(args):
     pattern = _pattern_from_args(args, args.dim)
     vectors, ones = canonical_binary_vectors(pattern, cap=args.cap)
-    sizes = binary_orbit_sizes(pattern, ones)
-    order = group_order(pattern)
-
-    def sizes_text(j):
-        return f'{json.dumps(sizes[j])}, "stabilizer_size": {json.dumps(order // sizes[j])}}}'
-
+    sizes, index = _binary_orbit_size_classes(pattern, ones)
+    sizes, counts, order = sizes.tolist(), np.bincount(index, minlength=len(sizes)).tolist(), group_order(pattern)
     payload = {
         "dim": pattern.dim,
         "pattern": pattern.to_json_dict(),
         "count": len(vectors),
-        "orbit_size_total": sum(sizes.tolist()),
-        "rows": _json_list(vectors, before=b'{"k": ', after=b', "orbit_size": ', keys=ones, fragment=sizes_text),
+        "orbit_size_total": sum(size * count for size, count in zip(sizes, counts)),
+        "rows": _rows_text(vectors, before=b'{"k": ', after=b', "orbit_size": ', index=index,
+                           tails=[f'{size}, "stabilizer_size": {order // size}}}'.encode() for size in sizes]),
     }
 
     def table():
         width = 3 * pattern.dim + 2
         yield f"{'k':<{width}} orbit stabilizer"
-        for k, size in zip(vectors.tolist(), sizes.tolist()):
+        for k, size in zip(vectors.tolist(), map(sizes.__getitem__, index.tolist())):
             yield f"{str(tuple(k)):<{width}} {size:>5} {order // size:>10}"
         yield f"count {len(vectors)}, orbit sizes sum {payload['orbit_size_total']}"
 
@@ -232,21 +247,14 @@ def _complex_text(z):
 
 
 def _complex_list(values):
-    """JSON text of ``[{"re": z.real, "im": z.imag} for z in values]``; each distinct bit pattern is formatted once.
-
-    The values are finite: a rule's weights, a verified certificate's combination.
-    """
+    """JSON text of ``[{"re": z.real, "im": z.imag} for z in values]`` (finite), one text per distinct bit pattern."""
     return _json_list(keys=values.view(np.uint64).reshape(-1, 2), fragment=lambda j: _complex_text(values.item(j)))
 
 
 def _rule_payload(rule):
     """The JSON payload of a rule whose nodes all lie in ``{0, 1/2}^d``, as ``rule`` writes it."""
-    half = rule.nodes == 0.5
-    return {
-        "dim": rule.dim,
-        "nodes": _json_list(half.view(np.uint8), (b"0.0", b"0.5")),
-        "weights": _complex_list(rule.weights),
-    }
+    return {"dim": rule.dim, "nodes": _rows_text((rule.nodes == 0.5).view(np.uint8), (b"0.0", b"0.5")),
+            "weights": _complex_list(rule.weights)}
 
 
 def _cmd_rule(args):
@@ -255,17 +263,20 @@ def _cmd_rule(args):
     if args.rectangle:
         if args.invariant is not None or args.groups is not None:
             raise ValueError("--rectangle takes no --invariant or --groups")
-        rule = rectangle_rule(args.dim, node_cap=args.cap)
+        pattern = InvariancePattern.trivial(args.dim)
     else:
         pattern = _pattern_from_args(args, args.dim)
-        rule = folded_rectangle_rule(pattern, node_cap=args.cap)
+    vectors, index, weights = _folded_classes(pattern, args.cap)  # 0/1 rows: float nodes only for the table
 
     def table():
-        yield f"{'node':<{8 * rule.dim}} weight"
-        for node, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
-            yield f"{str(tuple(node)):<{8 * rule.dim}} {w.real:.12g}"
+        yield f"{'node':<{8 * pattern.dim}} weight"
+        for node, w in zip((vectors * 0.5).tolist(), weights[index].tolist()):
+            yield f"{str(tuple(node)):<{8 * pattern.dim}} {w:.12g}"
 
-    return _output(args, _rule_payload(rule), table())
+    texts = [_complex_text(w).encode() for w in weights.tolist()]  # one per weight class
+    payload = {"dim": pattern.dim, "nodes": _rows_text(vectors, (b"0.0", b"0.5")),
+               "weights": _rows_text(index=index, tails=texts)}
+    return _output(args, None if args.format == "table" else payload, table())
 
 
 def _cmd_integrate(args):
@@ -296,7 +307,7 @@ def _certificate_payload(cert):
         fragment=lambda j: f"{re[j]!r}}}", head=lambda j: f'{{"im": {im[j]!r}',
     )
     return cert._json_dict(
-        b"{" + _json_members(poly._json_dict(terms)) + b"}",
+        b"".join([b"{", *_json_members(poly._json_dict(terms)), b"}"]),
         _json_list(np.array(cert.mode_order)),
         _complex_list(cert.solution.coefficients),
     )

@@ -35,7 +35,7 @@ from .korobov import require_alpha, riemann_zeta, zeta_floor
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
-    binary_orbit_sizes,
+    _binary_orbit_size_classes,
     canonical_binary_vectors,
     symmetrize,
 )
@@ -184,13 +184,21 @@ def folded_rectangle_rule(
     """Rectangle rule folded onto canonical orbit representatives.
 
     One node per canonical 0/1 vector, placed at the half-integer point and
-    weighted by ``orbit_size / 2^d``.  Every weight is an exact dyadic
-    rational, so the weights sum to 1 without rounding, and the rule agrees
-    with the full rectangle rule on all invariant integrands.
+    weighted by ``orbit_size / 2^d``, rounded once from the exact ints.
+    While the orbit sizes stay below ``2^53`` every weight is that exact
+    dyadic rational, so the weights sum to 1 without rounding, and the rule
+    agrees with the full rectangle rule on all invariant integrands.  Past
+    ``d`` of about 1074 the smallest weights round to 0.
     """
+    vectors, index, weights = _folded_classes(pattern, node_cap)
+    return CubatureRule(pattern.dim, vectors * 0.5, weights[index])
+
+
+def _folded_classes(pattern, node_cap):
+    """The canonical 0/1 vectors (``uint8`` rows), each one's weight class, and the class weights ``size / 2**d``."""
     vectors, ones = canonical_binary_vectors(pattern, cap=node_cap)
-    weights = binary_orbit_sizes(pattern, ones).astype(np.float64) / float(1 << pattern.dim)
-    return CubatureRule(pattern.dim, vectors * 0.5, weights)
+    sizes, index = _binary_orbit_size_classes(pattern, ones)
+    return vectors, index, np.array([size / 2**pattern.dim for size in sizes.tolist()])
 
 
 def _time_apply(rule, poly, loops):

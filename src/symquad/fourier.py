@@ -64,7 +64,10 @@ def _checked_keys(keys, dim, schema=None) -> np.ndarray:
         except OverflowError:  # beyond int64, so beyond the cap
             raise ValueError(_OVER_CAP) from None
     elif not kinds & {list, tuple}:  # which numpy would read as rows of their own
-        raw = np.array(flat)
+        try:
+            raw = np.array(flat)
+        except ValueError:  # an array entry that numpy cannot stack with the rest
+            raise ValueError("a frequency vector has a non-integer entry") from None
         if raw.dtype.kind not in "biu":  # each entry must equal its int()
             raw = np.frompyfunc(lambda v: require_integral(v, "frequency entry"), 1, 1)(np.array(flat, dtype=object))
     if kinds & {list, tuple} or raw.shape != (len(flat),):

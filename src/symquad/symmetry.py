@@ -218,24 +218,23 @@ def canonical_binary_vectors(
     if cap is not None and count > cap:
         raise CapExceededError(f"enumeration of {count} representatives exceeds cap {cap}")
     group_of = {i: gi for gi, g in enumerate(pattern.groups) for i in g}
-    vectors = np.zeros((1, 0), dtype=np.uint8)
+    vectors = np.zeros((1, pattern.dim), dtype=np.uint8)  # column c is set at level c
     ones = np.zeros((1, len(pattern.groups)), dtype=np.intp)
-    for gi in (group_of.get(i, -1) for i in range(1, pattern.dim + 1)):
+    for c, gi in enumerate(group_of.get(i, -1) for i in range(1, pattern.dim + 1)):
         split = ones[:, gi] == 0 if gi >= 0 else np.ones(len(vectors), dtype=bool)
-        parent = np.repeat(np.arange(len(vectors)), np.where(split, 2, 1))[:count]
+        children = 1 + split.view(np.uint8)
+        vectors, ones = np.repeat(vectors, children, axis=0)[:count], np.repeat(ones, children, axis=0)[:count]
         # a split row's first child takes 0, every other child takes 1
-        first = np.ones(len(parent), dtype=bool)
-        first[1:] = parent[1:] != parent[:-1]
-        bit = (~(split[parent] & first)).astype(np.uint8)
-        vectors = np.concatenate([vectors[parent], bit[:, None]], axis=1)
-        ones = ones[parent]
+        first = (np.cumsum(children) - children)[split]
+        vectors[:, c] = 1
+        vectors[first[first < count], c] = 0
         if gi >= 0:
-            ones[:, gi] += bit
+            ones[:, gi] += vectors[:, c]
     return vectors, ones
 
 
-def binary_orbit_sizes(pattern: InvariancePattern, ones) -> np.ndarray:
-    """Exact orbit sizes of 0/1 vectors from their per-block ones-counts.
+def _binary_orbit_size_classes(pattern: InvariancePattern, ones) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct exact orbit sizes of 0/1 vectors, ascending, and each vector's index among them.
 
     ``j_r`` ones in block ``r`` of size ``g_r`` give ``prod_r C(g_r, j_r)``,
     read from a table over the ones-count combinations: Python ints, exact.
@@ -244,7 +243,14 @@ def binary_orbit_sizes(pattern: InvariancePattern, ones) -> np.ndarray:
     for r, g in enumerate(len(g) for g in pattern.groups):
         combs = np.array([math.comb(g, j) for j in range(g + 1)], dtype=object)
         table, code = np.multiply.outer(table, combs).ravel(), code * (g + 1) + ones[:, r]
-    return table[code]
+    sizes, slot = np.unique(table, return_inverse=True)
+    return sizes, slot[code]
+
+
+def binary_orbit_sizes(pattern: InvariancePattern, ones) -> np.ndarray:
+    """Exact orbit sizes (Python ints) of 0/1 vectors from their per-block ones-counts."""
+    sizes, index = _binary_orbit_size_classes(pattern, ones)
+    return sizes[index]
 
 
 def orbit_members(pattern: InvariancePattern, vectors) -> tuple[np.ndarray, np.ndarray]:

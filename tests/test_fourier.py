@@ -440,9 +440,11 @@ NOT_A_NUMBER = "polynomial JSON holds a boolean or a string where a number belon
         (1e300, CAP_MESSAGE),
         (None, "frequency entry None is not an integer"),
         ({}, "frequency entry {} is not an integer"),
+        (np.array(3), 3),
+        (np.array([1]), "a frequency vector has a non-integer entry"),
     ],
     ids=["integral-float", "at-cap", "fraction-float", "bool", "string", "2^31", "-2^31", "2^63", "-2^63", "2^70",
-         "nan", "1e300", "none", "object"],
+         "nan", "1e300", "none", "object", "0-d-array", "1-d-array"],
 )
 def test_json_key_entries_read_or_refused_as_before(entry, outcome):
     # the entry sits beside plain ints, in a key of its own and after a valid key
@@ -470,6 +472,14 @@ def test_sequence_entries_are_refused_with_the_library_message(entry):
         with pytest.raises(ValueError) as err:
             FourierPolynomial(2, [((0, 0), 1.0), (key, 1.0)])
         assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_array_entries_in_constructor_keys():
+    # a 0-d array is its value; a 1-d one is refused in the library's words, not numpy's
+    assert FourierPolynomial(2, [((np.array(3), 0), 1.0)]).keys.tolist() == [[3, 0]]
+    with pytest.raises(ValueError) as err:
+        FourierPolynomial(2, [((np.array([1]), 0), 1.0)])
+    assert type(err.value) is ValueError and str(err.value) == "a frequency vector has a non-integer entry"
 
 
 def test_int_keys_beyond_int64_meet_the_cap_in_the_constructor_too():

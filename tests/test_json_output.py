@@ -8,6 +8,7 @@ text gives what the ``json.loads`` route gives.
 """
 
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -150,6 +151,64 @@ def test_nabla_orbit_sizes_beyond_int64(capsys, tmp_path):
     payload = nabla_reference(pattern)
     assert max(r["orbit_size"] for r in payload["rows"]) > 2**63
     assert text == reference(payload)
+
+
+def folded_reference(pattern):
+    """``rule --folded``'s payload from one ``orbit_stats`` per canonical vector."""
+    nodes, weights = [], []
+    for k in binary_orbit_representatives(pattern):
+        nodes.append([0.5 * b for b in k])
+        weights.append({"re": orbit_stats(k, pattern).orbit_size / 2**pattern.dim, "im": 0.0})
+    return {"dim": pattern.dim, "nodes": nodes, "weights": weights}
+
+
+@pytest.mark.parametrize(
+    "dim, groups",
+    [
+        (14, ((1, 2, 3), (9, 10, 11, 12))),
+        (15, ((1, 4, 7), (2, 5), (13, 14, 15))),
+        (16, ((1, 2, 3), (4, 5, 6))),
+        (16, ((2, 9), (3, 4, 5, 6), (11, 12, 16))),
+    ],
+)
+def test_large_folded_rule_nabla_and_weights_match_json_dumps(capsys, tmp_path, dim, groups):
+    # 2^13 to 2^15 rows: several rows per weight class, and orbit-size texts of different widths
+    pattern = InvariancePattern(dim, groups)
+    text = emit(capsys, tmp_path, ["rule", "--folded", "-d", str(dim), *flags(pattern)])
+    assert text == reference(folded_reference(pattern))
+    assert emit(capsys, tmp_path, ["nabla", "-d", str(dim), *flags(pattern)]) == reference(nabla_reference(pattern))
+    block = InvariancePattern(dim, groups[:1])  # weighted operations take one block
+    gammas = random_gammas(random.Random(dim), dim)
+    path = tmp_path / "gammas.json"
+    path.write_text(json.dumps({"dim": dim, "gammas": gammas}))
+    argv = ["weights", "-d", str(dim), *flags(block), "--gammas", str(path), "--kappa", "1.0"]
+    assert emit(capsys, tmp_path, argv) == reference(weights_reference(block, WeightSchedule(dim, gammas), 1.0))
+
+
+@pytest.mark.parametrize(
+    "argv", [["rule", "--folded", "-d", "14"], ["rule", "--folded", "-d", "16", "--groups", "1-3;4-6"]]
+)
+def test_rule_json_peaks_below_three_times_its_length(argv):
+    # the 0/1 rows, one buffer per list and one join: no float nodes, object arrays or per-element texts
+    args = cli.build_parser().parse_args(argv)
+    tracemalloc.start()
+    try:
+        text = args.func(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
+
+
+def test_folded_weights_beyond_the_float_range_of_the_orbit_sizes_are_correctly_rounded():
+    # C(1100, j) and 2^1100 both exceed the float range; the smallest weights lie below 2^-1074 and round to 0
+    args = cli.build_parser().parse_args(["rule", "--folded", "-d", "1100", "--invariant", "1-1100"])
+    data = json.loads(args.func(args))
+    ones = [row.count(0.5) for row in data["nodes"]]
+    assert ones == list(range(1101))
+    weights = [w["re"] for w in data["weights"]]
+    assert weights == [float(Fraction(math.comb(1100, j), 2**1100)) for j in ones]
+    assert all(w["im"] == 0.0 for w in data["weights"]) and weights.count(0.0) == 6
 
 
 def test_weights_from_fractions(capsys, tmp_path, monkeypatch):
