@@ -273,10 +273,11 @@ def _cmd_rule(args):
         for node, w in zip((vectors * 0.5).tolist(), weights[index].tolist()):
             yield f"{str(tuple(node)):<{8 * pattern.dim}} {w:.12g}"
 
+    if args.format == "table":
+        return _output(args, None, table())
     texts = [_complex_text(w).encode() for w in weights.tolist()]  # one per weight class
-    payload = {"dim": pattern.dim, "nodes": _rows_text(vectors, (b"0.0", b"0.5")),
-               "weights": _rows_text(index=index, tails=texts)}
-    return _output(args, None if args.format == "table" else payload, table())
+    return _json_text({"dim": pattern.dim, "nodes": _rows_text(vectors, (b"0.0", b"0.5")),
+                       "weights": _rows_text(index=index, tails=texts)})
 
 
 def _cmd_integrate(args):
