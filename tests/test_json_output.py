@@ -172,7 +172,7 @@ def folded_reference(pattern):
     ],
 )
 def test_large_folded_rule_nabla_and_weights_match_json_dumps(capsys, tmp_path, dim, groups):
-    # 2^13 to 2^15 rows: several rows per weight class, and orbit-size texts of different widths
+    # 2,560 to 16,384 rows: several rows per weight class, and orbit-size texts of different widths
     pattern = InvariancePattern(dim, groups)
     text = emit(capsys, tmp_path, ["rule", "--folded", "-d", str(dim), *flags(pattern)])
     assert text == reference(folded_reference(pattern))
