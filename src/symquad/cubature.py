@@ -140,20 +140,20 @@ def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
         raise DimensionMismatchError("rule and polynomial dimensions differ")
     if rule.n_nodes == 0 or len(f) == 0:
         return 0j
-    half = rule.nodes == 0.5  # boolean tests: no float temporaries the size of the nodes
-    if (half | (rule.nodes == 0.0)).all():
-        return _apply_by_parity(half, rule.weights, f)
+    bits = rule.nodes * 2.0
+    if np.array_equal(bits, np.floor(bits)):  # nodes in [0, 1): bits are 0 or 1
+        return _apply_by_parity(bits, rule.weights, f)
     values = evaluate_at_points(f, rule.nodes)
     return complex(np.dot(rule.weights, values))
 
 
 def _apply_by_parity(bits, weights, f):
-    """``apply_rule`` at the nodes ``bits / 2``, ``bits`` a boolean array."""
+    """``apply_rule`` at the nodes ``bits / 2``, ``bits`` a 0/1 float array."""
     class_bytes, inverse = _distinct_rows(np.packbits(f.keys & 1, axis=1))
 
     # W(p) = sum(w) - 2 * (sum of w_n over the nodes where p.b_n is odd), with no BLAS
     # product: a threaded BLAS leaves its idle workers spinning on a second core.
-    node_bytes = np.packbits(bits, axis=1)
+    node_bytes = np.packbits(bits != 0, axis=1)
     w_parts = np.stack([weights.real, weights.imag])
     odd_sums = np.zeros((2, len(class_bytes)))
     chunk = max(1, (1 << 18) // len(class_bytes))
