@@ -142,10 +142,11 @@ def _json_members(mapping):
 
 
 def _output(args, payload, table_lines):
-    """The bytes of a command's output: the payload's JSON text, or the (maybe lazy) table lines."""
+    """The bytes of a command's output: the JSON text of the payload (or of a callable's, built only
+    for JSON), or the (maybe lazy) table lines."""
     if args.format == "table":
         return ("\n".join(table_lines) + "\n").encode()
-    return _json_text(payload)
+    return _json_text(payload() if callable(payload) else payload)
 
 
 def _cells(texts):
@@ -246,15 +247,25 @@ def _complex_text(z):
     return f'{{"im": {z.imag!r}, "re": {z.real!r}}}'
 
 
-def _complex_list(values):
-    """JSON text of ``[{"re": z.real, "im": z.imag} for z in values]`` (finite), one text per distinct bit pattern."""
-    return _json_list(keys=values.view(np.uint64).reshape(-1, 2), fragment=lambda j: _complex_text(values.item(j)))
+def _complex_list(values, index=None):
+    """JSON text of ``[{"re": z.real, "im": z.imag} for z in values[index]]`` (finite), each value formatted once.
+
+    Without ``index`` the ``complex128`` values are first grouped by bit pattern.
+    """
+    if index is None:
+        classes, index = _distinct_rows(values.view(np.uint64).reshape(-1, 2))
+        values = classes.view(np.complex128).ravel()
+    return _rows_text(index=index, tails=[_complex_text(z).encode() for z in values.tolist()])
+
+
+def _rule_payload_from(dim, bits, weights, index=None):
+    """The JSON payload, as ``rule`` writes it, of nodes ``bits / 2`` (0/1 rows) and weights ``weights[index]``."""
+    return {"dim": dim, "nodes": _rows_text(bits, (b"0.0", b"0.5")), "weights": _complex_list(weights, index)}
 
 
 def _rule_payload(rule):
     """The JSON payload of a rule whose nodes all lie in ``{0, 1/2}^d``, as ``rule`` writes it."""
-    return {"dim": rule.dim, "nodes": _rows_text((rule.nodes == 0.5).view(np.uint8), (b"0.0", b"0.5")),
-            "weights": _complex_list(rule.weights)}
+    return _rule_payload_from(rule.dim, (rule.nodes == 0.5).view(np.uint8), rule.weights)
 
 
 def _cmd_rule(args):
@@ -273,11 +284,7 @@ def _cmd_rule(args):
         for node, w in zip((vectors * 0.5).tolist(), weights[index].tolist()):
             yield f"{str(tuple(node)):<{8 * pattern.dim}} {w:.12g}"
 
-    if args.format == "table":
-        return _output(args, None, table())
-    texts = [_complex_text(w).encode() for w in weights.tolist()]  # one per weight class
-    return _json_text({"dim": pattern.dim, "nodes": _rows_text(vectors, (b"0.0", b"0.5")),
-                       "weights": _rows_text(index=index, tails=texts)})
+    return _output(args, lambda: _rule_payload_from(pattern.dim, vectors, weights, index), table())
 
 
 def _cmd_integrate(args):
@@ -334,7 +341,7 @@ def _cmd_certify(args):
         f"norm         {cert.norm_value:.15g}",
         "certificate valid: the rule cannot beat the guaranteed error",
     ]
-    return _output(args, None if args.format == "table" else _certificate_payload(cert), lines)
+    return _output(args, lambda: _certificate_payload(cert), lines)
 
 
 def _cmd_weights(args):
