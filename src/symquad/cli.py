@@ -142,8 +142,7 @@ def _json_members(mapping):
 
 
 def _output(args, payload, table_lines):
-    """The bytes of a command's output: the JSON text of the payload (or of a callable's, built only
-    for JSON), or the (maybe lazy) table lines."""
+    """The bytes of a command's output: the JSON text of the payload (called first if callable), or the table lines."""
     if args.format == "table":
         return ("\n".join(table_lines) + "\n").encode()
     return _json_text(payload() if callable(payload) else payload)
@@ -248,10 +247,7 @@ def _complex_text(z):
 
 
 def _complex_list(values, index=None):
-    """JSON text of ``[{"re": z.real, "im": z.imag} for z in values[index]]`` (finite), each value formatted once.
-
-    Without ``index`` the ``complex128`` values are first grouped by bit pattern.
-    """
+    """JSON text of ``[{"re": z.real, "im": z.imag} for z in values[index]]`` (finite; by bit pattern if no index)."""
     if index is None:
         classes, index = _distinct_rows(values.view(np.uint64).reshape(-1, 2))
         values = classes.view(np.complex128).ravel()
@@ -353,9 +349,7 @@ def _cmd_weights(args):
         "dim": args.dim,
         "pattern": pattern.to_json_dict(),
         "ordering": _json_list(ordering),
-        "weights": _json_list(
-            keys=weights.view(np.uint64)[:, None], fragment=lambda j: json.dumps(weights.item(j))
-        ),
+        "weights": _json_list(keys=weights.view(np.uint64)[:, None], fragment=lambda j: json.dumps(weights.item(j))),
     }
     if args.kappa is not None:
         sums = _power_sums(pattern, schedule, args.kappa, weights)

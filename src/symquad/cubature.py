@@ -183,12 +183,11 @@ def folded_rectangle_rule(
 ) -> CubatureRule:
     """Rectangle rule folded onto canonical orbit representatives.
 
-    One node per canonical 0/1 vector, placed at the half-integer point and
-    weighted by ``orbit_size / 2^d``, rounded once from the exact ints.
-    While the orbit sizes stay below ``2^53`` every weight is that exact
-    dyadic rational, so the weights sum to 1 without rounding, and the rule
-    agrees with the full rectangle rule on all invariant integrands.  Past
-    ``d`` of about 1074 the smallest weights round to 0.
+    One node per canonical 0/1 vector, placed at the half-integer point and weighted by
+    ``orbit_size / 2^d``, rounded once from the exact ints.  While the orbit sizes stay below
+    ``2^53`` every weight is that exact dyadic rational, so the weights sum to 1 without rounding,
+    and the rule agrees with the full rectangle rule on all invariant integrands.  Past ``d`` of
+    about 1074 the smallest weights round to 0.
     """
     vectors, index, weights = _folded_classes(pattern, node_cap)
     return CubatureRule(pattern.dim, vectors * 0.5, weights[index])
