@@ -40,7 +40,7 @@ from .symmetry import (
     parse_groups,
 )
 from .tractability import InvarianceProfile, evaluate_profile
-from .weighted import WeightSchedule, _power_sums, _ranked_weights, construct_weighted_certificate
+from .weighted import WeightSchedule, _power_sums, _ranked_weights, _weight_classes, construct_weighted_certificate
 
 SCHEMA_VERSION = 1
 
@@ -344,20 +344,20 @@ def _cmd_weights(args):
     pattern = _pattern_from_args(args, args.dim)
     schedule = WeightSchedule.from_json_dict(_load_json(args.gammas))
     ordering, mus = _ranked_weights(pattern, schedule)
-    weights = mus.astype(np.float64)
+    distinct, index = _weight_classes(mus)
     payload = {
         "dim": args.dim,
         "pattern": pattern.to_json_dict(),
         "ordering": _json_list(ordering),
-        "weights": _json_list(keys=weights.view(np.uint64)[:, None], fragment=lambda j: json.dumps(weights.item(j))),
+        "weights": _rows_text(index=index, tails=[json.dumps(w).encode() for w in distinct.tolist()]),
     }
     if args.kappa is not None:
-        sums = _power_sums(pattern, schedule, args.kappa, weights)
+        sums = _power_sums(pattern, schedule, args.kappa, distinct, index)
         payload["power_sum"] = {"exponent": args.kappa, **vars(sums)}
 
     def table():
         yield f"{'rank':>4} {'weight':>18}  k"
-        for n, (k, w) in enumerate(zip(ordering.tolist(), weights.tolist())):
+        for n, (k, w) in enumerate(zip(ordering.tolist(), distinct[index].tolist())):
             yield f"{n:>4} {w:>18.12g}  {tuple(k)}"
         if args.kappa is not None:
             yield (
@@ -426,9 +426,16 @@ def _add_output_flags(parser):
     parser.add_argument("--out", metavar="FILE", help="write output to FILE")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors raise ``ValueError``, so ``main`` reports them (exit 1)."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache  # built once: building it costs about as much as a small request
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symquad",
         description=(
             "Folded cubature rules, worst-case integration errors, and "
@@ -514,8 +521,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         data = args.func(args)
         if args.out:
             with open(args.out, "wb") as handle:
@@ -530,8 +537,8 @@ def main(argv=None) -> int:
     except (NullspaceError, CertificateError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
-    except (ValueError, KeyError, OSError, OverflowError, RecursionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")  # RecursionError: JSON nested too deeply to parse
+    except (ValueError, KeyError, OSError, OverflowError, RecursionError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")  # RecursionError: JSON nested too deeply
         return 1
 
 

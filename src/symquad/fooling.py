@@ -130,16 +130,16 @@ def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL, *, _scale=None) -
     fixed phase vector, probes ``|M^-1|`` in the same factorization.  When
     ``M`` is singular, or the largest modulus of the two solution columns
     times ``max |A|`` reaches ``1e8`` (nullity above one, or a border nearly
-    orthogonal to the nullspace), one Householder QR factorization
-    ``A^T = QR`` runs instead (raw mode; Golub & Van Loan, *Matrix
-    Computations*, 5.1.6 and 5.2): ``R`` has a zero last row, so whatever
-    the rank of ``A`` the last column ``q`` of ``Q`` satisfies
-    ``A conj(q) = 0``.  Either vector is divided by its first entry of
-    maximal modulus, whose position becomes ``pivot_index``.  Raises
-    ``ValueError`` for a non-finite entry, and ``NullspaceError`` unless
-    the residual ``max |A v|`` is at most ``residual_tol`` (the caller may
-    retry with a different mode order).  The private ``_scale`` is
-    ``max |A|`` when the caller has already taken it.
+    orthogonal to the nullspace), the complete Householder QR factorization
+    ``A^T = QR`` runs instead (Golub & Van Loan, *Matrix Computations*,
+    5.2): ``R`` has a zero last row, so whatever the rank of ``A`` the last
+    column ``q`` of ``Q`` satisfies ``A conj(q) = 0``.  Either vector is
+    divided by its first entry of maximal modulus, whose position becomes
+    ``pivot_index``.  Raises ``ValueError`` for a non-finite entry, and
+    ``NullspaceError`` unless the residual ``max |A v|`` is at most
+    ``residual_tol`` (the caller may retry with a different mode order).
+    The private ``_scale`` is ``max |A|`` when the caller has already taken
+    it.
     """
     a_mat = np.asarray(matrix, dtype=np.complex128)
     if a_mat.ndim != 2 or a_mat.shape[1] != a_mat.shape[0] + 1:
@@ -149,7 +149,7 @@ def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL, *, _scale=None) -
     scale = np.max(np.abs(a_mat), initial=0.0) if _scale is None else _scale
     vec = _bordered_null_vector(a_mat, scale)
     if vec is None:
-        vec = _qr_null_vector(a_mat)
+        vec = np.linalg.qr(a_mat.T, mode="complete")[0][:, -1].conj()
     pivot_index = int(np.argmax(np.abs(vec)))
     vec = vec / vec[pivot_index]
     vec[pivot_index] = 1.0
@@ -190,21 +190,6 @@ def _bordered_null_vector(a_mat, scale):
     if not np.max(np.abs(solved)) * scale < _BORDER_LIMIT:  # a NaN or infinite entry fails too
         return None
     return solved[:, 0]
-
-
-def _qr_null_vector(a_mat):
-    """``conj(Q e_{n+1})`` of ``A^T = QR``, from the ``n`` raw reflectors (``Q`` is never formed)."""
-    # Row j of h holds reflector v_j right of the diagonal, where R's diagonal
-    # (not needed) is replaced by v_j's leading 1: Q = H_0 ... H_{n-1} with
-    # H_j = I - tau_j v_j v_j^H acting on entries j..n.
-    h, tau = np.linalg.qr(a_mat.T, mode="raw")
-    np.fill_diagonal(h, 1.0)
-    vec = np.zeros(a_mat.shape[1], dtype=np.complex128)
-    vec[-1] = 1.0
-    for j in range(len(tau) - 1, -1, -1):
-        reflector = h[j, j:]
-        vec[j:] -= (tau[j] * np.vdot(reflector, vec[j:])) * reflector
-    return vec.conj()
 
 
 @dataclass(frozen=True)

@@ -154,54 +154,41 @@ def evaluate_profile(profile: InvarianceProfile, st_grid=((1.0, 1.0),)) -> Tract
 
     notes: list[str] = []
     if len(profile.samples) < 3:
-        verdicts = {
-            "strong_polynomial": VERDICT_NOT_EVALUABLE,
-            "polynomial": VERDICT_NOT_EVALUABLE,
-            "curse": VERDICT_NOT_EVALUABLE,
-        }
+        strong = polynomial = curse = VERDICT_NOT_EVALUABLE
         st_weak = {pair: VERDICT_NOT_EVALUABLE for pair in grid}
         notes.append("need at least 3 samples")
-        return TractabilityReport(
-            profile, counts, free, log_ratios, verdicts, st_weak, tuple(notes)
-        )
-
-    head_c, tail_c = _tail_split(counts)
-    grows = max(tail_c) > (max(head_c) if head_c else 0)
-    strong = VERDICT_EXCLUDED if grows else VERDICT_CONSISTENT
-    if strong == VERDICT_EXCLUDED:
-        notes.append(
-            "node lower bound grows with d on the samples, so no d-free bound exists"
-        )
-
-    log_rows = [(b / math.log(d)) for (d, b) in zip(dims, free) if d >= 2]
-    if len(log_rows) >= 3:
-        head_r, tail_r = _tail_split(log_rows)
-        growing = _strictly_increasing(tail_r) and max(tail_r) > (
-            max(head_r) if head_r else float("-inf")
-        ) + 1e-12
-        polynomial = VERDICT_EXCLUDED if growing else VERDICT_CONSISTENT
     else:
-        polynomial = VERDICT_NOT_EVALUABLE
-        notes.append("polynomial check needs at least 3 samples with d >= 2")
+        head_c, tail_c = _tail_split(counts)
+        grows = max(tail_c) > (max(head_c) if head_c else 0)
+        strong = VERDICT_EXCLUDED if grows else VERDICT_CONSISTENT
+        if strong == VERDICT_EXCLUDED:
+            notes.append(
+                "node lower bound grows with d on the samples, so no d-free bound exists"
+            )
 
-    st_weak = {}
-    for pair in grid:
-        _, tail_y = _tail_split(log_ratios[pair])
-        st_weak[pair] = (
-            VERDICT_CONSISTENT if _non_increasing(tail_y) else VERDICT_EXCLUDED
-        )
+        log_rows = [(b / math.log(d)) for (d, b) in zip(dims, free) if d >= 2]
+        if len(log_rows) >= 3:
+            head_r, tail_r = _tail_split(log_rows)
+            growing = _strictly_increasing(tail_r) and max(tail_r) > (
+                max(head_r) if head_r else float("-inf")
+            ) + 1e-12
+            polynomial = VERDICT_EXCLUDED if growing else VERDICT_CONSISTENT
+        else:
+            polynomial = VERDICT_NOT_EVALUABLE
+            notes.append("polynomial check needs at least 3 samples with d >= 2")
 
-    curse_rows = [b / d for d, b in zip(dims, free)]
-    head_k, tail_k = _tail_split(curse_rows)
-    floor = 0.5 * min(head_k) if head_k else 0.0
-    indicated = min(tail_k) > 0 and min(tail_k) >= floor
-    curse = VERDICT_CONSISTENT if indicated else VERDICT_EXCLUDED
+        st_weak = {}
+        for pair in grid:
+            _, tail_y = _tail_split(log_ratios[pair])
+            st_weak[pair] = (
+                VERDICT_CONSISTENT if _non_increasing(tail_y) else VERDICT_EXCLUDED
+            )
 
-    verdicts = {
-        "strong_polynomial": strong,
-        "polynomial": polynomial,
-        "curse": curse,
-    }
-    return TractabilityReport(
-        profile, counts, free, log_ratios, verdicts, st_weak, tuple(notes)
-    )
+        curse_rows = [b / d for d, b in zip(dims, free)]
+        head_k, tail_k = _tail_split(curse_rows)
+        floor = 0.5 * min(head_k) if head_k else 0.0
+        indicated = min(tail_k) > 0 and min(tail_k) >= floor
+        curse = VERDICT_CONSISTENT if indicated else VERDICT_EXCLUDED
+
+    verdicts = {"strong_polynomial": strong, "polynomial": polynomial, "curse": curse}
+    return TractabilityReport(profile, counts, free, log_ratios, verdicts, st_weak, tuple(notes))

@@ -275,15 +275,22 @@ def weight_power_sum(
     schedules are all 1 (it is still returned, with the applicability flag
     lowered, so mismatches are visible).
     """
-    return _power_sums(pattern, schedule, exponent, _ranked_weights(pattern, schedule)[1])
+    return _power_sums(pattern, schedule, exponent, *_weight_classes(_ranked_weights(pattern, schedule)[1]))
 
 
-def _power_sums(pattern, schedule, exponent, mus) -> WeightPowerSums:
-    """``weight_power_sum`` from the weights ``mus`` in any order (``fsum`` is correctly rounded)."""
+def _weight_classes(mus):
+    """The ranked weights ``mus`` as ``float64`` ``(distinct, index)``: one class per run of equal bit patterns."""
+    weights = mus.astype(np.float64)
+    bits = weights.view(np.uint64)
+    first = np.append(True, bits[1:] != bits[:-1])
+    return weights[first], np.cumsum(first) - 1
+
+
+def _power_sums(pattern, schedule, exponent, distinct, index) -> WeightPowerSums:
+    """``weight_power_sum`` from the weights ``distinct[index]`` in any order (``fsum`` is correctly rounded)."""
     exponent = require_positive(exponent, "exponent")
-    distinct, inverse = np.unique(mus.astype(np.float64).view(np.uint64), return_inverse=True)
-    powers = np.array([w ** exponent for w in distinct.view(np.float64).tolist()])
-    brute = math.fsum(powers[inverse].tolist())
+    powers = np.array([w ** exponent for w in distinct.tolist()])
+    brute = math.fsum(powers[index].tolist())
     group = pattern.groups[0] if pattern.groups else ()
     applicable = all(schedule.gammas[i - 1] == 1 for i in group)
     outside = (g for i, g in enumerate(schedule.gammas, 1) if i not in group)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import symquad
-from symquad import fooling
+from symquad import cli, fooling
 from symquad.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -255,6 +255,32 @@ def test_certify_numerical_failure_exits_1(capsys, small_rule_file, monkeypatch,
     code, out, err = run(capsys, ["certify", "--rule", small_rule_file, "--invariant", "1-2", "--alpha", "2"])
     assert (code, out) == (1, "")
     assert err.startswith(f"numerical failure: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "symquad: the following arguments are required: command"),
+        (["rule"], "symquad rule: the following arguments are required: -d/--dim"),
+        (["rule", "-d", "x", "--folded"], "symquad rule: argument -d/--dim: invalid int value: 'x'"),
+        (["tract", "--st", "-1,1"], "symquad tract: argument --st: expected one argument"),  # -1,1 reads as an option
+    ],
+)
+def test_usage_errors_exit_1_with_one_error_line(capsys, argv, message):
+    # 2 means a refused certificate only, so a mistyped call must not exit 2
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_memory_error_exits_1_with_one_error_line(capsys, monkeypatch):
+    def exhausted(pattern, cap):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_folded_classes", exhausted)
+    code, out, err = run(capsys, ["rule", "--rectangle", "-d", "4"])
+    assert (code, out) == (1, "")
+    assert err == "error: MemoryError\n"
 
 
 def test_bench_out_writes_the_csv(capsys, tmp_path):

@@ -544,8 +544,8 @@ def test_nullspace_check_is_relative_to_the_matrix_scale(monkeypatch):
     # either route a "null vector" equal to the unit vector e_{n+1} has a
     # whole column of A as its residual; it must be rejected as a nullspace
     # failure.  The LU route is fed e_{n+1} as its solution; the QR route is
-    # reached by making the bordered solve fail, and then sees a raw QR whose
-    # reflectors are all the identity (h = 0, tau = 0).
+    # reached by making the bordered solve fail, and then sees a complete QR
+    # whose Q is the identity.
     rule = random_rule(np.random.default_rng(5), 19, 2)
     pattern = InvariancePattern.full(19)
     assert construct_certificate(rule, pattern, 2.0).residuals["nullspace"] < 1e-30
@@ -566,7 +566,7 @@ def test_nullspace_check_is_relative_to_the_matrix_scale(monkeypatch):
     monkeypatch.setattr(
         np.linalg,
         "qr",
-        lambda a, mode="reduced": (np.zeros(a.shape[::-1], dtype=complex), np.zeros(a.shape[1], dtype=complex)),
+        lambda a, mode="reduced": (np.eye(a.shape[0], dtype=complex), np.zeros(a.shape, dtype=complex)),
     )
     with pytest.raises(NullspaceError):
         construct_certificate(rule, pattern, 2.0)
