@@ -28,7 +28,7 @@ from .cubature import (
 )
 from .errors import CertificateError, NullspaceError, RefusalError
 from .fooling import construct_certificate
-from .fourier import FourierPolynomial, _distinct_rows
+from .fourier import MAX_INDEX_MAGNITUDE, FourierPolynomial, _distinct_rows, _from_sorted
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
@@ -50,18 +50,17 @@ def _load_json(path):
         return json.load(handle)
 
 
-def _load_rule(path):
-    """The rule in the JSON file at ``path``.
+def _load(path, reader, from_json_dict):
+    """The object in the JSON file at ``path``, read once as bytes.
 
-    Text that ``rule`` wrote is read by ``_rule_from_writer_text``; any
-    other text goes through ``json.load`` as ``_load_json`` reads it, so its
-    values and errors are those of ``CubatureRule.from_json_dict``.
+    ``reader`` reads the text that symquad writes in place; when it gives
+    None the text goes through ``json.load`` as ``_load_json`` reads it, so
+    its values and errors are those of ``from_json_dict``.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
-    return _rule_from_writer_text(raw) or CubatureRule.from_json_dict(
-        json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
-    )
+    out = reader(raw)
+    return from_json_dict(json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))) if out is None else out
 
 
 _RULE_HEAD = re.compile(rb'\{"dim": ([1-9][0-9]{0,8}), "nodes": \[')
@@ -120,6 +119,71 @@ def _rule_from_writer_text(raw):
         return None
     index = np.zeros(n, np.intp) if uniform else np.fromiter(map(distinct.__getitem__, fragments), np.intp, n)
     return CubatureRule(dim, half * 0.5, values[index])
+
+
+_POLY_HEAD = re.compile(rb'\{"dim": ([1-9][0-9]{0,8}), "terms": \[\{"k": \[')
+_TERM_GAPS = (b'], "re": ', b', "im": ', b'}, {"k": [')  # after a term's last key, its re and its im
+
+
+def _poly_from_writer_text(raw):
+    """The polynomial whose ``json.dumps(poly.to_json_dict())`` (with at most one final ``\\n``) is ``raw``, or None.
+
+    The numbers of the terms list are the runs of number bytes (digits,
+    ``-+.``, and ``e`` or ``E`` after a digit, so not the ``e`` of
+    ``"re"``).  The gaps between them must have the writer's lengths and,
+    joined, be the writer's text, so every term holds ``d`` keys, then
+    ``re`` and ``im``.  Keys must read ``-?(0|[1-9][0-9]*)`` within the
+    ``2^31 - 1`` cap and are parsed in ``int64``; the coefficients go
+    through one ``json.loads`` of their list and are set as
+    ``from_json_dict`` sets them.  Any other text, a duplicated key or any
+    failure on the way gives None, and ``json.loads`` then reads the text.
+    """
+    head = _POLY_HEAD.match(raw)
+    start, stop = head.end() if head else len(raw), len(raw) - 3 - raw.endswith(b"\n")
+    if stop <= start or raw[stop : stop + 3] != b"}]}":
+        return None
+    dim, body = int(head.group(1)), np.frombuffer(raw, np.uint8, stop - start, start)
+    digit = body - np.uint8(48) <= 9
+    num = digit | (body == ord("-")) | (body == ord("+")) | (body == ord("."))
+    num[1:] |= ((body[1:] | 32) == ord("e")) & digit[:-1]
+    edges = np.flatnonzero(num[1:] != num[:-1]) + 1
+    t, rem = divmod(len(edges) // 2 + 1, dim + 2)
+    if not (num[0] and num[-1]) or rem or not t:
+        return None
+    starts, ends = np.append(0, edges[1::2]).reshape(t, -1), np.append(edges[::2], len(body)).reshape(t, -1)
+    lengths = np.tile([2] * (dim - 1) + [*map(len, _TERM_GAPS)], t)[:-1]
+    skeleton = ((b", " * (dim - 1) + b"".join(_TERM_GAPS)) * t)[: -len(_TERM_GAPS[-1])]
+    if not np.array_equal(starts.ravel()[1:] - ends.ravel()[:-1], lengths) or (
+        np.compress(~num, body).tobytes() != skeleton
+    ):
+        return None
+    ks, ke = starts[:, :dim].ravel(), ends[:, :dim].ravel()
+    neg = body[ks] == ord("-")
+    ks = ks + neg  # the first digit
+    n = ke - ks
+    if n.min() < 1 or n.max() > 10:
+        return None
+    cols = np.arange(-n.max(), 0)
+    # each key's last bytes, right-aligned (clipped at the text's start), and the digits beyond a key's own zeroed
+    digits = body.take(ke[:, None] + cols, mode="clip") - np.uint8(48)
+    digits[-cols > n[:, None]] = 0
+    if (digits > 9).any() or ((body[ks] == ord("0")) & (n > 1)).any():
+        return None
+    value = digits @ 10 ** -(cols + 1)
+    if value.max() > MAX_INDEX_MAGNITUDE:
+        return None
+    value[neg] *= -1
+    rows, slot = _distinct_rows(value.reshape(t, dim))
+    if len(rows) < t:  # a duplicated key
+        return None
+    spans = zip((starts[:, dim] + start).tolist(), (ends[:, dim + 1] + start).tolist())  # from re to im
+    try:
+        parts = json.loads(b"[" + b", ".join([raw[a:b] for a, b in spans]).replace(b', "im": ', b", ") + b"]")
+        coeffs = np.empty(t, dtype=np.complex128)
+        coeffs.real, coeffs.imag = parts[0::2], parts[1::2]
+        return _from_sorted(dim, rows, coeffs[np.argsort(slot)])
+    except (ValueError, OverflowError):  # not a JSON number, beyond the float range or not finite
+        return None
 
 
 def _json_text(payload):
@@ -284,8 +348,8 @@ def _cmd_rule(args):
 
 
 def _cmd_integrate(args):
-    rule = _load_rule(args.rule)
-    poly = FourierPolynomial.from_json_dict(_load_json(args.poly))
+    rule = _load(args.rule, _rule_from_writer_text, CubatureRule.from_json_dict)
+    poly = _load(args.poly, _poly_from_writer_text, FourierPolynomial.from_json_dict)
     value = apply_rule(rule, poly)
     payload = {"value": {"re": value.real, "im": value.imag}, "n_nodes": rule.n_nodes}
     return _output(args, payload, [f"value {value.real:.15g} {value.imag:+.15g}i"])
@@ -318,7 +382,7 @@ def _certificate_payload(cert):
 
 
 def _cmd_certify(args):
-    rule = _load_rule(args.rule)
+    rule = _load(args.rule, _rule_from_writer_text, CubatureRule.from_json_dict)
     dim = rule.dim if args.dim is None else args.dim
     if dim != rule.dim:
         raise ValueError(f"--dim {dim} does not match rule dimension {rule.dim}")

@@ -7,6 +7,7 @@ text equals, bit for bit, what ``json.loads`` makes of it, and any other
 text gives what the ``json.loads`` route gives.
 """
 
+import itertools
 import json
 import math
 import random
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from symquad import cli
 from symquad.cubature import CubatureRule, folded_rectangle_rule, rectangle_rule
-from symquad.symmetry import InvariancePattern, binary_orbit_representatives, orbit_stats
+from symquad.fourier import FourierPolynomial
+from symquad.symmetry import InvariancePattern, binary_orbit_representatives, orbit_stats, symmetrize
 from symquad.weighted import WeightSchedule, order_weights, weight_power_sum
 
 
@@ -481,3 +483,134 @@ def test_a_long_weights_text_is_refused_without_copies_of_it():
     finally:
         tracemalloc.stop()
     assert peak < 20 * len(raw)
+
+
+# ---------------------------------------------------------------------------
+# reading a polynomial: the writer's layout is read in place, any other text as json.loads reads it
+
+
+def poly_text(dim, terms):
+    """``json.dumps`` of a polynomial's JSON dict with ``terms`` (key list, re, im), as the writer lays it out."""
+    return json.dumps({"dim": dim, "terms": [{"k": k, "re": re, "im": im} for k, re, im in terms]}).encode()
+
+
+def json_route(raw):
+    """The polynomial ``json.loads`` and ``from_json_dict`` read from ``raw``, or None where they raise."""
+    try:
+        return FourierPolynomial.from_json_dict(json.loads(raw))
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+        return None
+
+
+def assert_same_polynomial(got, expected):
+    assert got.dim == expected.dim
+    assert got.keys.tobytes() == expected.keys.tobytes()
+    assert got.coeffs.tobytes() == expected.coeffs.tobytes()
+
+
+KEYS = st.one_of(st.integers(-3, 3), st.sampled_from([0, 2**31 - 1, -(2**31 - 1)]))
+
+
+@st.composite
+def written_polys(draw):
+    """A polynomial's text in the writer's layout at d <= 8, its keys and parts drawn (duplicates and zeros too)."""
+    dim = draw(st.integers(1, 8))
+    parts = st.one_of(PARTS, st.integers(-(2**60), 2**60))
+    terms = draw(st.lists(st.tuples(st.lists(KEYS, min_size=dim, max_size=dim), parts, parts), min_size=1, max_size=6))
+    if draw(st.booleans()):  # one key just beyond the cap
+        terms[0][0][draw(st.integers(0, dim - 1))] = draw(st.sampled_from([2**31, -(2**31)]))
+    return poly_text(dim, terms) + draw(st.sampled_from([b"", b"\n"]))
+
+
+def two_terms(dim, first, second):
+    return poly_text(dim, [(first, 1.0, 0.0), (second, 0.5, -0.25)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=written_polys(), edits=EDITS)
+@example(raw=two_terms(3, [1, 2], [1, 2, 3, 4]), edits=[])  # d - 1 and d + 1 keys: d + 2 numbers a term on average
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"[1, 2]", b"[1, ]2"), edits=[])  # the gaps joined are the writer's
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"[1,", b"[01,"), edits=[])
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"[1,", b"[-0,"), edits=[])
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"[1,", b"[1.0,"), edits=[])
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"1.0", b"+1"), edits=[])
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"1.0", b"1."), edits=[])
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"0.5", b".5"), edits=[])
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"1.0", b"NaN"), edits=[])
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"1.0", b"Infinity"), edits=[])
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"1.0", b"1e999"), edits=[])
+@example(raw=two_terms(2, [1, 2], [1, 2]), edits=[])
+def test_poly_reader_agrees_with_json_or_declines(raw, edits):
+    for op, at, byte in edits:
+        at %= len(raw) + (op == "insert")
+        raw = raw[:at] + (b"" if op == "delete" else bytes([byte])) + raw[at + (op != "insert") :]
+    got, expected = cli._poly_from_writer_text(raw), json_route(raw)
+    if expected is None:
+        assert got is None
+    elif got is not None:
+        assert_same_polynomial(got, expected)
+    if expected is not None and raw.removesuffix(b"\n") == json.dumps(expected.to_json_dict()).encode():
+        assert got is not None  # the writer's own text is read in place
+
+
+@pytest.mark.parametrize("text", [b"[-0, 2]", b"[1, -0]"])
+def test_poly_reader_reads_minus_zero_keys_as_zero(text):
+    raw = two_terms(2, [1, 2], [3, 4]).replace(b"[1, 2]", text)
+    got = cli._poly_from_writer_text(raw)
+    assert got is not None
+    assert_same_polynomial(got, json_route(raw))
+
+
+def written_poly():
+    poly = FourierPolynomial(4, {(0, 0, 0, 0): 1.0, (1, 1, 0, 2): 0.5 - 0.25j, (-2, 0, 3, 0): 0.125j})
+    raw = json.dumps(poly.to_json_dict()).encode()
+    assert_same_polynomial(cli._poly_from_writer_text(raw), poly)
+    return raw
+
+
+ALTERED_POLY = {
+    "pretty-printed": lambda raw: json.dumps(json.loads(raw), indent=1).encode(),
+    "sort-keys": lambda raw: FourierPolynomial.from_json(raw).to_json().encode(),
+    "utf8-bom": lambda raw: b"\xef\xbb\xbf" + raw,
+    "extra-member": lambda raw: raw.replace(b'"re": 0.5,', b'"re": 0.5, "note": 1,'),
+    "value-true": lambda raw: raw.replace(b'"re": 0.5', b'"re": true'),
+    "value-null": lambda raw: raw.replace(b'"re": 0.5', b'"re": null'),
+    "value-string": lambda raw: raw.replace(b'"re": 0.5', b'"re": "0.5"'),
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "no-terms": lambda raw: b'{"dim": 4, "terms": []}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALTERED_POLY))
+def test_altered_poly_text_integrates_as_json_loads_reads_it(capsys, tmp_path, monkeypatch, case):
+    raw = ALTERED_POLY[case](written_poly())
+    assert cli._poly_from_writer_text(raw) is None
+    rule, poly = tmp_path / "rule.json", tmp_path / "poly.json"
+    rule.write_bytes(written_rule())
+    poly.write_bytes(raw)
+    argv = ["integrate", "--rule", str(rule), "--poly", str(poly)]
+
+    def outcome():
+        return (cli.main(argv), *capsys.readouterr())
+
+    got = outcome()
+    monkeypatch.setattr(cli, "_poly_from_writer_text", lambda raw: None)
+    assert got == outcome()
+    assert got[0] == (1 if case in ("utf8-bom", "value-true", "value-null", "value-string", "truncated") else 0)
+
+
+def test_a_workload_shaped_polynomial_is_read_in_place():
+    # every frequency at d = 16 with at most two nonzero entries in [-3, 3], symmetrized over a block of 8
+    keys = set()
+    for i, j in itertools.combinations(range(16), 2):
+        for a, b in itertools.product(range(-3, 4), repeat=2):
+            keys.add(tuple(a if m == i else b if m == j else 0 for m in range(16)))
+    rng = np.random.default_rng(1)
+    terms = dict(zip(sorted(keys), rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))))
+    poly = symmetrize(FourierPolynomial(16, terms), InvariancePattern.single(16, range(1, 9)))
+    assert len(poly) > 4000
+    raw = json.dumps(poly.to_json_dict()).encode()
+    for text in (raw, raw + b"\n"):
+        got = cli._poly_from_writer_text(text)
+        assert got is not None
+        assert_same_polynomial(got, poly)
