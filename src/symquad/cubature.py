@@ -27,6 +27,7 @@ from .fourier import (
     random_polynomial,
     reading,
     reject_bools_and_strings,
+    reject_nulls_and_lists,
     require_dimension,
     require_integral,
     require_positive,
@@ -111,12 +112,14 @@ class CubatureRule:
             rows, terms = data["nodes"], data["weights"]
             coords = list(chain.from_iterable(rows))
             re, im = [w["re"] for w in terms], [w["im"] for w in terms]
-            reject_bools_and_strings(chain([data["dim"]], coords, re, im), "rule JSON")
+            reject_bools_and_strings([data["dim"]], "rule JSON")
+            kinds = reject_bools_and_strings(chain(coords, re, im), "rule JSON")
             if len(set(map(len, rows))) > 1:
                 raise ValueError("node rows differ in length")
             nodes = np.array(coords, dtype=np.float64).reshape(len(rows), -1) if rows else []
             weights = np.empty(len(terms), dtype=np.complex128)
             weights.real, weights.imag = np.array(re, dtype=np.float64), np.array(im, dtype=np.float64)
+            reject_nulls_and_lists(kinds, "rule JSON")  # numpy refused other lists itself
             return cls(data["dim"], nodes, weights)
 
 

@@ -42,36 +42,20 @@ def validate_multi_index(k, dim=None) -> MultiIndex:
     return tuple(_checked_keys([raw], require_dimension(len(raw)) if dim is None else dim)[0].tolist())
 
 
-def _checked_keys(keys, dim, schema=None) -> np.ndarray:
-    """``keys`` (a list of vectors) as ``int64`` rows, each of length ``dim``, integral and within the cap.
-
-    The entries are flattened once and their types taken in one pass: all
-    ``int`` go straight to ``int64``, any other mix through ``np.array``
-    and ``require_integral``.  A list or tuple entry is refused; so are
-    booleans and strings when ``schema`` names the JSON data the keys come
-    from (see ``reject_bools_and_strings``).
-    """
-    flat = list(chain.from_iterable(keys))
-    kinds = set(map(type, flat))
-    if schema is not None:
-        _reject_bool_and_str_types(kinds, schema)
+def _checked_keys(keys, dim) -> np.ndarray:
+    """``keys`` (a list of vectors) as ``int64`` rows, each of length ``dim``, integral and within the cap."""
     wrong = set(map(len, keys)) - {dim}
     if wrong:
         raise DimensionMismatchError(f"frequency vector has dimension {min(wrong)}, expected {dim}")
-    if kinds <= {int}:
-        try:
-            raw = np.fromiter(flat, np.int64, len(flat))
-        except OverflowError:  # beyond int64, so beyond the cap
-            raise ValueError(_OVER_CAP) from None
-    elif not kinds & {list, tuple}:  # which numpy would read as rows of their own
-        try:
-            raw = np.array(flat)
-        except ValueError:  # an array entry that numpy cannot stack with the rest
-            raise ValueError("a frequency vector has a non-integer entry") from None
-        if raw.dtype.kind not in "biu":  # each entry must equal its int()
-            raw = np.frompyfunc(lambda v: require_integral(v, "frequency entry"), 1, 1)(np.array(flat, dtype=object))
-    if kinds & {list, tuple} or raw.shape != (len(flat),):
+    flat = list(chain.from_iterable(keys))
+    try:
+        raw = np.array(flat)
+    except ValueError:  # an array entry that numpy cannot stack with the rest
+        raise ValueError("a frequency vector has a non-integer entry") from None
+    if raw.shape != (len(flat),):  # sequence entries, which numpy reads as rows of their own
         raise ValueError("a frequency vector has a non-integer entry")
+    if raw.dtype.kind not in "biu":  # each entry must equal its int(); ints beyond int64 land here too
+        raw = np.frompyfunc(lambda v: require_integral(v, "frequency entry"), 1, 1)(np.array(flat, dtype=object))
     if (raw > MAX_INDEX_MAGNITUDE).any() or (raw < -MAX_INDEX_MAGNITUDE).any():
         raise ValueError(_OVER_CAP)
     return raw.astype(np.int64).reshape(len(keys), dim)
@@ -104,15 +88,18 @@ def require_positive(value, what) -> float:
     return out
 
 
-def reject_bools_and_strings(values, what):
-    """Refuse JSON ``true``/``false`` and strings where numbers belong (``float("1")`` is 1.0)."""
-    _reject_bool_and_str_types(set(map(type, values)), what)
-
-
-def _reject_bool_and_str_types(kinds, what):
-    """``reject_bools_and_strings`` of values whose types are ``kinds``."""
+def reject_bools_and_strings(values, what) -> set:
+    """Refuse JSON ``true``/``false`` and strings where numbers belong (``float("1")`` is 1.0); return the types."""
+    kinds = set(map(type, values))
     if {bool, str} & kinds:
         raise ValueError(f"{what} holds a boolean or a string where a number belongs")
+    return kinds
+
+
+def reject_nulls_and_lists(kinds, what):
+    """Refuse ``null`` and lists among ``kinds`` where a real belongs: numpy reads ``null`` as NaN, ``[x]`` as ``x``."""
+    if {type(None), list} & kinds:
+        raise ValueError(f"{what} holds {'null' if type(None) in kinds else 'a list'} where a number belongs")
 
 
 @contextmanager
@@ -149,12 +136,9 @@ class FourierPolynomial:
     def __init__(self, dim, terms=()):
         pairs = terms.items() if isinstance(terms, Mapping) else terms
         keys, coeffs = tuple(zip(*pairs, strict=True)) or ((), ())
-        self._set_terms(dim, list(map(tuple, keys)), np.fromiter(map(complex, coeffs), np.complex128, len(coeffs)))
-
-    def _set_terms(self, dim, keys, coeffs, schema=None):
-        """Keep ``keys`` (a list of vectors) and ``coeffs`` after the checks of ``_checked_keys``."""
+        coeffs = np.fromiter(map(complex, coeffs), np.complex128, len(coeffs))
         dim = require_dimension(dim)
-        rows, slot = _distinct_rows(_checked_keys(keys, dim, schema))
+        rows, slot = _distinct_rows(_checked_keys(list(map(tuple, keys)), dim))
         if len(rows) < len(slot):  # name the smallest duplicated key
             raise ValueError(f"duplicate frequency vector {tuple(rows[np.argmax(np.bincount(slot) > 1)].tolist())}")
         _from_sorted(dim, rows, coeffs[np.argsort(slot)], self)
@@ -247,16 +231,17 @@ class FourierPolynomial:
 
     @classmethod
     def from_json_dict(cls, data) -> "FourierPolynomial":
-        out = cls.__new__(cls)
         with reading("polynomial JSON"):
             terms = data["terms"]
-            keys = [entry["k"] for entry in terms]
-            re, im = [entry["re"] for entry in terms], [entry["im"] for entry in terms]
-            reject_bools_and_strings(chain([data["dim"]], re, im), "polynomial JSON")
+            keys, re, im = ([entry[name] for entry in terms] for name in ("k", "re", "im"))
+            reject_bools_and_strings([data["dim"]], "polynomial JSON")
+            kinds = reject_bools_and_strings(chain(re, im), "polynomial JSON")
             coeffs = np.empty(len(keys), dtype=np.complex128)
             coeffs.real, coeffs.imag = re, im
-            out._set_terms(data["dim"], keys, coeffs, "polynomial JSON")
-        return out
+            reject_nulls_and_lists(kinds, "polynomial JSON")  # numpy refused other lists itself
+            dim = require_dimension(data["dim"])  # before the keys, so a bad dim is named first
+            reject_bools_and_strings(chain.from_iterable(keys), "polynomial JSON")
+            return cls(dim, zip(keys, coeffs.tolist()))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

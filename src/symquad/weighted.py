@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, _verified, construct_certificate
 from .fourier import MultiIndex, reading, reject_bools_and_strings, require_dimension, require_integral
-from .fourier import require_positive, validate_multi_index
+from .fourier import reject_nulls_and_lists, require_positive, validate_multi_index
 from .symmetry import (
     InvariancePattern,
     canonical_binary_vectors,
@@ -67,8 +67,11 @@ class WeightSchedule:
     @classmethod
     def from_json_dict(cls, data) -> "WeightSchedule":
         with reading("weight schedule JSON"):
-            reject_bools_and_strings([data["dim"], *data["gammas"]], "weight schedule JSON")
-            return cls(data["dim"], tuple(data["gammas"]))
+            dim, *gammas = data["dim"], *data["gammas"]
+            reject_bools_and_strings([dim], "weight schedule JSON")
+            kinds = reject_bools_and_strings(gammas, "weight schedule JSON")
+            reject_nulls_and_lists(kinds, "weight schedule JSON")
+            return cls(dim, tuple(gammas))
 
 
 def min_product_weight(k, pattern: InvariancePattern, schedule: WeightSchedule):

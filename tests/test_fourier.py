@@ -239,9 +239,13 @@ def test_dyadic_nodes_give_signs(data, dim):
         (((1,), 0), ValueError),
         ((1, 0, 0), DimensionMismatchError),
         ((1,), DimensionMismatchError),
+        ((np.int64(3), 0), (3, 0)),
+        ((2**63, -1), ValueError),
+        ((2**64, 0), ValueError),
     ],
     ids=["bool", "integral-float", "int64", "fraction", "at-cap", "fraction-float", "string", "nan", "inf",
-         "2^40", "2^31", "2^70", "complex", "none", "nested", "too-long", "too-short"],
+         "2^40", "2^31", "2^70", "complex", "none", "nested", "too-long", "too-short",
+         "int64-beside-0", "2^63-beside-negative", "2^64"],
 )
 def test_constructor_accepts_and_refuses_keys(key, outcome):
     if isinstance(outcome, type):
@@ -480,6 +484,64 @@ def test_array_entries_in_constructor_keys():
     with pytest.raises(ValueError) as err:
         FourierPolynomial(2, [((np.array([1]), 0), 1.0)])
     assert type(err.value) is ValueError and str(err.value) == "a frequency vector has a non-integer entry"
+
+
+@pytest.mark.parametrize("big", [2**63, 2**64 - 1, 2**64, -(2**63) - 1])
+@pytest.mark.parametrize("neighbour", [-1, -(2**31) + 1, 2.0])
+def test_json_key_entries_beyond_int64_beside_other_kinds_meet_the_cap(big, neighbour):
+    # beside a negative int numpy reads 2^63 as float64, beside a float every entry: both reach require_integral
+    data = {"dim": 2, "terms": [{"k": [neighbour, 0], "re": 1.0, "im": 0.0}, {"k": [0, big], "re": 1.0, "im": 0.0}]}
+    with pytest.raises(ValueError) as err:
+        FourierPolynomial.from_json_dict(data)
+    assert type(err.value) is ValueError and str(err.value) == CAP_MESSAGE
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_json_dimension_is_named_before_a_boolean_key(dim):
+    data = {"dim": dim, "terms": [{"k": [True], "re": 1.0, "im": 0.0}]}
+    with pytest.raises(ValueError) as err:
+        FourierPolynomial.from_json_dict(data)
+    assert str(err.value) == "dimension must be >= 1"
+
+
+# JSON numbers near the edges, and entries that are no numbers (one of these replaces a number)
+_NUMBERS = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([2**31 - 1, -(2**31 - 1), 2**63, -(2**63), 2**64, 1.5, -0.0, 1e300, 2.0]),
+)
+_NOT_NUMBERS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.just("1"),
+    st.lists(st.recursive(st.integers(-1, 1) | st.just(0.5), lambda inner: st.lists(inner, max_size=2)), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_from_json_dict_is_the_constructor_or_a_value_error(data, dim):
+    term = st.fixed_dictionaries({"k": st.lists(_NUMBERS, min_size=dim, max_size=dim), "re": _NUMBERS, "im": _NUMBERS})
+    terms = data.draw(st.lists(term, max_size=4))
+    faulty = bool(terms) and data.draw(st.booleans())
+    if faulty:
+        entry, field = data.draw(st.sampled_from(terms)), data.draw(st.sampled_from(["k", "re", "im"]))
+        target, slot = (entry["k"], data.draw(st.integers(0, dim - 1))) if field == "k" else (entry, field)
+        target[slot] = data.draw(_NOT_NUMBERS)
+    try:
+        got = FourierPolynomial.from_json_dict({"dim": dim, "terms": terms})
+    except ValueError as exc:
+        assert type(exc) is ValueError
+        got = str(exc)
+    if faulty:
+        assert isinstance(got, str)
+        return
+    try:
+        want = FourierPolynomial(dim, [(tuple(t["k"]), complex(t["re"], t["im"])) for t in terms])
+    except ValueError as exc:  # the same numbers are refused with the same words
+        assert got == str(exc)
+        return
+    assert not isinstance(got, str), got
+    assert got.keys.tobytes() == want.keys.tobytes() and got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_int_keys_beyond_int64_meet_the_cap_in_the_constructor_too():
