@@ -218,13 +218,14 @@ def _cells(texts):
     return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), dtype=np.uint8).reshape(len(texts), width)
 
 
-def _rows_text(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", index=None, tails=(b"",), heads=(b"",)):
-    """JSON text (``bytes``) of the list of ``heads[c] + before + [t, t, ...] + after + tails[c]``, one per row.
+def _rows_text(bits=None, tokens=(b"0", b"1"), index=None, heads=(b"",), tails=(b"",)):
+    """JSON text (``bytes``) of the list of ``heads[c] + [t, t, ...] + tails[c]``, one per row.
 
     Row ``i`` has ``c = index[i]`` and ``t = tokens[b]`` for each ``b`` in ``bits[i]`` (no ``[...]`` when
-    ``bits`` is None).  The rows lie in one ``uint8`` buffer: a template row is broadcast, the bytes in which
-    a token differs from ``tokens[0]`` are added where ``bits`` takes it, and the texts of more than one class
-    go in by ``index``.  Shorter texts are padded with NULs (``json.dumps`` writes none), dropped if any are.
+    ``bits`` is None); a text that is the same for every row is a head or tail with one class.  The rows lie
+    in one ``uint8`` buffer: a template row is broadcast, the bytes in which a token differs from
+    ``tokens[0]`` are added where ``bits`` takes it, and the heads and tails of more than one class go in by
+    ``index``.  Shorter texts are padded with NULs (``json.dumps`` writes none), dropped if any are.
     """
     n = len(index if bits is None else bits)
     if not n:
@@ -232,12 +233,12 @@ def _rows_text(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", index=None
     tokens, heads, tails = _cells(tokens), _cells(heads), _cells(tails)
     m = 0 if bits is None else bits.shape[1]
     digits = b"" if bits is None else b"[" + b", ".join([tokens[0].tobytes()] * m) + b"]"
-    template = heads[0].tobytes() + before + digits + after + tails[0].tobytes() + b", "
+    template = heads[0].tobytes() + digits + tails[0].tobytes() + b", "
     out = np.empty(n * len(template) + 1, dtype=np.uint8)
     out[0] = ord("[")
     rows = out[1:].reshape(n, len(template))
     rows[:] = np.frombuffer(template, dtype=np.uint8)
-    start, step = heads.shape[1] + len(before) + 1, tokens.shape[1] + 2
+    start, step = heads.shape[1] + 1, tokens.shape[1] + 2
     for t in range(1, len(tokens) if m else 0):
         hit, delta = bits == t, tokens[t] - tokens[0]  # uint8 differences wrap, and so do the sums
         for p in np.flatnonzero(delta).tolist():
@@ -252,19 +253,10 @@ def _rows_text(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", index=None
     return text.replace(b"\0", b"") if padded else text
 
 
-def _json_list(bits=None, tokens=(b"0", b"1"), before=b"", after=b"", keys=None, fragment=None, head=None):
-    """``_rows_text`` of the list with ``head(j)`` and ``fragment(j)`` around each row: ``json.dumps``'s bytes.
-
-    ``j`` is the first row of the 2-D ``keys`` equal to ``keys[i]``, so each
-    text is formatted once, however many elements share it.
-    """
-    if keys is None:
-        return _rows_text(bits, tokens, before, after)
-    distinct, index = _distinct_rows(keys)
-    first = np.full(len(distinct), len(keys))
-    np.minimum.at(first, index, np.arange(len(keys)))
-    heads = [head(j).encode() for j in first.tolist()] if head else [b""]
-    return _rows_text(bits, tokens, before, after, index, [fragment(j).encode() for j in first.tolist()], heads)
+def _classes(values):
+    """The distinct values of a float64 or complex128 array by bit pattern, and each element's class."""
+    rows, index = _distinct_rows(values.view(np.uint64).reshape(-1, values.itemsize // 8))
+    return rows.view(values.dtype).ravel(), index
 
 
 def _pattern_from_args(args, dim):
@@ -291,8 +283,8 @@ def _cmd_nabla(args):
         "pattern": pattern.to_json_dict(),
         "count": len(vectors),
         "orbit_size_total": sum(size * count for size, count in zip(sizes, counts)),
-        "rows": _rows_text(vectors, before=b'{"k": ', after=b', "orbit_size": ', index=index,
-                           tails=[f'{size}, "stabilizer_size": {order // size}}}'.encode() for size in sizes]),
+        "rows": _rows_text(vectors, index=index, heads=[b'{"k": '], tails=[
+            f', "orbit_size": {size}, "stabilizer_size": {order // size}}}'.encode() for size in sizes]),
     }
 
     def table():
@@ -310,22 +302,19 @@ def _complex_text(z):
     return f'{{"im": {z.imag!r}, "re": {z.real!r}}}'
 
 
-def _complex_list(values, index=None):
-    """JSON text of ``[{"re": z.real, "im": z.imag} for z in values[index]]`` (finite; by bit pattern if no index)."""
-    if index is None:
-        classes, index = _distinct_rows(values.view(np.uint64).reshape(-1, 2))
-        values = classes.view(np.complex128).ravel()
+def _complex_list(values, index):
+    """JSON text of ``[{"re": z.real, "im": z.imag} for z in values[index]]`` (finite)."""
     return _rows_text(index=index, tails=[_complex_text(z).encode() for z in values.tolist()])
 
 
-def _rule_payload_from(dim, bits, weights, index=None):
+def _rule_payload_from(dim, bits, weights, index):
     """The JSON payload, as ``rule`` writes it, of nodes ``bits / 2`` (0/1 rows) and weights ``weights[index]``."""
     return {"dim": dim, "nodes": _rows_text(bits, (b"0.0", b"0.5")), "weights": _complex_list(weights, index)}
 
 
 def _rule_payload(rule):
     """The JSON payload of a rule whose nodes all lie in ``{0, 1/2}^d``, as ``rule`` writes it."""
-    return _rule_payload_from(rule.dim, (rule.nodes == 0.5).view(np.uint8), rule.weights)
+    return _rule_payload_from(rule.dim, (rule.nodes == 0.5).view(np.uint8), *_classes(rule.weights))
 
 
 def _cmd_rule(args):
@@ -369,15 +358,16 @@ def _cmd_wce(args):
 def _certificate_payload(cert):
     """``cert.to_json_dict()`` with its polynomial (keys in ``{-1, 0, 1}^d``), mode order and combination as text."""
     poly = cert.polynomial
-    re, im = poly.coeffs.real.tolist(), poly.coeffs.imag.tolist()
-    terms = _json_list(
-        poly.keys + 1, (b"-1", b"0", b"1"), b', "k": ', b', "re": ', poly.coeffs.view(np.uint64).reshape(-1, 2),
-        fragment=lambda j: f"{re[j]!r}}}", head=lambda j: f'{{"im": {im[j]!r}',
+    values, index = _classes(poly.coeffs)
+    terms = _rows_text(
+        poly.keys + 1, (b"-1", b"0", b"1"), index,
+        [f'{{"im": {z.imag!r}, "k": '.encode() for z in values.tolist()],
+        [f', "re": {z.real!r}}}'.encode() for z in values.tolist()],
     )
     return cert._json_dict(
         b"".join([b"{", *_json_members(poly._json_dict(terms)), b"}"]),
-        _json_list(np.array(cert.mode_order)),
-        _complex_list(cert.solution.coefficients),
+        _rows_text(np.array(cert.mode_order)),
+        _complex_list(*_classes(cert.solution.coefficients)),
     )
 
 
@@ -412,7 +402,7 @@ def _cmd_weights(args):
     payload = {
         "dim": args.dim,
         "pattern": pattern.to_json_dict(),
-        "ordering": _json_list(ordering),
+        "ordering": _rows_text(ordering),
         "weights": _rows_text(index=index, tails=[json.dumps(w).encode() for w in distinct.tolist()]),
     }
     if args.kappa is not None:

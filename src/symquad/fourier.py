@@ -104,10 +104,11 @@ def reject_nulls_and_lists(kinds, what):
 
 @contextmanager
 def reading(schema):
-    """Turn the ``TypeError``, ``KeyError`` or ``IndexError`` of malformed ``schema`` data into a ``ValueError``."""
+    """Turn the ``TypeError``, ``KeyError``, ``IndexError`` or ``OverflowError`` (a number beyond the float range)
+    of malformed ``schema`` data into a ``ValueError``."""
     try:
         yield
-    except (TypeError, KeyError, IndexError) as exc:
+    except (TypeError, KeyError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed {schema}: {exc!r}") from exc
 
 

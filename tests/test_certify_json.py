@@ -1,8 +1,9 @@
 """``certify`` JSON equals ``json.dumps`` of ``FoolingCertificate.to_json_dict()``, byte for byte.
 
 ``certify`` writes the polynomial's terms and the mode order from arrays
-through ``cli._json_list``: signed key rows as token cells, and each
-distinct coefficient's parts formatted once.  ``to_json_dict()`` stays the
+through ``cli._rows_text``: signed key rows as token cells, between the
+head and tail texts of each distinct coefficient (``cli._classes``), which
+are formatted once.  ``to_json_dict()`` stays the
 reference form, written here with ``json.dumps(..., sort_keys=True)``.
 """
 
@@ -133,10 +134,12 @@ def test_json_list_signed_rows_and_head_texts_match_json_dumps(n):
     values.real, values.imag = rng.choice(parts, n), rng.choice(parts, n)
     re, im = values.real.tolist(), values.imag.tolist()
 
-    assert cli._json_list(keys + 1, SIGNED) == json.dumps(keys.tolist()).encode()
-    written = cli._json_list(
-        keys + 1, SIGNED, b', "k": ', b', "re": ', values.view(np.uint64).reshape(-1, 2),
-        fragment=lambda j: f"{re[j]!r}}}", head=lambda j: f'{{"im": {im[j]!r}',
+    assert cli._rows_text(keys + 1, SIGNED) == json.dumps(keys.tolist()).encode()
+    classes, index = cli._classes(values)
+    written = cli._rows_text(
+        keys + 1, SIGNED, index,
+        [f'{{"im": {z.imag!r}, "k": '.encode() for z in classes.tolist()],
+        [f', "re": {z.real!r}}}'.encode() for z in classes.tolist()],
     )
     expected = [{"k": k, "re": r, "im": i} for k, r, i in zip(keys.tolist(), re, im)]
     assert written == json.dumps(expected, sort_keys=True).encode()
@@ -146,5 +149,5 @@ def test_json_list_tokens_of_any_width_match_json_dumps():
     rng = np.random.default_rng(7)
     tokens = [-1000, 7, 0, 123456, -3]
     index = rng.integers(0, len(tokens), size=(9, 4))
-    written = cli._json_list(index, [json.dumps(t).encode() for t in tokens], b'{"v": ', b"}")
+    written = cli._rows_text(index, [json.dumps(t).encode() for t in tokens], heads=[b'{"v": '], tails=[b"}"])
     assert written == json.dumps([{"v": [tokens[i] for i in row]} for row in index.tolist()]).encode()

@@ -1,0 +1,148 @@
+"""Contract of the commands whose JSON ``cli._rows_text`` writes: ``nabla``, ``rule`` and ``weights``.
+
+Hypothesis draws whole argument lists, malformed ones included, and each
+call runs in-process through ``cli.main`` under a ``signal.setitimer``
+budget (Hypothesis's deadline cannot stop a call that never returns).
+Every call exits 0 or 1.  Exit 1 writes one stderr line that begins
+``error:``.  Exit 0 writes the same bytes on a second call, and in JSON
+those bytes are ``json.dumps(..., sort_keys=True)`` of what they parse to.
+"""
+
+import contextlib
+import io
+import json
+import signal
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from symquad import cli
+
+BUDGET_S = 20.0  # far above any call here: d <= 10 writes at most 2^10 rows
+
+
+class OverBudget(Exception):
+    pass
+
+
+def _over_budget(signum, frame):
+    raise OverBudget(f"a call took longer than {BUDGET_S} s")
+
+
+def call(argv):
+    """(exit code, stdout bytes, stderr text) of ``cli.main(argv)``, within the budget."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+def check_contract(argv):
+    code, out, err = call(argv)
+    assert code in (0, 1), (argv, code, err)
+    if code == 1:
+        assert out == b"", argv
+        assert err.count("\n") == 1 and err.endswith("\n") and err.startswith("error:"), (argv, err)
+        return
+    assert err == "", (argv, err)
+    if "table" not in argv:
+        assert out == (json.dumps(json.loads(out), sort_keys=True) + "\n").encode(), argv
+    assert call(argv) == (0, out, ""), argv
+
+
+MALFORMED_SPECS = ["", "0", "3-1", "1-3;2", "1--2", "a", ";", " , ", "1.5", "2-"]
+
+
+def joined(coords):
+    return ",".join(map(str, coords))
+
+
+def pattern_flags(dim):
+    """No pattern flag, a valid ``--invariant`` or ``--groups`` on ``1..dim``, or a bad or doubled one."""
+    coords = st.lists(st.integers(1, dim), min_size=1, max_size=dim, unique=True)
+    ranges = st.integers(1, dim).flatmap(lambda lo: st.integers(lo, dim).map(lambda hi: f"{lo}-{hi}"))
+    groups = coords.flatmap(lambda c: st.integers(0, len(c)).map(lambda cut: f"{joined(c[:cut])};{joined(c[cut:])}"))
+    bad = st.one_of(st.sampled_from(MALFORMED_SPECS), st.integers(dim + 1, 12).map(str))
+    return st.one_of(
+        st.just([]),
+        st.one_of(coords.map(joined), ranges).map(lambda spec: ["--invariant", spec]),
+        groups.map(lambda spec: ["--groups", spec]),
+        st.one_of(
+            st.tuples(st.sampled_from(["--invariant", "--groups"]), bad).map(list),
+            st.tuples(ranges, ranges).map(lambda specs: ["--invariant", specs[0], "--groups", specs[1]]),
+        ),
+    )
+
+
+dims = st.integers(1, 10)
+cap_flags = st.one_of(st.just([]), st.sampled_from(["0", "-1", "1", "5", "40"]).map(lambda c: ["--cap", c]))
+format_flags = st.sampled_from([[], ["--format", "json"], ["--format", "table"]])
+kappa_flags = st.one_of(
+    st.just([]), st.sampled_from(["1", "2.5", "0.5", "0", "-1", "nan"]).map(lambda k: ["--kappa", k])
+)
+
+
+@st.composite
+def nabla_argvs(draw):
+    dim = draw(dims)
+    return ["nabla", "-d", str(dim), *draw(pattern_flags(dim)), *draw(cap_flags), *draw(format_flags)]
+
+
+@st.composite
+def rule_argvs(draw):
+    dim = draw(dims)
+    kind = draw(st.sampled_from([["--folded"], ["--rectangle"], [], ["--folded", "--rectangle"]]))
+    pattern = draw(pattern_flags(dim)) if kind != ["--rectangle"] or draw(st.booleans()) else []
+    return ["rule", "-d", str(dim), *kind, *pattern, *draw(cap_flags), *draw(format_flags)]
+
+
+@st.composite
+def weights_argvs(draw):
+    """``weights`` arguments but ``--gammas``, and the dimension of the schedule to pass (sometimes not ``-d``)."""
+    dim = draw(dims)
+    schedule_dim = dim if draw(st.integers(0, 3)) else draw(dims)
+    flags = [*draw(pattern_flags(dim)), *draw(kappa_flags), *draw(format_flags)]
+    return schedule_dim, ["weights", "-d", str(dim), *flags]
+
+
+@settings(max_examples=150, deadline=None)
+@given(nabla_argvs())
+@example(["nabla", "-d", "3", "--invariant", "1-3;2"])
+@example(["nabla", "-d", "4", "--groups", "1-2;3-4", "--cap", "-1", "--format", "table"])
+def test_nabla_keeps_the_contract(argv):
+    check_contract(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_argvs())
+@example(["rule", "-d", "5", "--folded", "--groups", "3-1", "--cap", "0"])
+@example(["rule", "-d", "2", "--rectangle", "--cap", "3"])
+def test_rule_keeps_the_contract(argv):
+    check_contract(argv)
+
+
+@pytest.fixture(scope="module")
+def schedules(tmp_path_factory):
+    """Paths of weight schedules of dimensions 1 to 10, written once."""
+    root = tmp_path_factory.mktemp("schedules")
+    paths = {}
+    for dim in range(1, 11):
+        paths[dim] = root / f"gammas-{dim}.json"
+        paths[dim].write_text(json.dumps({"dim": dim, "gammas": [0.5 ** (m // 2) for m in range(dim)]}))
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights_argvs())
+@example((8, ["weights", "-d", "8", "--invariant", "2-5", "--kappa", "1"]))
+@example((4, ["weights", "-d", "3"]))
+def test_weights_keeps_the_contract(schedules, case):
+    schedule_dim, argv = case
+    check_contract([*argv, "--gammas", str(schedules[schedule_dim])])

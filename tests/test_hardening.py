@@ -77,6 +77,7 @@ def test_non_finite_frequencies_are_rejected(key, bad):
         {"dim": 1, "terms": [{"k": [[1]], "re": 1.0, "im": 0.0}]},
         {"dim": None, "terms": []},
         {},
+        {"dim": 1, "terms": [{"k": [1], "re": 10**400, "im": 0.0}]},  # beyond the float range
     ],
 )
 def test_malformed_polynomial_json_raises_value_error(data):
@@ -92,6 +93,8 @@ def test_malformed_polynomial_json_raises_value_error(data):
         {"dim": 1, "nodes": [[0.0]], "weights": [1.0]},
         {"dim": 1, "nodes": [[0.0]], "weights": [{"re": None, "im": 0.0}]},
         {"dim": None, "nodes": [[0.0]], "weights": [{"re": 1.0, "im": 0.0}]},
+        {"dim": 1, "nodes": [[0.0]], "weights": [{"re": 10**400, "im": 0.0}]},  # beyond the float range
+        {"dim": 1, "nodes": [[10**400]], "weights": [{"re": 1.0, "im": 0.0}]},
     ],
 )
 def test_malformed_rule_json_raises_value_error(data):
@@ -142,6 +145,14 @@ def test_integrate_rejects_bad_polynomials(capsys, tmp_path, rule_file, poly_tex
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_integrate_names_the_schema_of_a_number_beyond_the_float_range(capsys, tmp_path, rule_file):
+    poly = tmp_path / "poly.json"
+    poly.write_text('{"dim": 1, "terms": [{"k": [1], "re": 1' + "0" * 400 + ', "im": 0.0}]}')
+    code, out, err = run(capsys, ["integrate", "--rule", rule_file, "--poly", str(poly)])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: malformed polynomial JSON")
 
 
 def test_integrate_rejects_malformed_rule(capsys, tmp_path):

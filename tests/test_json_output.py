@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from symquad import cli
 from symquad.cubature import CubatureRule, folded_rectangle_rule, rectangle_rule
-from symquad.fourier import FourierPolynomial
+from symquad.fourier import FourierPolynomial, _distinct_rows
 from symquad.symmetry import InvariancePattern, binary_orbit_representatives, orbit_stats, symmetrize
 from symquad.weighted import WeightSchedule, order_weights, weight_power_sum
 
@@ -277,23 +277,21 @@ def test_json_list_kernel_matches_json_dumps(n):
     rng = np.random.default_rng(n)
     bits = rng.integers(0, 2, size=(n, int(rng.integers(1, 5))), dtype=np.uint8)
     values = np.array([0.0, -0.0, 0.5, 1e-300, -0.0, 3.0])[:n]
-    keys = values.view(np.uint64)[:, None]  # bit patterns keep -0.0 apart from 0.0
+    classes, index = cli._classes(values)  # by bit pattern: -0.0 is kept apart from 0.0
+    texts = [json.dumps(v).encode() for v in classes.tolist()]
 
-    def text(j):
-        return json.dumps(values[j].item())
-
-    assert cli._json_list(bits, (b"0.0", b"0.5")) == json.dumps((bits * 0.5).tolist()).encode()
-    assert cli._json_list(keys=keys, fragment=text) == json.dumps(values.tolist()).encode()
-    written = cli._json_list(bits, before=b'{"k": ', after=b', "v": ', keys=keys, fragment=lambda j: text(j) + "}")
+    assert cli._rows_text(bits, (b"0.0", b"0.5")) == json.dumps((bits * 0.5).tolist()).encode()
+    assert cli._rows_text(index=index, tails=texts) == json.dumps(values.tolist()).encode()
+    written = cli._rows_text(bits, index=index, heads=[b'{"k": '], tails=[b', "v": ' + t + b"}" for t in texts])
     expected = [{"k": k, "v": v} for k, v in zip(bits.tolist(), values.tolist())]
     assert written == json.dumps(expected).encode()
 
 
 def unique_dedupe_reference(keys, fragment):
-    """JSON text of the list by the ``np.unique(axis=0)`` dedupe, and the rows it formats."""
-    _, first, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    """JSON text of the list by the ``np.unique(axis=0)`` dedupe, and the distinct rows it formats."""
+    rows, first, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     texts = [fragment(j) for j in first.tolist()]
-    return ("[" + ", ".join(texts[i] for i in index.reshape(-1).tolist()) + "]").encode(), first.tolist()
+    return ("[" + ", ".join(texts[i] for i in index.reshape(-1).tolist()) + "]").encode(), rows
 
 
 SIGNED_ZEROS = np.array([0.0, -0.0, 1.5, 0.0, -0.0, 1.5, -0.0, 0.0])
@@ -308,30 +306,30 @@ COMPLEX_KEYS = np.array([0.5 + 0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5, 
         (np.array([2.0, 1.0, 2.0, 1.0, 3.0, 1.0]), lambda v: json.dumps(v)),
         (COMPLEX_KEYS, lambda w: json.dumps({"re": w.real, "im": w.imag}, sort_keys=True)),
         (COMPLEX_KEYS[3:4], lambda w: json.dumps({"re": w.real, "im": w.imag}, sort_keys=True)),
+        (np.array([]), lambda v: json.dumps(v)),
     ],
-    ids=["signed-zeros", "single-row", "repeats-out-of-order", "complex", "complex-single-row"],
+    ids=["signed-zeros", "single-row", "repeats-out-of-order", "complex", "complex-single-row", "empty"],
 )
 def test_json_list_dedupe_matches_np_unique(values, fragment):
-    keys = values.view(np.uint64).reshape(len(values), -1)  # bit patterns: -0.0 is not 0.0
-    formatted = []
-
-    def text(j):
-        formatted.append(j)
-        return fragment(values[j].item())
-
-    written = cli._json_list(keys=keys, fragment=text)
-    expected, first = unique_dedupe_reference(keys, lambda j: fragment(values[j].item()))
+    keys = values.view(np.uint64).reshape(len(values), values.itemsize // 8)  # bit patterns: -0.0 is not 0.0
+    classes, index = cli._classes(values)
+    expected, rows = unique_dedupe_reference(keys, lambda j: fragment(values[j].item()))
+    # the classes are np.unique's rows, in its order, and place every input bitwise: each text is formatted once
+    assert np.array_equal(classes.view(np.uint64).reshape(rows.shape), rows)
+    assert np.array_equal(classes[index].view(np.uint64), values.view(np.uint64))
+    written = cli._rows_text(index=index, tails=[fragment(v).encode() for v in classes.tolist()])
     assert written == expected
-    assert sorted(formatted) == sorted(first)
     assert written == json.dumps([json.loads(fragment(v)) for v in values.tolist()]).encode()
 
 
 def test_json_list_dedupe_of_keys_without_columns():
     bits = np.array([[0, 1], [1, 1], [0, 0]], dtype=np.uint8)
-    keys = np.zeros((3, 0), dtype=np.intp)  # ``nabla`` with no blocks: every row shares one fragment
-    written = cli._json_list(bits, before=b'{"k": ', after=b', "v": ', keys=keys, fragment=lambda j: f"{j}}}")
+    keys = np.zeros((3, 0), dtype=np.intp)  # ``nabla`` with no blocks: every row shares one tail
+    distinct, index = _distinct_rows(keys)
+    tails = [f', "v": {j}}}'.encode() for j in range(len(distinct))]
+    written = cli._rows_text(bits, index=index, heads=[b'{"k": '], tails=tails)
     assert written == json.dumps([{"k": k, "v": 0} for k in bits.tolist()]).encode()
-    assert unique_dedupe_reference(keys, str)[1] == [0]
+    assert len(unique_dedupe_reference(keys, str)[1]) == 1
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
