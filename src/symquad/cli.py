@@ -28,7 +28,7 @@ from .cubature import (
 )
 from .errors import CertificateError, NullspaceError, RefusalError
 from .fooling import construct_certificate
-from .fourier import MAX_INDEX_MAGNITUDE, FourierPolynomial, _distinct_rows, _from_sorted
+from .fourier import MAX_INDEX_MAGNITUDE, FourierPolynomial, _distinct_rows, _from_sorted, _row_codes
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
@@ -130,11 +130,14 @@ def _poly_from_writer_text(raw):
 
     The numbers of the terms list are the runs of number bytes (digits,
     ``-+.``, and ``e`` or ``E`` after a digit, so not the ``e`` of
-    ``"re"``).  The gaps between them must have the writer's lengths and,
-    joined, be the writer's text, so every term holds ``d`` keys, then
-    ``re`` and ``im``.  Keys must read ``-?(0|[1-9][0-9]*)`` within the
-    ``2^31 - 1`` cap and are parsed in ``int64``; the coefficients go
-    through one ``json.loads`` of their list and are set as
+    ``"re"``).  The gaps between them are checked one term period at a
+    time: their lengths, then their bytes, must be the writer's, so every
+    term holds ``d`` keys, then ``re`` and ``im``.  Keys must read
+    ``-?(0|[1-9][0-9]*)`` within the ``2^31 - 1`` cap and are parsed in
+    ``int64``; keys in the writer's order (strictly increasing row codes)
+    are taken as they stand, and any other order is sorted, which also
+    finds duplicates.  Each distinct ``re ... im`` text is parsed once, by
+    one ``json.loads`` of their list, and the values are set as
     ``from_json_dict`` sets them.  Any other text, a duplicated key or any
     failure on the way gives None, and ``json.loads`` then reads the text.
     """
@@ -151,11 +154,15 @@ def _poly_from_writer_text(raw):
     if not (num[0] and num[-1]) or rem or not t:
         return None
     starts, ends = np.append(0, edges[1::2]).reshape(t, -1), np.append(edges[::2], len(body)).reshape(t, -1)
-    lengths = np.tile([2] * (dim - 1) + [*map(len, _TERM_GAPS)], t)[:-1]
-    skeleton = ((b", " * (dim - 1) + b"".join(_TERM_GAPS)) * t)[: -len(_TERM_GAPS[-1])]
-    if not np.array_equal(starts.ravel()[1:] - ends.ravel()[:-1], lengths) or (
-        np.compress(~num, body).tobytes() != skeleton
-    ):
+    # one term period at a time, the last term's missing separator padded: the gap lengths, then the gaps' bytes
+    period, pad = np.frombuffer(b", " * (dim - 1) + b"".join(_TERM_GAPS), np.uint8), len(_TERM_GAPS[-1])
+    gaps = np.append(starts.ravel()[1:] - ends.ravel()[:-1], pad).reshape(t, -1)
+    if (gaps != [2] * (dim - 1) + [*map(len, _TERM_GAPS)]).any():
+        return None
+    skeleton = np.empty((t, len(period)), np.uint8)
+    skeleton[-1, -pad:] = period[-pad:]
+    np.compress(~num, body, out=skeleton.reshape(-1)[:-pad])
+    if (skeleton != period).any():
         return None
     ks, ke = starts[:, :dim].ravel(), ends[:, :dim].ravel()
     neg = body[ks] == ord("-")
@@ -172,16 +179,22 @@ def _poly_from_writer_text(raw):
     value = digits @ 10 ** -(cols + 1)
     if value.max() > MAX_INDEX_MAGNITUDE:
         return None
-    value[neg] *= -1
-    rows, slot = _distinct_rows(value.reshape(t, dim))
-    if len(rows) < t:  # a duplicated key
-        return None
-    spans = zip((starts[:, dim] + start).tolist(), (ends[:, dim + 1] + start).tolist())  # from re to im
+    keys, order = np.where(neg, -value, value).reshape(t, dim), slice(None)
+    codes = _row_codes(keys)
+    if codes is None or (codes[1:] <= codes[:-1]).any():  # not in the writer's order: sorted, duplicates found
+        keys, slot = _distinct_rows(keys)
+        if len(keys) < t:  # a duplicated key
+            return None
+        order = np.argsort(slot)
+    spans = [raw[a:b] for a, b in zip((starts[:, dim] + start).tolist(), (ends[:, dim + 1] + start).tolist())]
+    distinct = dict.fromkeys(spans)  # from re to im; each distinct text is parsed once
     try:
-        parts = json.loads(b"[" + b", ".join([raw[a:b] for a, b in spans]).replace(b', "im": ', b", ") + b"]")
-        coeffs = np.empty(t, dtype=np.complex128)
-        coeffs.real, coeffs.imag = parts[0::2], parts[1::2]
-        return _from_sorted(dim, rows, coeffs[np.argsort(slot)])
+        parts = json.loads(b"[" + b", ".join(distinct).replace(b', "im": ', b", ") + b"]")
+        values = np.empty(len(distinct), dtype=np.complex128)
+        values.real, values.imag = parts[0::2], parts[1::2]
+        if len(values) < t:  # repeated texts, as on the orbits of an invariant integrand
+            values = values[np.fromiter(map(dict(zip(distinct, range(t))).__getitem__, spans), np.intp, t)]
+        return _from_sorted(dim, keys, values[order])
     except (ValueError, OverflowError):  # not a JSON number, beyond the float range or not finite
         return None
 

@@ -27,6 +27,11 @@ VERDICT_NOT_EVALUABLE = "not-evaluable"
 #: bound is constant on (0, 1), so any fixed choice is equivalent.
 REFERENCE_EPSILON = 0.5
 
+#: Largest sample dimension a profile JSON may hold: the node counts, at
+#: most ``2^d``, are written as decimal text, and ``2^10000`` has 3,011
+#: digits, within Python's default limit of 4,300 for int-to-text.
+MAX_PROFILE_DIMENSION = 10_000
+
 
 def node_count_lower_bound(epsilon, pattern: InvariancePattern) -> int:
     """Minimal node count forced at accuracy ``epsilon``.
@@ -71,7 +76,11 @@ class InvarianceProfile:
         with reading("profile JSON"):
             rows = [(row[0], row[1]) for row in data["samples"]]
             reject_bools_and_strings(chain.from_iterable(rows), "profile JSON")
-            return cls(rows, data.get("tag"))
+            profile = cls(rows, data.get("tag"))
+        for row in rows:  # integral numbers now
+            if row[0] > MAX_PROFILE_DIMENSION:
+                raise ValueError(f"profile JSON sample {list(row)} has dimension above {MAX_PROFILE_DIMENSION}")
+        return profile
 
     def to_json_dict(self) -> dict:
         out = {"samples": [list(row) for row in self.samples]}

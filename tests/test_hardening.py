@@ -184,13 +184,23 @@ def test_weights_rejects_malformed_schedules(capsys, tmp_path, gammas_text):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("profile_text", ['{"samples": 5}', '{"samples": [[3]]}', "[[3, 1]]"])
+#: profile text -> what the error names; node counts reach 2^d, beyond an int's shifts and its 4300-digit text
+PROFILE_ERRORS = {
+    '{"samples": 5}': "malformed profile JSON",
+    '{"samples": [[3]]}': "malformed profile JSON",
+    "[[3, 1]]": "malformed profile JSON",
+    '{"samples": [[1e308, 0]]}': "profile JSON sample [1e+308, 0] has dimension above 10000",
+    '{"samples": [[20000, 0]]}': "profile JSON sample [20000, 0] has dimension above 10000",
+}
+
+
+@pytest.mark.parametrize("profile_text", list(PROFILE_ERRORS))
 def test_tract_rejects_malformed_profiles(capsys, tmp_path, profile_text):
     profile = tmp_path / "p.json"
     profile.write_text(profile_text)
     code, out, err = run(capsys, ["tract", "--profile", str(profile)])
     assert (code, out) == (1, "")
-    assert err.startswith("error:")
+    assert err.startswith("error:") and PROFILE_ERRORS[profile_text] in err
 
 
 @pytest.mark.parametrize("kind", ["--rectangle", "--folded"])
@@ -543,6 +553,8 @@ POLY_2 = FourierPolynomial(2, {(1, 0): 1.0})
          DimensionMismatchError, "rule and pattern dimensions differ"),
         (lambda: symquad.construct_certificate(RULE_3, InvariancePattern.single(2, (1, 2)), 2.0),
          DimensionMismatchError, "rule and pattern dimensions differ"),
+        (lambda: symquad.construct_certificate(symquad.rectangle_rule(3), InvariancePattern.single(2, (1, 2)), 2.0),
+         DimensionMismatchError, "rule and pattern dimensions differ"),  # 8 nodes, at least the 3 that refuse
         (lambda: symquad.symmetrize(POLY_2, BLOCK), DimensionMismatchError, "polynomial and pattern dimensions"),
         (lambda: symquad.is_invariant(POLY_2, BLOCK), DimensionMismatchError, "polynomial and pattern dimensions"),
         (lambda: symquad.min_product_weight((1, 0, 0), BLOCK, WeightSchedule(2, (1.0, 0.5))),
@@ -557,9 +569,9 @@ POLY_2 = FourierPolynomial(2, {(1, 0): 1.0})
          ValueError, "node count must be >= 0"),
         (lambda: symquad.rectangle_worst_case_error(0, 2.0), ValueError, "dimension must be >= 1"),
     ],
-    ids=["constraint-matrix", "construct-certificate", "symmetrize", "is-invariant", "product-weights",
-         "add", "multiply", "nullspace-shape", "nullspace-vector", "empty-key", "reversed-range",
-         "negative-node-count", "dimension-zero"],
+    ids=["constraint-matrix", "construct-certificate", "construct-certificate-enough-nodes", "symmetrize",
+         "is-invariant", "product-weights", "add", "multiply", "nullspace-shape", "nullspace-vector", "empty-key",
+         "reversed-range", "negative-node-count", "dimension-zero"],
 )
 def test_error_branches_raise(call, error, message):
     with pytest.raises(error, match=message):

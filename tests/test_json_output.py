@@ -538,6 +538,13 @@ def two_terms(dim, first, second):
 @example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"1.0", b"Infinity"), edits=[])
 @example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"1.0", b"1e999"), edits=[])
 @example(raw=two_terms(2, [1, 2], [1, 2]), edits=[])
+@example(raw=two_terms(2, [1, 2], [3, 4]).replace(b"[3,", b"[18446744073709551617,"), edits=[])  # 2^64 + 1: > 10 digits
+@example(raw=poly_text(2, [([1, 2], 0.5, 0.0), ([3, 4], 0.5, 0.0)]).replace(b'0.5, "im": 0.0}]', b'5e-1, "im": 0.0}]'),
+         edits=[])  # one value spelled two ways
+@example(raw=poly_text(2, [([0, k], re, 1.0) for k, re in enumerate([-0.0, 0.0, -0.0, 0.0])]), edits=[])  # apart
+@example(raw=poly_text(2, [([1, 2], 1.0, 0.0), ([3, 4], 1.0, 0.0)]).replace(b"1.0", b"1e999"), edits=[])  # one text
+@example(raw=poly_text(2, [([3, 4], 0.5, -0.25), ([1, 2], 1.0, 0.0)]), edits=[])  # the writer's terms reversed
+@example(raw=poly_text(2, [([3, 4], 1.0, 0.0), ([1, 2], 0.5, 0.0), ([3, 4], 0.25, 0.0)]), edits=[])  # not adjacent
 def test_poly_reader_agrees_with_json_or_declines(raw, edits):
     for op, at, byte in edits:
         at %= len(raw) + (op == "insert")
@@ -607,8 +614,10 @@ def test_a_workload_shaped_polynomial_is_read_in_place():
     terms = dict(zip(sorted(keys), rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))))
     poly = symmetrize(FourierPolynomial(16, terms), InvariancePattern.single(16, range(1, 9)))
     assert len(poly) > 4000
-    raw = json.dumps(poly.to_json_dict()).encode()
-    for text in (raw, raw + b"\n"):
+    data = poly.to_json_dict()
+    raw = json.dumps(data).encode()
+    reversed_terms = json.dumps({**data, "terms": data["terms"][::-1]}).encode()  # read through the sort
+    for text in (raw, raw + b"\n", reversed_terms):
         got = cli._poly_from_writer_text(text)
         assert got is not None
         assert_same_polynomial(got, poly)
