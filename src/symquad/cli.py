@@ -28,7 +28,7 @@ from .cubature import (
 )
 from .errors import CertificateError, NullspaceError, RefusalError
 from .fooling import construct_certificate
-from .fourier import MAX_INDEX_MAGNITUDE, FourierPolynomial, _distinct_rows, _from_sorted, _row_codes
+from .fourier import FourierPolynomial, _distinct_rows, _from_rows, require_dimension
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
@@ -47,7 +47,15 @@ SCHEMA_VERSION = 1
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
+        return _decoded(path, handle)
+
+
+def _decoded(path, handle):
+    """``json.load(handle)``, a text it cannot decode refused with a message that starts with ``path``."""
+    try:
         return json.load(handle)
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON, an int of over 4,300 digits, too deep
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load(path, reader, from_json_dict):
@@ -60,7 +68,7 @@ def _load(path, reader, from_json_dict):
     with open(path, "rb") as handle:
         raw = handle.read()
     out = reader(raw)
-    return from_json_dict(json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))) if out is None else out
+    return from_json_dict(_decoded(path, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))) if out is None else out
 
 
 _RULE_HEAD = re.compile(rb'\{"dim": ([1-9][0-9]{0,8}), "nodes": \[')
@@ -133,13 +141,12 @@ def _poly_from_writer_text(raw):
     ``"re"``).  The gaps between them are checked one term period at a
     time: their lengths, then their bytes, must be the writer's, so every
     term holds ``d`` keys, then ``re`` and ``im``.  Keys must read
-    ``-?(0|[1-9][0-9]*)`` within the ``2^31 - 1`` cap and are parsed in
-    ``int64``; keys in the writer's order (strictly increasing row codes)
-    are taken as they stand, and any other order is sorted, which also
-    finds duplicates.  Each distinct ``re ... im`` text is parsed once, by
-    one ``json.loads`` of their list, and the values are set as
-    ``from_json_dict`` sets them.  Any other text, a duplicated key or any
-    failure on the way gives None, and ``json.loads`` then reads the text.
+    ``-?(0|[1-9][0-9]*)`` in at most 10 digits, parsed in ``int64``.  Each
+    distinct ``re ... im`` text is parsed once, by one ``json.loads`` of
+    their list, as ``from_json_dict`` sets them; keys and values then pass
+    the constructor's gate, ``fourier._from_rows``.  Any other text, a
+    refusal of the gate or any failure on the way gives None, and
+    ``json.loads`` then reads the text.
     """
     head = _POLY_HEAD.match(raw)
     start, stop = head.end() if head else len(raw), len(raw) - 3 - raw.endswith(b"\n")
@@ -177,15 +184,7 @@ def _poly_from_writer_text(raw):
     if (digits > 9).any() or ((body[ks] == ord("0")) & (n > 1)).any():
         return None
     value = digits @ 10 ** -(cols + 1)
-    if value.max() > MAX_INDEX_MAGNITUDE:
-        return None
-    keys, order = np.where(neg, -value, value).reshape(t, dim), slice(None)
-    codes = _row_codes(keys)
-    if codes is None or (codes[1:] <= codes[:-1]).any():  # not in the writer's order: sorted, duplicates found
-        keys, slot = _distinct_rows(keys)
-        if len(keys) < t:  # a duplicated key
-            return None
-        order = np.argsort(slot)
+    keys = np.where(neg, -value, value).reshape(t, dim)
     spans = [raw[a:b] for a, b in zip((starts[:, dim] + start).tolist(), (ends[:, dim + 1] + start).tolist())]
     distinct = dict.fromkeys(spans)  # from re to im; each distinct text is parsed once
     try:
@@ -194,8 +193,8 @@ def _poly_from_writer_text(raw):
         values.real, values.imag = parts[0::2], parts[1::2]
         if len(values) < t:  # repeated texts, as on the orbits of an invariant integrand
             values = values[np.fromiter(map(dict(zip(distinct, range(t))).__getitem__, spans), np.intp, t)]
-        return _from_sorted(dim, keys, values[order])
-    except (ValueError, OverflowError):  # not a JSON number, beyond the float range or not finite
+        return _from_rows(dim, keys, values)
+    except (ValueError, OverflowError):  # not a JSON number, beyond the float range, or refused by the gate
         return None
 
 
@@ -276,11 +275,16 @@ def _pattern_from_args(args, dim):
     if args.groups is not None and args.invariant is not None:
         raise ValueError("--invariant and --groups are mutually exclusive")
     if args.groups is not None:
-        flag, spec, groups = "--groups", args.groups, parse_groups(args.groups)
+        flag, spec = "--groups", args.groups
     elif args.invariant is not None:
-        flag, spec, groups = "--invariant", args.invariant, (parse_coordinate_set(args.invariant),)
+        flag, spec = "--invariant", args.invariant
     else:
         return InvariancePattern.trivial(dim)
+    # each number is checked before the spec is parsed, which builds a range whole ("1-10000000": 10^7 ints)
+    outside = [n for n in map(int, re.findall(r"\d+", spec)) if not 1 <= n <= dim]
+    if outside:
+        raise ValueError(f"coordinate {outside[0]} outside 1..{require_dimension(dim)}")
+    groups = parse_groups(spec) if flag == "--groups" else (parse_coordinate_set(spec),)
     if not any(groups):  # a spec that is given names at least one coordinate
         raise ValueError(f"{flag} {spec!r} names no coordinate")
     return InvariancePattern(dim, groups)

@@ -172,18 +172,16 @@ def _apply_by_parity(bits, weights, f):
     return complex(math.fsum(products.real.tolist()), math.fsum(products.imag.tolist()))
 
 
-def rectangle_rule(dim, node_cap=DEFAULT_ENUMERATION_CAP) -> CubatureRule:
+def rectangle_rule(dim) -> CubatureRule:
     """Product rectangle rule: ``2^d`` nodes ``j/2``, equal weights ``2^-d``.
 
     The folded rule of the trivial pattern, whose orbits are single points;
-    refused beyond ``node_cap`` nodes (by default beyond ``d = 26``).
+    refused beyond ``DEFAULT_ENUMERATION_CAP`` nodes (beyond ``d = 26``).
     """
-    return folded_rectangle_rule(InvariancePattern.trivial(dim), node_cap=node_cap)
+    return folded_rectangle_rule(InvariancePattern.trivial(dim))
 
 
-def folded_rectangle_rule(
-    pattern: InvariancePattern, node_cap=DEFAULT_ENUMERATION_CAP
-) -> CubatureRule:
+def folded_rectangle_rule(pattern: InvariancePattern) -> CubatureRule:
     """Rectangle rule folded onto canonical orbit representatives.
 
     One node per canonical 0/1 vector, placed at the half-integer point and weighted by
@@ -192,13 +190,13 @@ def folded_rectangle_rule(
     and the rule agrees with the full rectangle rule on all invariant integrands.  Past ``d`` of
     about 1074 the smallest weights round to 0.
     """
-    vectors, index, weights = _folded_classes(pattern, node_cap)
+    vectors, index, weights = _folded_classes(pattern)
     return CubatureRule(pattern.dim, vectors * 0.5, weights[index])
 
 
-def _folded_classes(pattern, node_cap):
+def _folded_classes(pattern, cap=DEFAULT_ENUMERATION_CAP):
     """The canonical 0/1 vectors (``uint8`` rows), each one's weight class, and the class weights ``size / 2**d``."""
-    vectors, ones = canonical_binary_vectors(pattern, cap=node_cap)
+    vectors, ones = canonical_binary_vectors(pattern, cap=cap)
     sizes, index = _binary_orbit_size_classes(pattern, ones)
     return vectors, index, np.array([size / 2**pattern.dim for size in sizes.tolist()])
 

@@ -139,10 +139,7 @@ class FourierPolynomial:
         keys, coeffs = tuple(zip(*pairs, strict=True)) or ((), ())
         coeffs = np.fromiter(map(complex, coeffs), np.complex128, len(coeffs))
         dim = require_dimension(dim)
-        rows, slot = _distinct_rows(_checked_keys(list(map(tuple, keys)), dim))
-        if len(rows) < len(slot):  # name the smallest duplicated key
-            raise ValueError(f"duplicate frequency vector {tuple(rows[np.argmax(np.bincount(slot) > 1)].tolist())}")
-        _from_sorted(dim, rows, coeffs[np.argsort(slot)], self)
+        _from_rows(dim, _checked_keys(list(map(tuple, keys)), dim), coeffs, self)
 
     dim = property(lambda self: self._dim)
     keys = property(lambda self: self._keys)
@@ -265,13 +262,24 @@ def _from_sorted(dim, keys, coeffs, out=None) -> FourierPolynomial:
     return out
 
 
-def _collect(dim, keys, coeffs) -> FourierPolynomial:
-    """Polynomial summing ``coeffs`` over equal integer ``keys``: from 0, in array order (``np.bincount``)."""
+def _from_rows(dim, keys, coeffs, out=None) -> FourierPolynomial:
+    """``_from_sorted`` of ``int64`` key rows in any order, refusing a key beyond the cap and a duplicated key."""
     if (np.abs(keys) > MAX_INDEX_MAGNITUDE).any():
         raise ValueError(_OVER_CAP)
+    codes = _row_codes(keys)
+    if codes is None or (codes[1:] <= codes[:-1]).any():  # not already sorted and distinct
+        rows, slot = _distinct_rows(keys)
+        if len(rows) < len(slot):  # name the smallest duplicated key
+            raise ValueError(f"duplicate frequency vector {tuple(rows[np.argmax(np.bincount(slot) > 1)].tolist())}")
+        keys, coeffs = rows, coeffs[np.argsort(slot)]
+    return _from_sorted(dim, keys, coeffs, out)
+
+
+def _collect(dim, keys, coeffs) -> FourierPolynomial:
+    """Polynomial summing ``coeffs`` over equal integer ``keys``: from 0, in array order (``np.bincount``)."""
     rows, slot = _distinct_rows(keys)
     sums = np.bincount(slot, coeffs.real, len(rows)) + 1j * np.bincount(slot, coeffs.imag, len(rows))
-    return _from_sorted(dim, rows, sums)
+    return _from_rows(dim, rows, sums)
 
 
 def _product(a, b) -> np.ndarray:

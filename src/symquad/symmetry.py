@@ -199,6 +199,17 @@ def critical_node_count(pattern: InvariancePattern) -> int:
     return math.prod((len(g) + 1 for g in pattern.groups), start=free)
 
 
+def _enumeration_count(pattern: InvariancePattern, stop, cap) -> int:
+    """The number of canonical 0/1 vectors, or ``stop`` when fewer, refused beyond ``cap`` when set."""
+    count = critical_node_count(pattern)
+    if stop is not None:
+        count = min(count, max(0, require_integral(stop, "stop")))
+    if cap is not None and count > cap:  # Python writes no int of over 4,300 digits; 2^10000 has 3,011
+        text = count if count.bit_length() <= 10_000 else f"at least 2^{count.bit_length() - 1}"
+        raise CapExceededError(f"enumeration of {text} representatives exceeds cap {cap}")
+    return count
+
+
 def canonical_binary_vectors(
     pattern: InvariancePattern, stop=None, cap=DEFAULT_ENUMERATION_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -212,11 +223,7 @@ def canonical_binary_vectors(
     Children keep their parents' order, so cutting every level to ``n``
     rows keeps the lexicographic prefix.  ``cap`` bounds ``n`` when set.
     """
-    count = critical_node_count(pattern)
-    if stop is not None:
-        count = min(count, max(0, require_integral(stop, "stop")))
-    if cap is not None and count > cap:
-        raise CapExceededError(f"enumeration of {count} representatives exceeds cap {cap}")
+    count = _enumeration_count(pattern, stop, cap)
     group_of = {i: gi for gi, g in enumerate(pattern.groups) for i in g}
     vectors = np.zeros((1, pattern.dim), dtype=np.uint8)  # column c is set at level c
     ones = np.zeros((1, len(pattern.groups)), dtype=np.intp)
@@ -287,9 +294,7 @@ def binary_orbit_representatives(
     ``cap=None`` streams enumerations too large to hold.  A ``cap`` (when
     not None) rejects patterns whose full enumeration would exceed it.
     """
-    count = critical_node_count(pattern)
-    if cap is not None and count > cap:
-        raise CapExceededError(f"enumeration of {count} representatives exceeds cap {cap}")
+    count = _enumeration_count(pattern, None, cap)
     done, stop = 0, 1024
     while done < count:
         vectors, _ = canonical_binary_vectors(pattern, stop, cap=None)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -416,3 +417,55 @@ def test_wce_for_large_alpha_exits_0(capsys):
     code, out, err = run(capsys, ["wce", "-d", "3", "--alpha", "1025"])
     assert (code, err) == (0, "")
     assert 0 < json.loads(out)["closed_form"] < 1e-300
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["nabla", "-d", "20000"], "at least 2^20000"),
+        (["rule", "--rectangle", "-d", "20000"], "at least 2^20000"),
+        (["rule", "--folded", "-d", "20000", "--invariant", "1-2"], "at least 2^19999"),  # 3 * 2^19998
+        (["rule", "--rectangle", "-d", "27"], "134217728"),
+    ],
+)
+def test_an_enumeration_beyond_the_cap_is_refused_in_one_line_at_any_d(capsys, argv, count):
+    expected = f"error: enumeration of {count} representatives exceeds cap 67108864\n"
+    assert run(capsys, argv) == (1, "", expected)
+
+
+@pytest.mark.parametrize("flag", ["--invariant", "--groups"])
+def test_a_range_past_d_is_refused_before_it_is_built(capsys, flag):
+    build_parser()  # built once and cached, outside the measurement
+    tracemalloc.start()
+    try:
+        code = main(["rule", "-d", "3", "--folded", flag, "1-2000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, *capsys.readouterr()) == (1, "", "error: coordinate 2000000 outside 1..3\n")
+    assert peak < 1 << 20
+
+
+BIG_INT = "1" + "0" * 5000  # an int of 5,001 digits: Python reads at most 4,300 from text
+GOOD_RULE = '{"dim": 1, "nodes": [[0.5]], "weights": [{"re": 1.0, "im": 0.0}]}'
+
+
+@pytest.mark.parametrize(
+    "text, argv, words",
+    [
+        ('{"samples": [[%s, 0]]}' % BIG_INT, ["tract", "--profile", "BAD"], "Exceeds the limit (4300 digits)"),
+        ('{"dim": 1, "terms": [{"k": [%s], "re": 1.0, "im": 0.0}]}' % BIG_INT,
+         ["integrate", "--rule", "GOOD", "--poly", "BAD"], "Exceeds the limit (4300 digits)"),
+        ('{"dim": 3, "gammas": [%s, 1, 1]}' % BIG_INT, ["weights", "-d", "3", "--gammas", "BAD"], "Exceeds the limit"),
+        ("{not json", ["certify", "--rule", "BAD", "--alpha", "2"], "Expecting property name"),
+        ("{not json", ["integrate", "--rule", "GOOD", "--poly", "BAD"], "Expecting property name"),
+    ],
+    ids=["profile", "poly", "gammas", "rule", "poly-not-json"],
+)
+def test_json_that_cannot_be_decoded_is_named_by_its_file(capsys, tmp_path, text, argv, words):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(text)
+    good.write_text(GOOD_RULE)
+    code, out, err = run(capsys, [{"BAD": str(bad), "GOOD": str(good)}.get(arg, arg) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: ") and words in err and err.count("\n") == 1

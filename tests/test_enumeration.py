@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -174,3 +175,14 @@ def test_orbit_members_of_multi_block_patterns(pattern):
     members, owner = binary_orbit_members(pattern, vectors.astype(np.int64))
     assert list(zip(owner.tolist(), as_tuples(members))) == orbit_listing(pattern, vectors)
     assert len(members) == 2**pattern.dim
+
+
+@pytest.mark.parametrize("dim, count", [(27, "134217728"), (20000, "at least 2^20000")])
+def test_every_enumeration_refuses_with_one_message(dim, count):
+    # 2^20000 has 6,021 digits, beyond the 4,300 that Python writes as text
+    message = f"^enumeration of {re.escape(count)} representatives exceeds cap 67108864$"
+    pattern = InvariancePattern.trivial(dim)
+    for build in (canonical_binary_vectors, lambda p: list(binary_orbit_representatives(p)), rectangle_rule,
+                  folded_rectangle_rule):
+        with pytest.raises(CapExceededError, match=message):
+            build(dim if build is rectangle_rule else pattern)

@@ -548,3 +548,39 @@ def test_int_keys_beyond_int64_meet_the_cap_in_the_constructor_too():
     for big in (2**63, -(2**63) - 1, 2**64, 2**100):
         with pytest.raises(ValueError, match="magnitude cap"):
             FourierPolynomial(2, [((0, 0), 1.0), ((1, big), 1.0)])
+
+
+# ---------------------------------------------------------------------------
+# one canonical-form gate (``_from_rows``) behind the constructor, ``_collect`` and the in-place reader
+
+
+def test_terms_in_order_and_reversed_give_bitwise_equal_arrays():
+    terms = [((-2, 5, 0), 1.5 - 0j), ((0, 0, 1), -0.25j), ((0, 1, -3), 0.5 + 0.5j), ((3, -1, 0), -0.0 + 2j)]
+    forward, backward = FourierPolynomial(3, terms), FourierPolynomial(3, terms[::-1])
+    assert forward.support() == tuple(k for k, _ in terms)
+    assert forward.keys.tobytes() == backward.keys.tobytes() and forward.coeffs.tobytes() == backward.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("keys", [[(0, 1), (0, 1), (1, 0)], [(0, 1), (1, 0), (0, 1)]], ids=["adjacent", "apart"])
+def test_a_duplicated_key_is_named_adjacent_or_not(keys):
+    with pytest.raises(ValueError, match=r"^duplicate frequency vector \(0, 1\)$"):
+        FourierPolynomial(2, [(k, 1.0 + j) for j, k in enumerate(keys)])
+
+
+def test_a_product_whose_keys_pass_the_cap_is_refused():
+    p = FourierPolynomial(2, {(0, 1): 1.0, (2**30, -5): 0.5})
+    assert (p + p).support() == p.support()
+    with pytest.raises(ValueError, match=f"^{CAP_MESSAGE}$"):
+        p * p
+
+
+def test_one_column_keys_have_no_row_codes_and_take_the_sort_route(monkeypatch):
+    sorted_lengths = []
+    distinct_rows = fourier._distinct_rows
+    monkeypatch.setattr(fourier, "_distinct_rows", lambda block: sorted_lengths.append(len(block)) or distinct_rows(block))
+    assert FourierPolynomial(1, [((-2,), 2.0), ((3,), 1.0)]).support() == ((-2,), (3,))
+    assert sorted_lengths == [2]
+    assert FourierPolynomial(2, [((-2, 0), 2.0), ((3, 0), 1.0)]).support() == ((-2, 0), (3, 0))  # taken as they stand
+    assert sorted_lengths == [2]
+    with pytest.raises(ValueError, match=r"^duplicate frequency vector \(3,\)$"):
+        FourierPolynomial(1, [((3,), 1.0), ((-2,), 2.0), ((3,), 1.0)])

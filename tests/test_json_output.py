@@ -621,3 +621,11 @@ def test_a_workload_shaped_polynomial_is_read_in_place():
         got = cli._poly_from_writer_text(text)
         assert got is not None
         assert_same_polynomial(got, poly)
+
+
+@pytest.mark.parametrize("keys", [[[0, 1], [0, 1], [1, 0]], [[0, 1], [1, 0], [0, 1]]], ids=["adjacent", "apart"])
+def test_the_poly_reader_declines_a_duplicated_key_adjacent_or_not(keys):
+    terms = [(k, 1.0 + j, 0.0) for j, k in enumerate(keys)]
+    assert cli._poly_from_writer_text(poly_text(2, terms)) is None
+    terms[keys.index([0, 1], 1)] = ([2, 2], 5.0, 0.0)  # the same text with distinct keys is read in place
+    assert cli._poly_from_writer_text(poly_text(2, terms)).support() == ((0, 1), (1, 0), (2, 2))
