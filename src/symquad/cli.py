@@ -74,6 +74,9 @@ def _load(path, reader, from_json_dict):
 _RULE_HEAD = re.compile(rb'\{"dim": ([1-9][0-9]{0,8}), "nodes": \[')
 _WEIGHTS_HEAD = b' "schema_version": 1, "weights": [{'
 
+#: Bytes of text that ``_rule_from_writer_text`` compares at a time.
+_CHUNK_BYTES = 1 << 18
+
 
 def _rule_from_writer_text(raw):
     """The rule whose ``rule`` output is the bytes ``raw``, or None.
@@ -84,12 +87,14 @@ def _rule_from_writer_text(raw):
     must equal the row ``[0.0, ..., 0.0], `` except that the digit of a
     token may be ``5`` (the coordinate ``0.5``) and the last row ends in
     ``],``.  ``_WEIGHTS_HEAD`` follows them.  The weights are split on
-    ``}, {`` (or compared whole with ``n`` copies of the first, when they
-    are one value); each distinct weight text is parsed once and must be
-    the writer's text (``_complex_text``) of the value it parses to.  Since
-    ``json.dumps`` writes every float64 so that it reads back as itself,
-    ``json.loads`` would then have given the same values, signed zeros
-    included.  Any other text, or any failure on the way, gives None.
+    ``}, {`` (or compared in place with ``n`` copies of the first, when
+    they are one value); each distinct weight text is parsed once and must
+    be the writer's text (``_complex_text``) of the value it parses to.
+    Since ``json.dumps`` writes every float64 so that it reads back as
+    itself, ``json.loads`` would then have given the same values, signed
+    zeros included.  Rows and copies are compared at most ``_CHUNK_BYTES``
+    at a time, so no temporary grows with the text.  Any other text, or
+    any failure on the way, gives None.
     """
     head = _RULE_HEAD.match(raw)
     split = raw.find(_WEIGHTS_HEAD, head.end()) if head else -1
@@ -99,19 +104,19 @@ def _rule_from_writer_text(raw):
     n, rem = divmod(split - start, 5 * dim + 2)
     if rem or not n:
         return None
-    body = raw[split + len(_WEIGHTS_HEAD) : -4]
-    first = body.partition(b"}, {")[0]
-    # one weight text throughout, as in a rectangle rule; the copies are made only when they fit the body
-    uniform = len(body) == n * (len(first) + 4) - 4 and body == (first + b"}, {") * (n - 1) + first
-    fragments = [first] if uniform else body.split(b"}, {")
+    lo, hi = split + len(_WEIGHTS_HEAD), len(raw) - 4  # the weights text, from inside its first { to its last }
+    cut = raw.find(b"}, {", lo, hi)
+    first = raw[lo : hi if cut < 0 else cut]
+    unit = first + b"}, {"
+    uniform = hi - lo == n * len(unit) - 4
+    if uniform:  # one weight text throughout, as in a rectangle rule: compared in place with copies of it
+        copies = unit * max(1, min(n, _CHUNK_BYTES // len(unit)))
+        uniform = all(raw.startswith(copies[: hi - at], at) for at in range(lo, hi, len(copies)))
+    fragments = [first] if uniform else raw[lo:hi].split(b"}, {")
     if not uniform and len(fragments) != n:
         return None
-    rows = np.frombuffer(raw, dtype=np.uint8, count=split - start, offset=start).reshape(n, -1)
-    half = rows[:, 3::5] == ord("5")
-    wrong = rows != np.frombuffer(b"[" + b", ".join([b"0.0"] * dim) + b"], ", dtype=np.uint8)
-    wrong[:, 3::5] &= ~half
-    wrong[-1, -2:] = rows[-1, -2:] != np.frombuffer(b"],", dtype=np.uint8)
-    if wrong.any():
+    half = _half_grid_rows(raw, start, n, dim)
+    if half is None:
         return None
     distinct = dict.fromkeys(fragments)
     values = np.empty(len(distinct), dtype=np.complex128)
@@ -125,8 +130,30 @@ def _rule_from_writer_text(raw):
             distinct[fragment] = j
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
         return None
-    index = np.zeros(n, np.intp) if uniform else np.fromiter(map(distinct.__getitem__, fragments), np.intp, n)
-    return CubatureRule(dim, half * 0.5, values[index])
+    weights = values.repeat(n) if uniform else values[np.fromiter(map(distinct.__getitem__, fragments), np.intp, n)]
+    return CubatureRule(dim, half * 0.5, weights)
+
+
+def _half_grid_rows(raw, start, n, dim):
+    """The ``n`` node rows that ``rule`` writes from ``raw[start]`` as a boolean array of their 0.5 coordinates, or None.
+
+    Each byte must be that of a row of ``0.0`` tokens or of one of ``0.5``
+    tokens, except that the last row ends in ``],``; the rows are compared
+    at most ``_CHUNK_BYTES`` at a time.
+    """
+    width = 5 * dim + 2
+    end = start + n * width - 2  # the last row ends in "]," where the others end in ", "
+    if raw[end : end + 2] != b"],":
+        return None
+    row = b"[" + b", ".join([b"0.0"] * dim) + b"], "
+    zeros, fives = (np.frombuffer(r * max(1, min(n, _CHUNK_BYTES // width)), np.uint8) for r in (row, row.replace(b"0.0", b"0.5")))
+    for at in range(start, end, len(zeros)):
+        part = np.frombuffer(raw, np.uint8, min(len(zeros), end - at), at)
+        wrong = part != zeros[: len(part)]
+        wrong &= part != fives[: len(part)]
+        if wrong.any():
+            return None
+    return np.frombuffer(raw, np.uint8, n * width, start).reshape(n, width)[:, 3::5] == ord("5")
 
 
 _POLY_HEAD = re.compile(rb'\{"dim": ([1-9][0-9]{0,8}), "terms": \[\{"k": \[')

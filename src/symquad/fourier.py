@@ -372,35 +372,38 @@ def _distinct_rows(block):
     """Distinct rows of a 2-D numeric array, lexicographically, and each row's index among them.
 
     Equal rows are runs of one stable sort (``np.unique(axis=0)`` is far
-    slower): of the rows' mixed-radix codes (``_row_codes``) when they fit
-    in ``int64``, else one ``np.lexsort`` over the columns.  Rows compare by
+    slower): of the rows' codes (``_row_codes``) when they have some, else
+    one ``np.lexsort`` over the columns.  Rows compare by
     value, so ``-0.0`` equals ``0.0``; a block with no columns has one
     distinct row.
     """
     codes = _row_codes(block)
+    starts = np.ones(len(block), dtype=bool)
     if codes is None:
         order = np.lexsort(block.T[::-1]) if block.shape[1] else np.arange(len(block))
-        rows = compared = block[order]
+        rows = block[order]
+        starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     else:
         order = np.argsort(codes, kind="stable")
-        rows, compared = block[order], codes[order, None]  # a row's code compares like the row
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (compared[1:] != compared[:-1]).any(axis=1)
+        rows, codes = block[order], codes[order]
+        starts[1:] = codes[1:] != codes[:-1]  # a row's code compares like the row
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return rows[starts], inverse
 
 
 def _row_codes(block):
-    """Each row of an integer block as one ``int64`` that sorts like the row, or None.
+    """Each row of an integer block as one integer that sorts like the row, or None.
 
-    With ``lo`` the block's least entry and ``s = max - lo + 1`` its span,
-    row ``x`` codes as ``sum_m (x_m - lo) s^(c-1-m)`` over its ``c``
-    columns; None for float and empty blocks, for one column (already a
-    single sort key), and when ``s^c >= 2^63``.
+    One column is its own code.  Otherwise, with ``lo`` the block's least
+    entry and ``s = max - lo + 1`` its span, row ``x`` codes as the
+    ``int64`` ``sum_m (x_m - lo) s^(c-1-m)`` over its ``c`` columns; None
+    for float and empty blocks, and when ``s^c >= 2^63``.
     """
-    if block.dtype.kind not in "iu" or block.size == 0 or block.shape[1] == 1:
+    if block.dtype.kind not in "iu" or block.size == 0:
         return None
+    if block.shape[1] == 1:
+        return block[:, 0]
     lo = block.min()
     span = int(block.max()) - int(lo) + 1
     if span ** block.shape[1] >= 2**63:

@@ -574,13 +574,18 @@ def test_a_product_whose_keys_pass_the_cap_is_refused():
         p * p
 
 
-def test_one_column_keys_have_no_row_codes_and_take_the_sort_route(monkeypatch):
+def test_one_column_keys_are_their_own_codes_and_are_sorted_only_out_of_order(monkeypatch):
     sorted_lengths = []
     distinct_rows = fourier._distinct_rows
     monkeypatch.setattr(fourier, "_distinct_rows", lambda block: sorted_lengths.append(len(block)) or distinct_rows(block))
-    assert FourierPolynomial(1, [((-2,), 2.0), ((3,), 1.0)]).support() == ((-2,), (3,))
+    assert FourierPolynomial(1, [((-2,), 2.0), ((3,), 1.0)]).support() == ((-2,), (3,))  # taken as they stand
+    assert FourierPolynomial(2, [((-2, 0), 2.0), ((3, 0), 1.0)]).support() == ((-2, 0), (3, 0))
+    assert sorted_lengths == []
+    assert FourierPolynomial(1, [((3,), 1.0), ((-2,), 2.0)]).support() == ((-2,), (3,))
     assert sorted_lengths == [2]
-    assert FourierPolynomial(2, [((-2, 0), 2.0), ((3, 0), 1.0)]).support() == ((-2, 0), (3, 0))  # taken as they stand
-    assert sorted_lengths == [2]
-    with pytest.raises(ValueError, match=r"^duplicate frequency vector \(3,\)$"):
-        FourierPolynomial(1, [((3,), 1.0), ((-2,), 2.0), ((3,), 1.0)])
+    # _collect groups its keys once, and its distinct rows are not sorted again
+    summed = fourier._collect(1, np.array([[5], [-1], [5], [0]]), np.array([1.0, 2.0, 0.5, 1j]))
+    assert summed.terms == {(-1,): 2.0, (0,): 1j, (5,): 1.5}
+    assert sorted_lengths == [2, 4]
+    with pytest.raises(ValueError, match=r"^duplicate frequency vector \(-2,\)$"):  # the smallest duplicated key
+        FourierPolynomial(1, [((3,), 1.0), ((-2,), 2.0), ((3,), 1.0), ((-2,), 1.0)])

@@ -1,5 +1,7 @@
 """``apply_rule`` on the half-integer grid: parity classes against pointwise evaluation."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,7 @@ from symquad import (
     rectangle_rule,
     symmetrize,
 )
-from symquad.fourier import MAX_INDEX_MAGNITUDE
+from symquad.fourier import MAX_INDEX_MAGNITUDE, _distinct_rows
 
 
 def pointwise(rule, f):
@@ -31,6 +33,32 @@ def assert_agrees(rule, f):
     value, reference = apply_rule(rule, f), pointwise(rule, f)
     coeff_sum = sum(abs(c) for c in f.terms.values())
     assert abs(value - reference) <= 1e-12 * (1.0 + rule.weight_abs_sum()) * coeff_sum
+
+
+def float_grid_route(rule, f):
+    """The half-grid route with a float grid test, row-wise packing and grouped packed bytes; None off the grid.
+
+    The reference for the boolean grid test, the flat packing and the integer class codes, whose sums must be the same.
+    """
+    bits = rule.nodes * 2.0
+    if not np.array_equal(bits, np.floor(bits)):  # nodes in [0, 1): bits are 0 or 1
+        return None
+    weights = rule.weights
+    class_bytes, inverse = _distinct_rows(np.packbits(f.keys & 1, axis=1))
+    node_bytes = np.packbits(bits != 0, axis=1)
+    w_parts = np.stack([weights.real, weights.imag])
+    odd_sums = np.zeros((2, len(class_bytes)))
+    chunk = max(1, (1 << 18) // len(class_bytes))
+    for lo in range(0, len(node_bytes), chunk):
+        odd = node_bytes[lo:lo + chunk, :1] & class_bytes[:, 0]
+        for j in range(1, class_bytes.shape[1]):
+            odd ^= node_bytes[lo:lo + chunk, j:j + 1] & class_bytes[:, j]
+        for shift in (4, 2, 1):
+            odd ^= odd >> shift
+        odd_sums += np.einsum("kn,nc->kc", w_parts[:, lo:lo + chunk], (odd & 1).astype(np.float64))
+    w_hat = w_parts.sum(axis=1)[:, None] - 2.0 * odd_sums
+    products = f.coeffs * (w_hat[0] + 1j * w_hat[1])[inverse]
+    return complex(math.fsum(products.real.tolist()), math.fsum(products.imag.tolist()))
 
 
 def random_grid_rule(rng, dim, n_nodes):
@@ -159,3 +187,51 @@ def test_dyadic_rules_round_only_the_products(seed):
     value = apply_rule(rule, f)
     assert abs(Fraction(value.real) - exact_re) <= 2.0**-53 * (scale + abs(value.real))
     assert abs(Fraction(value.imag) - exact_im) <= 2.0**-53 * (scale + abs(value.imag))
+
+
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 16, 17, 64, 65, 130])
+@pytest.mark.parametrize("seed", range(3))
+def test_the_half_grid_route_is_bit_identical_to_the_float_grid_route(dim, seed, pointwise_calls):
+    rng = np.random.default_rng([seed, dim, 5])
+    f = random_polynomial(dim, int(rng.integers(1, 120)), rng, max_magnitude=3)
+    n_classes = len(np.unique(f.keys & 1, axis=0))
+    # more nodes than one chunk holds, drawn from fewer distinct rows so that nodes repeat
+    n_nodes = (1 << 18) // n_classes + int(rng.integers(1, 200))
+    rows = rng.integers(0, 2, size=(int(rng.integers(1, 300)), dim))
+    bits = rows[rng.integers(0, len(rows), size=n_nodes)]
+    rule = CubatureRule(dim, bits * 0.5, rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes))
+    value = apply_rule(rule, f)
+    assert value == float_grid_route(rule, f)
+    assert pointwise_calls == []
+
+
+@pytest.mark.parametrize(
+    "coordinate, on_grid",
+    [(-0.0, True), (0.25, False), (np.nextafter(0.5, 0), False), (np.nextafter(0.5, 1), False), (1 - 2**-53, False)],
+)
+def test_the_grid_decision_at_its_edges(coordinate, on_grid, pointwise_calls):
+    rng = np.random.default_rng(9)
+    nodes = rng.integers(0, 2, size=(5, 3)) * 0.5
+    nodes[2, 1] = coordinate
+    rule = CubatureRule(3, nodes, rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    f = random_polynomial(3, 12, rng, max_magnitude=3)
+    expected = float_grid_route(rule, f)
+    assert (expected is not None) == on_grid
+    value = apply_rule(rule, f)
+    if on_grid:
+        assert value == expected and pointwise_calls == []
+    else:
+        assert value == pointwise(rule, f) and pointwise_calls == [5]
+
+
+def test_the_half_grid_route_makes_no_full_size_temporary():
+    rule = rectangle_rule(15)
+    f = FourierPolynomial(15, {(0,) * 15: 1.0, (1,) + (0,) * 14: 0.5j, (2, -1) + (0,) * 13: -0.25})
+    tracemalloc.start()
+    try:
+        value = apply_rule(rule, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1.0
+    assert peak < rule.nodes.nbytes  # 3.9 MB of float nodes

@@ -483,6 +483,26 @@ def test_a_long_weights_text_is_refused_without_copies_of_it():
     assert peak < 20 * len(raw)
 
 
+@pytest.mark.parametrize("byte", [b" ", b";", b"]"])
+def test_a_last_node_row_not_closed_by_the_writers_comma_is_refused(byte):
+    raw = written_rule()
+    at = raw.index(b']], "schema_version"') + 2
+    assert cli._rule_from_writer_text(raw[:at] + byte + raw[at + 1 :]) is None
+
+
+def test_a_rectangle_rule_text_is_read_without_full_size_temporaries():
+    args = cli.build_parser().parse_args(["rule", "--rectangle", "-d", "15"])
+    raw = args.func(args)
+    tracemalloc.start()
+    try:
+        rule = cli._rule_from_writer_text(raw)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rule is not None and rule.n_nodes == 2**15
+    assert peak - held < len(raw) / 2  # 3.7 MB of text; its nodes alone take 3.9 MB as floats
+
+
 # ---------------------------------------------------------------------------
 # reading a polynomial: the writer's layout is read in place, any other text as json.loads reads it
 
