@@ -46,29 +46,19 @@ SCHEMA_VERSION = 1
 
 
 def _load_json(path):
+    """``json.load`` of the file at ``path``, a text it cannot decode refused with a message that starts with ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return _decoded(path, handle)
-
-
-def _decoded(path, handle):
-    """``json.load(handle)``, a text it cannot decode refused with a message that starts with ``path``."""
-    try:
-        return json.load(handle)
-    except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON, an int of over 4,300 digits, too deep
-        raise ValueError(f"{path}: {exc}") from exc
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON, an int of over 4,300 digits, too deep
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load(path, reader, from_json_dict):
-    """The object in the JSON file at ``path``, read once as bytes.
-
-    ``reader`` reads the text that symquad writes in place; when it gives
-    None the text goes through ``json.load`` as ``_load_json`` reads it, so
-    its values and errors are those of ``from_json_dict``.
-    """
+    """``reader`` of the bytes of the file at ``path``, or, when it gives None, ``from_json_dict(_load_json(path))``."""
     with open(path, "rb") as handle:
-        raw = handle.read()
-    out = reader(raw)
-    return from_json_dict(_decoded(path, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))) if out is None else out
+        out = reader(handle.read())
+    return from_json_dict(_load_json(path)) if out is None else out
 
 
 _RULE_HEAD = re.compile(rb'\{"dim": ([1-9][0-9]{0,8}), "nodes": \[')

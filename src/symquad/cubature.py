@@ -67,7 +67,7 @@ class CubatureRule:
         weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
         if nodes.shape[0] != weights.shape[0]:
             raise ValueError("node and weight counts differ")
-        if nodes.size and (not np.all(np.isfinite(nodes)) or np.any(nodes < 0.0) or np.any(nodes >= 1.0)):
+        if nodes.size and not (nodes.min() >= 0.0 and nodes.max() < 1.0):  # NaN fails both, -0.0 passes
             raise ValueError("node coordinates must lie in [0, 1)")
         if weights.size and not np.all(np.isfinite(weights.view(np.float64))):
             raise ValueError("weights must be finite")
@@ -139,26 +139,31 @@ def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
     rounded once and the products are summed exactly, so the value depends
     neither on node order nor on the BLAS build.  Other rules evaluate
     every term at every node; that route may reassociate sums, which moves
-    the result by at most about ``1e-12 * (1 + sum|w_n|) * sum|c_k|``.
+    the result by at most about ``1e-12 * (1 + sum|w_n|) * sum|c_k|``.  An
+    overflow on either route raises ``OverflowError``.
     """
     if rule.dim != f.dim:
         raise DimensionMismatchError("rule and polynomial dimensions differ")
     if rule.n_nodes == 0 or len(f) == 0:
         return 0j
     half = rule.nodes == 0.5
-    # the nodes lie in [0, 1), so 2t is whole exactly when t is 0.0 (or -0.0) or 0.5
-    if np.count_nonzero(half) + np.count_nonzero(rule.nodes == 0.0) == half.size:
-        return _apply_by_parity(half, rule.weights, f)
-    values = evaluate_at_points(f, rule.nodes)
-    return complex(np.dot(rule.weights, values))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, with no warning
+        # the nodes lie in [0, 1), so 2t is whole exactly when t is 0.0 (or -0.0) or 0.5
+        if np.count_nonzero(half) + np.count_nonzero(rule.nodes == 0.0) == half.size:
+            value = _apply_by_parity(half, rule.weights, f)
+        else:
+            value = complex(np.dot(rule.weights, evaluate_at_points(f, rule.nodes)))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise OverflowError("the rule value overflowed the float range (1.8e308)")
+    return value
 
 
 def _apply_by_parity(half, weights, f):
     """``apply_rule`` at the nodes ``half / 2``, ``half`` a boolean array.
 
     Node rows and the classes of key parities are packed to bytes
-    (``_packed_rows``, ``_parity_classes``), and the parity of ``p.b_n`` is
-    the XOR of the bits of ``p & b_n``.  The odd nodes' weights of each
+    (``_packed_rows``, ``_parity_classes``); ``p.b_n`` is odd where the
+    ``np.bitwise_count`` of ``p & b_n`` is.  The odd nodes' weights of each
     class are summed by ``np.einsum`` over fixed node chunks.
     """
     class_bytes, inverse = _parity_classes(f.keys)
@@ -171,14 +176,15 @@ def _apply_by_parity(half, weights, f):
     chunk = max(1, (1 << 18) // len(class_bytes))
     for lo in range(0, len(node_bytes), chunk):
         odd = node_bytes[lo:lo + chunk, :1] & class_bytes[:, 0]
-        for j in range(1, class_bytes.shape[1]):  # XOR the bytes of p & b_n, then the bits
+        for j in range(1, class_bytes.shape[1]):  # XOR the bytes of p & b_n, then count the bits
             odd ^= node_bytes[lo:lo + chunk, j:j + 1] & class_bytes[:, j]
-        for shift in (4, 2, 1):
-            odd ^= odd >> shift
-        odd_sums += np.einsum("kn,nc->kc", w_parts[:, lo:lo + chunk], (odd & 1).astype(np.float64))
+        odd_sums += np.einsum("kn,nc->kc", w_parts[:, lo:lo + chunk], (np.bitwise_count(odd) & 1).astype(np.float64))
     w_hat = w_parts.sum(axis=1)[:, None] - 2.0 * odd_sums
     products = f.coeffs * (w_hat[0] + 1j * w_hat[1])[inverse]
-    return complex(math.fsum(products.real.tolist()), math.fsum(products.imag.tolist()))
+    try:
+        return complex(math.fsum(products.real.tolist()), math.fsum(products.imag.tolist()))
+    except ValueError:  # inf + -inf among the products: apply_rule refuses the NaN
+        return complex(math.nan)
 
 
 def _packed_rows(bits, width):

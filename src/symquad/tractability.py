@@ -168,7 +168,7 @@ def evaluate_profile(profile: InvarianceProfile, st_grid=((1.0, 1.0),)) -> Tract
         notes.append("need at least 3 samples")
     else:
         head_c, tail_c = _tail_split(counts)
-        grows = max(tail_c) > (max(head_c) if head_c else 0)
+        grows = max(tail_c) > max(head_c)
         strong = VERDICT_EXCLUDED if grows else VERDICT_CONSISTENT
         if strong == VERDICT_EXCLUDED:
             notes.append(
@@ -178,9 +178,7 @@ def evaluate_profile(profile: InvarianceProfile, st_grid=((1.0, 1.0),)) -> Tract
         log_rows = [(b / math.log(d)) for (d, b) in zip(dims, free) if d >= 2]
         if len(log_rows) >= 3:
             head_r, tail_r = _tail_split(log_rows)
-            growing = _strictly_increasing(tail_r) and max(tail_r) > (
-                max(head_r) if head_r else float("-inf")
-            ) + 1e-12
+            growing = _strictly_increasing(tail_r) and max(tail_r) > max(head_r) + 1e-12
             polynomial = VERDICT_EXCLUDED if growing else VERDICT_CONSISTENT
         else:
             polynomial = VERDICT_NOT_EVALUABLE
@@ -195,7 +193,7 @@ def evaluate_profile(profile: InvarianceProfile, st_grid=((1.0, 1.0),)) -> Tract
 
         curse_rows = [b / d for d, b in zip(dims, free)]
         head_k, tail_k = _tail_split(curse_rows)
-        floor = 0.5 * min(head_k) if head_k else 0.0
+        floor = 0.5 * min(head_k)
         indicated = min(tail_k) > 0 and min(tail_k) >= floor
         curse = VERDICT_CONSISTENT if indicated else VERDICT_EXCLUDED
 

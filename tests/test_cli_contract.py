@@ -1,4 +1,4 @@
-"""Contract of the commands whose JSON ``cli._rows_text`` writes: ``nabla``, ``rule`` and ``weights``.
+"""Contract of ``nabla``, ``rule`` and ``weights``, whose JSON ``cli._rows_text`` writes, and of ``integrate``.
 
 Hypothesis draws whole argument lists, malformed ones included, and each
 call runs in-process through ``cli.main`` under a ``signal.setitimer``
@@ -6,6 +6,9 @@ budget (Hypothesis's deadline cannot stop a call that never returns).
 Every call exits 0 or 1.  Exit 1 writes one stderr line that begins
 ``error:``.  Exit 0 writes the same bytes on a second call, and in JSON
 those bytes are ``json.dumps(..., sort_keys=True)`` of what they parse to.
+``integrate`` reads drawn rule and polynomial files in the writer's
+layout, as written, pretty-printed or byte-edited; its value is the one
+that ``json.loads``, ``from_json_dict`` and ``apply_rule`` give.
 """
 
 import contextlib
@@ -18,6 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symquad import cli
+from symquad.cubature import CubatureRule, apply_rule, folded_rectangle_rule, rectangle_rule
+from symquad.fourier import FourierPolynomial
+from symquad.symmetry import InvariancePattern
 
 BUDGET_S = 20.0  # far above any call here: d <= 10 writes at most 2^10 rows
 
@@ -146,3 +152,89 @@ def schedules(tmp_path_factory):
 def test_weights_keeps_the_contract(schedules, case):
     schedule_dim, argv = case
     check_contract([*argv, "--gammas", str(schedules[schedule_dim])])
+
+
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 0.5, -0.25, 1.0, 0.1, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+#: single-byte substitutions, deletions and insertions, at positions taken modulo the text's length
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["substitute", "delete", "insert"]),
+        st.integers(0, 2**16),
+        st.one_of(st.sampled_from(b'05.,-e[]{}": 19\n'), st.integers(0, 255)),
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def edited(draw, raw):
+    """``raw`` as it stands, pretty-printed (so that ``_load_json`` reads it), or with drawn byte edits."""
+    how = draw(st.sampled_from(["as-written", "pretty", "edited"]))
+    if how == "pretty":
+        return json.dumps(json.loads(raw), indent=1).encode()
+    for op, at, byte in draw(EDITS) if how == "edited" else []:
+        at %= len(raw) + (op == "insert")
+        raw = raw[:at] + (b"" if op == "delete" else bytes([byte])) + raw[at + (op != "insert") :]
+    return raw
+
+
+@st.composite
+def integrate_files(draw):
+    """The texts of a rule file and of a polynomial file: ``rule``'s and the writer's layout at d <= 8, edited."""
+    dim = draw(st.integers(1, 8))
+    block = draw(st.sets(st.integers(1, dim), max_size=dim))
+    rule = folded_rectangle_rule(InvariancePattern.single(dim, sorted(block))) if block else rectangle_rule(dim)
+    if draw(st.booleans()):  # a few drawn complex weights in place of the rule's own
+        pool = draw(st.lists(st.builds(complex, PARTS, PARTS), min_size=1, max_size=3))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=rule.n_nodes, max_size=rule.n_nodes))
+        rule = CubatureRule(dim, rule.nodes, picks)
+    poly_dim = dim if draw(st.integers(0, 5)) else draw(st.integers(1, 8))
+    keys = st.lists(st.integers(-3, 3), min_size=poly_dim, max_size=poly_dim)
+    terms = draw(st.lists(st.tuples(keys, PARTS, PARTS), min_size=1, max_size=6))
+    poly = {"dim": poly_dim, "terms": [{"k": k, "re": re, "im": im} for k, re, im in terms]}
+    rule_text = cli._json_text(cli._rule_payload(rule))
+    return draw(edited(rule_text)), draw(edited(json.dumps(poly).encode()))
+
+
+def json_route_value(rule_path, poly_path):
+    """``apply_rule`` of the files as ``json.loads`` and ``from_json_dict`` read them, or None where they refuse."""
+    try:
+        rule = CubatureRule.from_json_dict(json.loads(rule_path.read_text(encoding="utf-8")))
+        poly = FourierPolynomial.from_json_dict(json.loads(poly_path.read_text(encoding="utf-8")))
+        return apply_rule(rule, poly)  # a value beyond the float range raises OverflowError
+    except (ValueError, KeyError, OverflowError, RecursionError):
+        return None
+
+
+@pytest.fixture(scope="module")
+def integrate_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("integrate")
+
+
+#: a polynomial file whose value on ``HUGE_RULES`` overflows: numpy once warned on stderr before the error line
+HUGE_POLY = b'{"dim": 1, "terms": [{"k": [0], "re": 1e+300, "im": 0.0}]}'
+HUGE_RULES = [
+    cli._json_text(cli._rule_payload(CubatureRule(1, [[0.0], [0.5]], [1e300, 1e300]))),  # half-grid route
+    json.dumps({"dim": 1, "nodes": [[0.0], [0.25]], "weights": [{"re": 1e300, "im": 0.0}] * 2}).encode(),  # pointwise
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integrate_files(), format_flags)
+@example((HUGE_RULES[0], HUGE_POLY), [])
+@example((HUGE_RULES[1], HUGE_POLY), ["--format", "table"])
+def test_integrate_keeps_the_contract(integrate_dir, files, fmt):
+    rule, poly = integrate_dir / "rule.json", integrate_dir / "poly.json"
+    rule.write_bytes(files[0])
+    poly.write_bytes(files[1])
+    argv = ["integrate", "--rule", str(rule), "--poly", str(poly), *fmt]
+    check_contract(argv)
+    code, out, _ = call(argv)
+    expected = json_route_value(rule, poly)
+    assert code == (1 if expected is None else 0), (files, code)
+    if code == 0 and "table" not in argv:
+        assert json.loads(out)["value"] == {"re": expected.real, "im": expected.imag}, files

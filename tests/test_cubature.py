@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -49,6 +50,32 @@ def test_rule_validation():
         CubatureRule(2, [[0.0, 0.5]], [1.0, 2.0])  # count mismatch
     zero = CubatureRule(3, [], [])
     assert zero.n_nodes == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, 1.0])
+def test_rule_refuses_a_node_coordinate_outside_the_unit_interval(bad):
+    nodes = np.full((3, 2), 0.5)
+    nodes[1, 0] = bad
+    with pytest.raises(ValueError, match=r"node coordinates must lie in \[0, 1\)"):
+        CubatureRule(2, nodes, np.ones(3))
+
+
+def test_rule_accepts_minus_zero_node_coordinates():
+    rule = CubatureRule(2, [[-0.0, 0.5], [0.0, -0.0]], [0.5, 0.5])
+    assert math.copysign(1.0, rule.nodes[0, 0]) == -1.0 and rule.n_nodes == 2
+
+
+def test_rule_checks_its_nodes_without_full_size_temporaries():
+    nodes = rectangle_rule(15).nodes.copy()  # 32768 x 15 float nodes, 3.9 MB
+    weights = np.full(len(nodes), 2.0**-15, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        rule = CubatureRule(15, nodes, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(rule.nodes, nodes) and np.shares_memory(rule.weights, weights)  # no copies either
+    assert peak < nodes.nbytes // 16
 
 
 def test_rule_json_roundtrip():

@@ -1,18 +1,24 @@
 """``apply_rule`` on the half-integer grid: parity classes against pointwise evaluation."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import symquad
 import symquad.cubature as cubature
 from symquad import (
     CubatureRule,
     FourierPolynomial,
     InvariancePattern,
     apply_rule,
+    cli,
     evaluate_at_points,
     folded_rectangle_rule,
     random_polynomial,
@@ -235,3 +241,36 @@ def test_the_half_grid_route_makes_no_full_size_temporary():
         tracemalloc.stop()
     assert value == 1.0
     assert peak < rule.nodes.nbytes  # 3.9 MB of float nodes
+
+
+@pytest.mark.parametrize("kind", [["--rectangle"], ["--folded", "--invariant", "1-6"]], ids=["rectangle", "folded"])
+def test_half_grid_integrate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, kind):
+    rule, poly = tmp_path / "rule.json", tmp_path / "poly.json"
+    assert cli.main(["rule", "-d", "12", *kind, "--out", str(rule)]) == 0
+    f = random_polynomial(12, 300, np.random.default_rng(12), max_magnitude=3)
+    poly.write_text(json.dumps(f.to_json_dict()))
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symquad.__file__)), OPENBLAS_NUM_THREADS=threads)
+        argv = [sys.executable, "-m", "symquad.cli", "integrate", "--rule", str(rule), "--poly", str(poly)]
+        done = subprocess.run(argv, capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("node", [0.5, 0.25], ids=["half-grid", "pointwise"])
+@pytest.mark.parametrize(
+    "weights, terms",
+    [
+        ([1e300, 1e300], {(0,): 1e300}),  # a product beyond the float range
+        ([1e300j, 1e300j], {(0,): 1e300}),  # in its imaginary part only
+        ([1.7e308, 1.7e308], {(0,): 1.0}),  # a sum of weights beyond it
+        ([1e300, 1e300], {(0,): 1e300, (2,): -1e300}),  # products of inf and -inf, which math.fsum refuses
+    ],
+    ids=["product", "imaginary-product", "weight-sum", "inf-minus-inf"],
+)
+def test_an_overflow_raises_overflow_error_and_no_numpy_warning(node, weights, terms):
+    rule = CubatureRule(1, [[0.0], [node]], weights)
+    with pytest.raises(OverflowError, match="overflowed the float range"):
+        apply_rule(rule, FourierPolynomial(1, terms))

@@ -649,3 +649,25 @@ def test_the_poly_reader_declines_a_duplicated_key_adjacent_or_not(keys):
     assert cli._poly_from_writer_text(poly_text(2, terms)) is None
     terms[keys.index([0, 1], 1)] = ([2, 2], 5.0, 0.0)  # the same text with distinct keys is read in place
     assert cli._poly_from_writer_text(poly_text(2, terms)).support() == ((0, 1), (1, 0), (2, 2))
+
+
+def test_load_reads_the_writers_files_in_place_and_any_other_once_through_load_json(capsys, tmp_path, monkeypatch):
+    calls = []
+    load_json = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: calls.append(path) or load_json(path))
+    files = {}
+    for name, raw in (("rule", written_rule()), ("poly", written_poly())):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_bytes(raw)
+        files[f"pretty-{name}"] = tmp_path / f"pretty-{name}.json"
+        files[f"pretty-{name}"].write_bytes(json.dumps(json.loads(raw), indent=1).encode())
+
+    def integrate(rule, poly):
+        calls.clear()
+        code = cli.main(["integrate", "--rule", str(files[rule]), "--poly", str(files[poly])])
+        return code, capsys.readouterr(), list(calls)
+
+    code, (out, err), read = integrate("rule", "poly")
+    assert (code, err, read) == (0, "", [])  # the writer's texts never reach _load_json
+    assert integrate("pretty-rule", "poly") == (0, (out, ""), [str(files["pretty-rule"])])
+    assert integrate("rule", "pretty-poly") == (0, (out, ""), [str(files["pretty-poly"])])
