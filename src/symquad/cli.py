@@ -28,7 +28,7 @@ from .cubature import (
 )
 from .errors import CertificateError, NullspaceError, RefusalError
 from .fooling import construct_certificate
-from .fourier import FourierPolynomial, _distinct_rows, _from_rows, require_dimension
+from .fourier import FourierPolynomial, _classes, _from_rows, require_dimension
 from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
@@ -40,7 +40,7 @@ from .symmetry import (
     parse_groups,
 )
 from .tractability import InvarianceProfile, evaluate_profile
-from .weighted import WeightSchedule, _power_sums, _ranked_weights, _weight_classes, construct_weighted_certificate
+from .weighted import WeightSchedule, _power_sums, _ranked_weights, construct_weighted_certificate
 
 SCHEMA_VERSION = 1
 
@@ -282,12 +282,6 @@ def _rows_text(bits=None, tokens=(b"0", b"1"), index=None, heads=(b"",), tails=(
     return text.replace(b"\0", b"") if padded else text
 
 
-def _classes(values):
-    """The distinct values of a float64 or complex128 array by bit pattern, and each element's class."""
-    rows, index = _distinct_rows(values.view(np.uint64).reshape(-1, values.itemsize // 8))
-    return rows.view(values.dtype).ravel(), index
-
-
 def _pattern_from_args(args, dim):
     if args.groups is not None and args.invariant is not None:
         raise ValueError("--invariant and --groups are mutually exclusive")
@@ -432,7 +426,7 @@ def _cmd_weights(args):
     pattern = _pattern_from_args(args, args.dim)
     schedule = WeightSchedule.from_json_dict(_load_json(args.gammas))
     ordering, mus = _ranked_weights(pattern, schedule)
-    distinct, index = _weight_classes(mus)
+    distinct, index = _classes(mus.astype(np.float64))
     payload = {
         "dim": args.dim,
         "pattern": pattern.to_json_dict(),

@@ -53,6 +53,9 @@ class CubatureRule:
     dim : int
     nodes : array_like, shape (n, dim)
     weights : array_like, shape (n,), complex
+
+    The rule shares memory with array arguments that need no conversion:
+    its ``nodes`` and ``weights`` are read-only views, and the caller's arrays stay writable.
     """
 
     __slots__ = ("_dim", "_nodes", "_weights")
@@ -71,11 +74,8 @@ class CubatureRule:
             raise ValueError("node coordinates must lie in [0, 1)")
         if weights.size and not np.all(np.isfinite(weights.view(np.float64))):
             raise ValueError("weights must be finite")
-        self._dim = dim
-        self._nodes = nodes
-        self._nodes.setflags(write=False)
-        self._weights = weights
-        self._weights.setflags(write=False)
+        self._dim, self._nodes, self._weights = dim, nodes.view(), weights
+        self._nodes.flags.writeable = self._weights.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -183,8 +183,8 @@ def _apply_by_parity(half, weights, f):
     products = f.coeffs * (w_hat[0] + 1j * w_hat[1])[inverse]
     try:
         return complex(math.fsum(products.real.tolist()), math.fsum(products.imag.tolist()))
-    except ValueError:  # inf + -inf among the products: apply_rule refuses the NaN
-        return complex(math.nan)
+    except (ValueError, OverflowError):  # inf + -inf among the products, or finite ones whose sum overflows
+        return complex(math.nan)  # apply_rule refuses it
 
 
 def _packed_rows(bits, width):

@@ -371,11 +371,11 @@ def characters(points, keys) -> np.ndarray:
 def _distinct_rows(block):
     """Distinct rows of a 2-D numeric array, lexicographically, and each row's index among them.
 
-    Equal rows are runs of one stable sort (``np.unique(axis=0)`` is far
+    Equal rows are runs of one stable sort (numpy's ``unique`` by rows is far
     slower): of the rows' codes (``_row_codes``) when they have some, else
-    one ``np.lexsort`` over the columns.  Rows compare by
-    value, so ``-0.0`` equals ``0.0``; a block with no columns has one
-    distinct row.
+    one ``np.lexsort`` over the columns, which also sorts object arrays of
+    Python ints.  Rows compare by value, so ``-0.0`` equals ``0.0``; a
+    block with no columns has one distinct row.
     """
     codes = _row_codes(block)
     starts = np.ones(len(block), dtype=bool)
@@ -390,6 +390,12 @@ def _distinct_rows(block):
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return rows[starts], inverse
+
+
+def _classes(values):
+    """The distinct values of a float64 or complex128 array by bit pattern, and each element's class."""
+    rows, index = _distinct_rows(values.view(np.uint64).reshape(-1, values.itemsize // 8))
+    return rows.view(values.dtype).ravel(), index
 
 
 def _row_codes(block):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .fourier import FourierPolynomial, require_positive
+from .fourier import FourierPolynomial, _distinct_rows, require_positive
 
 
 def require_alpha(alpha) -> float:
@@ -77,7 +77,7 @@ def korobov_norm(f: FourierPolynomial, alpha) -> float:
     a = require_alpha(alpha)
     factors = np.maximum(np.abs(f.keys), 1)
     wide = np.log2(factors).sum(axis=1) >= 62.0
-    products, index = np.unique(np.where(wide, 1, np.prod(factors, axis=1)), return_inverse=True)
-    weights = np.array([float(p) ** a for p in products.tolist()])[index]
+    products, index = _distinct_rows(np.where(wide, 1, np.prod(factors, axis=1))[:, None])
+    weights = np.array([float(p) ** a for p in products.ravel().tolist()])[index]
     weights[wide] = [float(math.prod(row)) ** a for row in factors[wide].tolist()]
     return float(np.max(np.hypot(f.coeffs.real, f.coeffs.imag) * weights, initial=0.0))

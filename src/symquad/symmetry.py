@@ -250,8 +250,8 @@ def _binary_orbit_size_classes(pattern: InvariancePattern, ones) -> tuple[np.nda
     for r, g in enumerate(len(g) for g in pattern.groups):
         combs = np.array([math.comb(g, j) for j in range(g + 1)], dtype=object)
         table, code = np.multiply.outer(table, combs).ravel(), code * (g + 1) + ones[:, r]
-    sizes, slot = np.unique(table, return_inverse=True)
-    return sizes, slot[code]
+    sizes, slot = _distinct_rows(table[:, None])
+    return sizes.ravel(), slot[code]
 
 
 def binary_orbit_sizes(pattern: InvariancePattern, ones) -> np.ndarray:

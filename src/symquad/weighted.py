@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedPatternError,
 )
 from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, _verified, construct_certificate
-from .fourier import MultiIndex, reading, reject_bools_and_strings, require_dimension, require_integral
+from .fourier import MultiIndex, _classes, reading, reject_bools_and_strings, require_dimension, require_integral
 from .fourier import reject_nulls_and_lists, require_positive, validate_multi_index
 from .symmetry import (
     InvariancePattern,
@@ -278,15 +278,7 @@ def weight_power_sum(
     schedules are all 1 (it is still returned, with the applicability flag
     lowered, so mismatches are visible).
     """
-    return _power_sums(pattern, schedule, exponent, *_weight_classes(_ranked_weights(pattern, schedule)[1]))
-
-
-def _weight_classes(mus):
-    """The ranked weights ``mus`` as ``float64`` ``(distinct, index)``: one class per run of equal bit patterns."""
-    weights = mus.astype(np.float64)
-    bits = weights.view(np.uint64)
-    first = np.append(True, bits[1:] != bits[:-1])
-    return weights[first], np.cumsum(first) - 1
+    return _power_sums(pattern, schedule, exponent, *_classes(_ranked_weights(pattern, schedule)[1].astype(np.float64)))
 
 
 def _power_sums(pattern, schedule, exponent, distinct, index) -> WeightPowerSums:

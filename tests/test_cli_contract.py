@@ -1,4 +1,5 @@
-"""Contract of ``nabla``, ``rule`` and ``weights``, whose JSON ``cli._rows_text`` writes, and of ``integrate``.
+"""Contract of ``nabla``, ``rule`` and ``weights``, whose JSON ``cli._rows_text`` writes, and of ``integrate``,
+``certify``, ``wce`` and ``tract``.
 
 Hypothesis draws whole argument lists, malformed ones included, and each
 call runs in-process through ``cli.main`` under a ``signal.setitimer``
@@ -6,6 +7,8 @@ budget (Hypothesis's deadline cannot stop a call that never returns).
 Every call exits 0 or 1.  Exit 1 writes one stderr line that begins
 ``error:``.  Exit 0 writes the same bytes on a second call, and in JSON
 those bytes are ``json.dumps(..., sort_keys=True)`` of what they parse to.
+``certify`` may also exit 2 with one ``refused:`` line, or exit 1 with one
+``numerical failure:`` line.
 ``integrate`` reads drawn rule and polynomial files in the writer's
 layout, as written, pretty-printed or byte-edited; its value is the one
 that ``json.loads``, ``from_json_dict`` and ``apply_rule`` give.
@@ -50,12 +53,18 @@ def call(argv):
     return code, out.buffer.getvalue(), err.getvalue()
 
 
-def check_contract(argv):
+#: each failing exit code and the beginnings of its one stderr line, for every command and for ``certify``
+FAILURES = {1: ("error:",)}
+CERTIFY_FAILURES = {1: ("error:", "numerical failure:"), 2: ("refused:",)}
+
+
+def check_contract(argv, failures=FAILURES):
+    """The contract of ``argv``: exit 0, or a code in ``failures`` with one stderr line that begins as it allows."""
     code, out, err = call(argv)
-    assert code in (0, 1), (argv, code, err)
-    if code == 1:
+    assert code == 0 or code in failures, (argv, code, err)
+    if code:
         assert out == b"", argv
-        assert err.count("\n") == 1 and err.endswith("\n") and err.startswith("error:"), (argv, err)
+        assert err.count("\n") == 1 and err.endswith("\n") and err.startswith(failures[code]), (argv, err)
         return
     assert err == "", (argv, err)
     if "table" not in argv:
@@ -238,3 +247,105 @@ def test_integrate_keeps_the_contract(integrate_dir, files, fmt):
     assert code == (1 if expected is None else 0), (files, code)
     if code == 0 and "table" not in argv:
         assert json.loads(out)["value"] == {"re": expected.real, "im": expected.imag}, files
+
+
+#: node coordinates: the grid, the smallest subnormal, the float below 1, and any float in [0, 1)
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 0.25, 1 - 2**-53, 5e-324]),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+@st.composite
+def certify_files(draw):
+    """A float-node rule text (d <= 6, up to 12 nodes, some repeated), and a schedule text or None."""
+    dim = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.lists(COORDINATES, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    nodes = draw(st.lists(st.sampled_from(pool), max_size=12))
+    even = [{"re": 1 / max(1, len(nodes)), "im": 0.0}] * len(nodes)
+    parts = st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.125, 1e-300])
+    weights = draw(st.one_of(st.just(even), st.lists(st.fixed_dictionaries({"re": parts, "im": parts}),
+                                                     min_size=len(nodes), max_size=len(nodes))))
+    rule = json.dumps({"dim": dim, "nodes": nodes, "weights": weights}).encode()
+    if not draw(st.booleans()):
+        return dim, rule, None
+    schedule_dim = dim if draw(st.integers(0, 3)) else draw(st.integers(1, 6))
+    gammas = draw(st.lists(st.sampled_from([1.0, 0.5, 0.25, 1e-300, 0.0]), min_size=schedule_dim,
+                           max_size=schedule_dim))
+    return dim, rule, json.dumps({"dim": schedule_dim, "gammas": sorted(gammas, reverse=True)}).encode()
+
+
+@pytest.fixture(scope="module")
+def drawn_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn")
+
+
+@settings(max_examples=200, deadline=None)
+@given(certify_files(), st.data())
+def test_certify_keeps_the_contract(drawn_dir, files, data):
+    dim, rule_text, gammas_text = files
+    rule, gammas = drawn_dir / "rule.json", drawn_dir / "gammas.json"
+    rule.write_bytes(rule_text)
+    flags = []
+    if gammas_text is not None:
+        gammas.write_bytes(gammas_text)
+        flags = ["--weighted", "--gammas", str(gammas)]
+    pattern = data.draw(pattern_flags(dim))
+    alpha = data.draw(st.sampled_from(["2", "1.5", "4", "1.01"]))
+    argv = ["certify", "--rule", str(rule), *pattern, "--alpha", alpha, *flags, *data.draw(format_flags)]
+    check_contract(argv, CERTIFY_FAILURES)
+
+
+#: numbers as text: negatives, 1100, 1e5, nan, inf and non-numbers
+ODD_NUMBER_TEXTS = ["0", "-1", "-2.5", "1100", "1e5", "100000", "nan", "inf", "-inf", "x", ""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(1, 12).map(str), st.sampled_from(ODD_NUMBER_TEXTS)),
+    st.sampled_from(["2", "1.5", "4", "1.01", *ODD_NUMBER_TEXTS]),
+    st.one_of(st.just([]), st.sampled_from(["1e-9", "1e-3", "1e-300", *ODD_NUMBER_TEXTS]).map(lambda t: ["--tol", t])),
+    format_flags,
+)
+@example("3", "2", ["--tol", "1e-300"], [])
+def test_wce_keeps_the_contract(dim, alpha, tol, fmt):
+    check_contract(["wce", "-d", dim, "--alpha", alpha, *tol, *fmt])
+
+
+#: profile entries that are not a sample's size: 1e308, 25000, 10^400, null, booleans, strings and lists
+ODD_PROFILE_VALUES = [1e308, 25000, 20000, 10000, 10**400, 2.0, 2.5, -1, None, True, False, "4", [], [4]]
+
+
+@st.composite
+def profile_texts(draw):
+    """A profile text: samples ``[d, i]`` with ``i <= d``, sometimes under a misnamed key.
+
+    Some samples have an odd entry inserted and are then cut short.
+    """
+    samples = []
+    for _ in range(draw(st.integers(0, 5))):
+        dim = draw(st.integers(1, 40))
+        row = [dim, draw(st.integers(0, dim))]
+        if not draw(st.integers(0, 5)):
+            row.insert(draw(st.integers(0, 2)), draw(st.sampled_from(ODD_PROFILE_VALUES)))
+            del row[draw(st.integers(0, 3)):]
+        samples.append(row)
+    return json.dumps({"samples": samples} if draw(st.integers(0, 7)) else {"rows": samples}).encode()
+
+
+ST_GRIDS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["0.5", "1", "0.25", "2", "0"]), st.sampled_from(["0.5", "1"])), max_size=3).map(
+        lambda pairs: ";".join(f"{s},{t}" for s, t in pairs)
+    ),
+    st.sampled_from(["1", "1,2,3", "a,b", ";", "1,1;", "nan,1", "inf,inf", "-1,1", "1,", " , "]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile_texts(), st.one_of(st.just([]), ST_GRIDS.map(lambda grid: ["--st", grid])), format_flags)
+@example(b'{"samples": [[1e308, 0]]}', [], [])
+@example(b'{"samples": [[20000, 0]]}', [], [])
+def test_tract_keeps_the_contract(drawn_dir, profile_text, st_flags, fmt):
+    profile = drawn_dir / "profile.json"
+    profile.write_bytes(profile_text)
+    check_contract(["tract", "--profile", str(profile), *st_flags, *fmt])

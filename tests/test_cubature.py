@@ -78,6 +78,16 @@ def test_rule_checks_its_nodes_without_full_size_temporaries():
     assert peak < nodes.nbytes // 16
 
 
+def test_a_rule_leaves_the_callers_arrays_writable():
+    nodes, weights = np.zeros((2, 1)), np.full(2, 0.5, dtype=np.complex128)
+    rule = CubatureRule(1, nodes, weights)
+    nodes[0, 0], weights[0] = 0.25, 0.75  # shared, not copied: the rule sees both
+    assert rule.nodes[0, 0] == 0.25 and rule.weights[0] == 0.75
+    for view in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.0
+
+
 def test_rule_json_roundtrip():
     rule = CubatureRule(2, [[0.0, 0.5], [0.25, 0.75]], [0.5 + 1j, -0.5])
     again = CubatureRule.from_json_dict(rule.to_json_dict())

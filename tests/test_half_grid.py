@@ -274,3 +274,17 @@ def test_an_overflow_raises_overflow_error_and_no_numpy_warning(node, weights, t
     rule = CubatureRule(1, [[0.0], [node]], weights)
     with pytest.raises(OverflowError, match="overflowed the float range"):
         apply_rule(rule, FourierPolynomial(1, terms))
+
+
+def test_finite_products_whose_sum_overflows_raise_overflow_error(tmp_path, capsys):
+    # each product c_k W(k mod 2) is 1e308; math.fsum of the two overflows, as the pointwise node 0.25 does not
+    rule, poly = CubatureRule(1, [[0.0]], [1e308]), FourierPolynomial(1, {(0,): 1.0, (2,): 1.0})
+    with pytest.raises(OverflowError, match=r"^the rule value overflowed the float range \(1\.8e308\)$"):
+        apply_rule(rule, poly)
+    assert math.isfinite(abs(apply_rule(CubatureRule(1, [[0.25]], [1e308]), poly)))
+    (tmp_path / "rule.json").write_text(json.dumps(rule.to_json_dict()))
+    (tmp_path / "poly.json").write_text(json.dumps(poly.to_json_dict()))
+    code = cli.main(["integrate", "--rule", str(tmp_path / "rule.json"), "--poly", str(tmp_path / "poly.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: the rule value overflowed the float range (1.8e308)\n"
