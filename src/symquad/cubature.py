@@ -56,6 +56,9 @@ class CubatureRule:
 
     The rule shares memory with array arguments that need no conversion:
     its ``nodes`` and ``weights`` are read-only views, and the caller's arrays stay writable.
+    The nodes and weights are checked here only, so writing to the caller's
+    arrays afterwards changes the rule without its checks; a copy would
+    double the peak memory of a large rule.
     """
 
     __slots__ = ("_dim", "_nodes", "_weights")
@@ -163,8 +166,10 @@ def _apply_by_parity(half, weights, f):
 
     Node rows and the classes of key parities are packed to bytes
     (``_packed_rows``, ``_parity_classes``); ``p.b_n`` is odd where the
-    ``np.bitwise_count`` of ``p & b_n`` is.  The odd nodes' weights of each
-    class are summed by ``np.einsum`` over fixed node chunks.
+    ``np.bitwise_count`` of ``p & b_n`` is.  ``W(p)`` is ``sum(w)`` less twice
+    the odd nodes' weights (``_parity_sums``); where that overflows, a
+    second pass sums the class's even nodes apart, so ``W(p)`` stays finite
+    whenever both of its halves are.
     """
     class_bytes, inverse = _parity_classes(f.keys)
     node_bytes = _packed_rows(half, 8 * class_bytes.shape[1])
@@ -172,19 +177,33 @@ def _apply_by_parity(half, weights, f):
     # W(p) = sum(w) - 2 * (sum of w_n over the nodes where p.b_n is odd), with no BLAS
     # product: a threaded BLAS leaves its idle workers spinning on a second core.
     w_parts = np.stack([weights.real, weights.imag])
-    odd_sums = np.zeros((2, len(class_bytes)))
-    chunk = max(1, (1 << 18) // len(class_bytes))
-    for lo in range(0, len(node_bytes), chunk):
-        odd = node_bytes[lo:lo + chunk, :1] & class_bytes[:, 0]
-        for j in range(1, class_bytes.shape[1]):  # XOR the bytes of p & b_n, then count the bits
-            odd ^= node_bytes[lo:lo + chunk, j:j + 1] & class_bytes[:, j]
-        odd_sums += np.einsum("kn,nc->kc", w_parts[:, lo:lo + chunk], (np.bitwise_count(odd) & 1).astype(np.float64))
+    odd_sums = _parity_sums(node_bytes, class_bytes, w_parts)
     w_hat = w_parts.sum(axis=1)[:, None] - 2.0 * odd_sums
+    lost = ~np.isfinite(w_hat).all(axis=0)
+    if lost.any():  # sum(w) or 2 * (odd sum) overflowed: W(p) = (even sum) - (odd sum) may not
+        w_hat[:, lost] = _parity_sums(node_bytes, class_bytes[lost], w_parts, even=True) - odd_sums[:, lost]
     products = f.coeffs * (w_hat[0] + 1j * w_hat[1])[inverse]
     try:
         return complex(math.fsum(products.real.tolist()), math.fsum(products.imag.tolist()))
     except (ValueError, OverflowError):  # inf + -inf among the products, or finite ones whose sum overflows
         return complex(math.nan)  # apply_rule refuses it
+
+
+def _parity_sums(node_bytes, class_bytes, w_parts, even=False):
+    """The sums of ``w_parts``' rows over the nodes where ``p.b_n`` is odd (or even), one column per class ``p``.
+
+    The nodes are taken in fixed chunks, each summed by ``np.einsum``.
+    """
+    sums = np.zeros((2, len(class_bytes)))
+    chunk = max(1, (1 << 18) // len(class_bytes))
+    for lo in range(0, len(node_bytes), chunk):
+        odd = node_bytes[lo:lo + chunk, :1] & class_bytes[:, 0]
+        if even:
+            odd ^= 1  # one more set bit flips every parity
+        for j in range(1, class_bytes.shape[1]):  # XOR the bytes of p & b_n, then count the bits
+            odd ^= node_bytes[lo:lo + chunk, j:j + 1] & class_bytes[:, j]
+        sums += np.einsum("kn,nc->kc", w_parts[:, lo:lo + chunk], (np.bitwise_count(odd) & 1).astype(np.float64))
+    return sums
 
 
 def _packed_rows(bits, width):

@@ -15,7 +15,10 @@ system.  Multiplying that combination by the reflected orbit average of a
 pivot mode produces the certificate polynomial.  Its coefficients are
 assembled directly from a closed formula (orbit convolution counts with
 exact rational multiplicities), which pins the coefficient at frequency
-zero to exactly 1 and confines the support to ``{-1,0,1}^d``.
+zero to exactly 1 and confines the support to ``{-1,0,1}^d``.  A frequency
+``k`` takes all its pairs from one mode, as it fixes the free bits and block
+weight of ``h = v + k`` and so ``h``'s orbit: pairs group by difference alone,
+in base-3 codes that need Python ints only from ``d = 40``.
 
 ``crosscheck_coefficients`` recomputes the same coefficients through the
 literal product of the two factors (a sparse convolution) and reports the
@@ -347,30 +350,25 @@ def _verified(rule: CubatureRule, poly: FourierPolynomial, residuals, limits, me
 def _certificate_terms(pattern: InvariancePattern, psi, coefficients, pivot):
     """Certificate keys (sorted ``int64`` rows) and coefficients from orbit convolution counts.
 
-    The coefficient at ``k`` is the sum over ascending ``n`` of
-    ``count_n(k) / |V| * a_n``: ``V`` is the pivot's orbit and ``count_n(k)``
-    counts pairs ``(v, h)`` in ``V x orbit(psi[n])`` with ``h - v = k``.
-    ``count / |V|`` is ``count * stabilizer / group_order``, one correctly
-    rounded division as ``V`` fits in memory.  Differences are coded in
-    base 3 (digit ``k_m + 1``), so codes sort like keys.
+    The coefficient at ``k`` is ``count_n(k) / |V| * a_n``: ``V`` is the pivot's orbit and
+    ``count_n(k)`` counts pairs ``(v, h)`` in ``V x orbit(psi[n])`` with ``h - v = k``, for
+    the one mode ``n`` that has any (the pattern fixes the free coordinates and permutes the
+    block, so ``k`` fixes ``h``'s free bits and block weight, hence its orbit).  ``count / |V|``
+    is ``count * stabilizer / group_order``, one correctly rounded division as ``V`` fits in
+    memory.  Differences are coded in base 3 (digit ``k_m + 1``), so codes sort like keys; the
+    largest code is ``3^d - 1``, a Python int from ``d = 40`` on.
     """
-    dim, n_modes = pattern.dim, len(psi)
+    dim = pattern.dim
     modes, owner = orbit_members(pattern, psi)
-    wide = 3**dim * n_modes >= 2**63  # codes then need Python ints
-    digits = 3 ** np.arange(dim - 1, -1, -1, dtype=object if wide else np.int64)
+    digits = 3 ** np.arange(dim - 1, -1, -1, dtype=object if 3**dim >= 2**63 else np.int64)
     codes = modes @ digits
     in_pivot = np.flatnonzero(owner == pivot)
-    # code(h - v) = code(h) - code(v) + code(1, ..., 1), times n_modes plus the mode of h
-    shifted = (codes + digits.sum()) * n_modes + owner
-    pair_code = shifted[None, :] - (codes[in_pivot] * n_modes)[:, None]
-    pair_code, first_pair, counts = np.unique(pair_code, return_index=True, return_counts=True)
-    v, h = np.divmod(first_pair, len(codes))  # one (v, h) pair of each (key, mode)
-    key_code = pair_code // n_modes
-    first = np.append(True, key_code[1:] != key_code[:-1])
-    parts = counts / len(in_pivot) * np.asarray(coefficients)[owner[h]]
-    slot = np.cumsum(first) - 1  # bincount adds in array order: ascending mode per key
-    values = np.bincount(slot, weights=parts.real) + 1j * np.bincount(slot, weights=parts.imag)
-    return modes[h[first]] - modes[in_pivot[v[first]]], values
+    # code(h - v) = code(h) - code(v) + code(1, ..., 1)
+    pair_code = (codes + digits.sum())[None, :] - codes[in_pivot][:, None]
+    _, first_pair, counts = np.unique(pair_code, return_index=True, return_counts=True)
+    v, h = np.divmod(first_pair, len(codes))  # one (v, h) pair of each key
+    values = counts / len(in_pivot) * np.asarray(coefficients)[owner[h]] + 0.0  # a -0.0 part is written as 0.0
+    return modes[h] - modes[in_pivot[v]], values
 
 
 @dataclass(frozen=True)

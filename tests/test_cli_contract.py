@@ -1,5 +1,5 @@
 """Contract of ``nabla``, ``rule`` and ``weights``, whose JSON ``cli._rows_text`` writes, and of ``integrate``,
-``certify``, ``wce`` and ``tract``.
+``certify``, ``wce``, ``tract`` and ``bench``.
 
 Hypothesis draws whole argument lists, malformed ones included, and each
 call runs in-process through ``cli.main`` under a ``signal.setitimer``
@@ -12,18 +12,22 @@ those bytes are ``json.dumps(..., sort_keys=True)`` of what they parse to.
 ``integrate`` reads drawn rule and polynomial files in the writer's
 layout, as written, pretty-printed or byte-edited; its value is the one
 that ``json.loads``, ``from_json_dict`` and ``apply_rule`` give.
+``bench`` writes CSV, one row per (dimension, fraction); a second call
+writes the same rows but for the three timing columns.
 """
 
 import contextlib
+import csv
 import io
 import json
 import signal
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symquad import cli
+from symquad import cli, cubature
 from symquad.cubature import CubatureRule, apply_rule, folded_rectangle_rule, rectangle_rule
 from symquad.fourier import FourierPolynomial
 from symquad.symmetry import InvariancePattern
@@ -349,3 +353,51 @@ def test_tract_keeps_the_contract(drawn_dir, profile_text, st_flags, fmt):
     profile = drawn_dir / "profile.json"
     profile.write_bytes(profile_text)
     check_contract(["tract", "--profile", str(profile), *st_flags, *fmt])
+
+
+#: the columns of a ``bench`` row that hold timings, and so differ between two calls
+TIMING_COLUMNS = {"time_full_s", "time_folded_s", "speedup"}
+
+
+def untimed_rows(out):
+    """The rows of ``bench``'s CSV output without the timing columns."""
+    return [{k: v for k, v in row.items() if k not in TIMING_COLUMNS} for row in csv.DictReader(io.StringIO(out.decode()))]
+
+
+def list_text(items):
+    """A comma-separated list of up to two drawn item texts (empty items are skipped by ``bench``)."""
+    return st.lists(items, max_size=2).map(",".join)
+
+
+#: ``--dims`` items: d <= 10, and values refused before their rule is built (below 1, beyond the cap, not an int)
+BENCH_DIMS = list_text(st.one_of(st.integers(1, 10).map(str), st.sampled_from(["0", "-1", "30", "1100", "2.5", "x", " 4"])))
+BENCH_FRACTIONS = list_text(st.sampled_from(["0", "1", "0.5", "0.25", "-0.0", "1e-300", "1.5", "-0.5", "nan", "inf", "x"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    BENCH_DIMS,
+    st.one_of(st.just([]), BENCH_FRACTIONS.map(lambda t: ["--fractions", t])),
+    st.one_of(st.just([]), st.sampled_from(["1", "2", "0", "-1", "1.5", "x"]).map(lambda t: ["--reps", t])),
+    st.one_of(st.just([]), st.sampled_from(["0", "7", "-1", "x", "1e5", str(2**70)]).map(lambda t: ["--seed", t])),
+)
+@example("4,x", [], [], [])
+@example("3,30", ["--fractions", "0,1"], [], [])
+def test_bench_keeps_the_contract(dims, fractions, reps, seed):
+    argv = ["bench", "--dims", dims, *fractions, *reps, *seed]
+    with mock.patch.object(cubature, "MIN_TIMING_S", 0.0):  # time one loop: the timings are not checked
+        code, out, err = call(argv)
+        assert code in (0, 1), (argv, code, err)
+        if code:
+            assert out == b"", argv
+            assert err.count("\n") == 1 and err.endswith("\n") and err.startswith("error:"), (argv, err)
+            return
+        assert err == "", (argv, err)
+        rows = untimed_rows(out)
+        fraction_texts = fractions[1] if fractions else "1.0,0.5"
+        cells = [(int(d), float(f)) for d in dims.split(",") if d.strip() for f in fraction_texts.split(",") if f.strip()]
+        assert [(int(r["dim"]), int(r["invariant_count"])) for r in rows] == [(d, round(f * d)) for d, f in cells]
+        assert all(int(r["nodes_full"]) == 2 ** int(r["dim"]) for r in rows)
+        code, out, err = call(argv)
+    assert (code, err) == (0, ""), (argv, code, err)
+    assert untimed_rows(out) == rows, argv

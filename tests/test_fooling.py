@@ -32,7 +32,7 @@ from symquad import (
     orbit_stats,
     order_weights,
 )
-from symquad.fooling import DEFAULT_CHECK_TOL
+from symquad.fooling import DEFAULT_CHECK_TOL, _certificate_terms
 from symquad.fourier import exp_2pi_i
 
 
@@ -426,6 +426,7 @@ def reference_terms(cert, pattern):
                 per_mode[n] = per_mode.get(n, 0) + 1
     terms = {}
     for diff in sorted(counts):
+        assert len(counts[diff]) == 1, diff  # k fixes the free bits and block weight of h, so h's mode
         acc = 0j
         for n in sorted(counts[diff]):
             acc += float(Fraction(counts[diff][n] * stab_pivot, order)) * cert.solution.coefficients[n]
@@ -439,6 +440,7 @@ def test_coefficient_assembly_matches_dict_loop_reference():
     cases = [
         (InvariancePattern.full(19), 2),  # group order 19! exceeds 2**53
         (InvariancePattern.trivial(6), 40),
+        (InvariancePattern.trivial(39), 3),  # the largest difference code 3^39 - 1 within int64
         (InvariancePattern.trivial(40), 3),  # difference codes beyond int64
         (InvariancePattern.single(7, (2, 3, 5, 6)), 30),
         (InvariancePattern.single(8, (1, 2, 3, 4, 5, 6)), 27),
@@ -452,6 +454,16 @@ def test_coefficient_assembly_matches_dict_loop_reference():
         assert terms == reference_terms(cert, pattern)
         assert list(terms) == sorted(terms)
         assert terms[(0,) * pattern.dim] == 1 + 0j
+
+
+def test_coefficient_assembly_writes_no_negative_zero():
+    # a coefficient with a -0.0 imaginary part, times a count, gives -0.0, which the JSON writer would keep
+    pattern = InvariancePattern.single(4, (1, 2))
+    psi = canonical_binary_vectors(pattern, stop=5)[0].astype(np.int64)
+    coefficients = np.array([complex(-0.5, -0.0), 1.0, complex(0.25, -0.0), complex(-1.0, -0.0), complex(0.5, 0.0)])
+    keys, values = _certificate_terms(pattern, psi, coefficients, 1)
+    assert len(keys) == len(values) > 0 and np.all(values.real != 0)
+    assert not np.signbit(values.imag).any()
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,16 @@ def test_an_overflow_raises_overflow_error_and_no_numpy_warning(node, weights, t
         apply_rule(rule, FourierPolynomial(1, terms))
 
 
+@pytest.mark.parametrize(
+    "weights, value",
+    [([1.7e308, 1.7e308], 0j), ([8e307, 9e307], complex(8e307 - 9e307))],
+    ids=["equal-halves", "unequal-halves"],
+)
+def test_a_finite_w_whose_weight_sum_overflows_is_exact(weights, value):
+    # W(1) = w_0 - w_1 is finite, though sum(w) - 2 w_1 overflows: the even and odd nodes are summed apart
+    assert apply_rule(CubatureRule(1, [[0.0], [0.5]], weights), FourierPolynomial(1, {(1,): 1.0})) == value
+
+
 def test_finite_products_whose_sum_overflows_raise_overflow_error(tmp_path, capsys):
     # each product c_k W(k mod 2) is 1e308; math.fsum of the two overflows, as the pointwise node 0.25 does not
     rule, poly = CubatureRule(1, [[0.0]], [1e308]), FourierPolynomial(1, {(0,): 1.0, (2,): 1.0})
