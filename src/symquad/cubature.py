@@ -37,6 +37,7 @@ from .symmetry import (
     DEFAULT_ENUMERATION_CAP,
     InvariancePattern,
     _binary_orbit_size_classes,
+    _enumeration_count,
     canonical_binary_vectors,
     symmetrize,
 )
@@ -276,7 +277,9 @@ def bench(dims, fractions, repetitions=3, seed=0, n_terms=8):
     built by orbit-averaging a random low-frequency polynomial (ones-count
     at most 2, so orbit sizes stay small) and both rules are timed on it.
     Returns a list of row dicts; a fraction outside ``[0, 1]``, an empty
-    ``dims`` or ``fractions``, or ``repetitions`` below 1 is refused.
+    ``dims`` or ``fractions``, ``repetitions`` below 1, or a dimension whose
+    rectangle rule exceeds the enumeration cap is refused before any rule
+    is built.
     """
     repetitions = require_integral(repetitions, "repetitions")
     if repetitions < 1:
@@ -285,13 +288,15 @@ def bench(dims, fractions, repetitions=3, seed=0, n_terms=8):
         raise ValueError("bench needs at least one dimension and one invariant fraction")
     if not all(0 <= fraction <= 1 for fraction in fractions):
         raise ValueError(f"invariant fractions must lie in [0, 1], got {list(fractions)!r}")
+    for dim in dims:  # refuse a dimension beyond the cap before any rule is built
+        _enumeration_count(InvariancePattern.trivial(dim), None, DEFAULT_ENUMERATION_CAP)
     rng = np.random.default_rng(seed)
     rows = []
     for dim in dims:
+        full = rectangle_rule(dim)
         for fraction in fractions:
             inv = int(round(fraction * dim))
             pattern = InvariancePattern.single(dim, range(1, inv + 1))
-            full = rectangle_rule(dim)
             folded = folded_rectangle_rule(pattern)
             base = random_polynomial(dim, n_terms, rng, max_magnitude=1)
             # at most two nonzero entries per frequency keep orbit sizes (and so the support) moderate

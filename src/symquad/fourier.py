@@ -278,15 +278,17 @@ def _from_rows(dim, keys, coeffs, out=None) -> FourierPolynomial:
 def _collect(dim, keys, coeffs) -> FourierPolynomial:
     """Polynomial summing ``coeffs`` over equal integer ``keys``: from 0, in array order (``np.bincount``)."""
     rows, slot = _distinct_rows(keys)
-    sums = np.bincount(slot, coeffs.real, len(rows)) + 1j * np.bincount(slot, coeffs.imag, len(rows))
+    with np.errstate(invalid="ignore"):  # an infinite imaginary sum makes 1j * inf NaN, which _from_sorted refuses
+        sums = np.bincount(slot, coeffs.real, len(rows)) + 1j * np.bincount(slot, coeffs.imag, len(rows))
     return _from_rows(dim, rows, sums)
 
 
 def _product(a, b) -> np.ndarray:
     """``a * b`` in Python's complex arithmetic (numpy's complex multiply may round differently)."""
     out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    with np.errstate(over="ignore", invalid="ignore"):  # unwarned: _from_sorted refuses what is not finite
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 

@@ -61,7 +61,7 @@ def korobov_weight(k, alpha) -> float:
     """Weight ``prod_m max(1,|k_m|)**alpha`` of a frequency vector: the norm of ``exp(2*pi*i*k.x)``.
 
     The integer product is formed exactly before the single floating-point
-    power; an ``OverflowError`` is raised if it exceeds the float range.
+    power; an ``OverflowError`` is raised if the weight exceeds the float range.
     """
     key = tuple(k)
     return korobov_norm(FourierPolynomial(len(key), {key: 1.0}), alpha)
@@ -70,14 +70,19 @@ def korobov_weight(k, alpha) -> float:
 def korobov_norm(f: FourierPolynomial, alpha) -> float:
     """Largest weighted coefficient modulus of ``f`` (0 for the zero series).
 
-    Each key's product ``p`` of ``max(1, |k_m|)`` is exact (``int64`` below
-    ``2^62``, else Python ints); ``float(p) ** alpha`` is taken once per
-    distinct ``p``, and moduli are ``hypot(re, im)``, as ``abs`` of a complex.
+    Each distinct row of factors ``max(1, |k_m|)`` has its product formed
+    exactly in Python ints and its weight ``float(p) ** alpha`` taken once;
+    moduli are ``hypot(re, im)``, as ``abs`` of a complex.  An
+    ``OverflowError`` is raised if a weight or the norm exceeds the float range.
     """
     a = require_alpha(alpha)
-    factors = np.maximum(np.abs(f.keys), 1)
-    wide = np.log2(factors).sum(axis=1) >= 62.0
-    products, index = _distinct_rows(np.where(wide, 1, np.prod(factors, axis=1))[:, None])
-    weights = np.array([float(p) ** a for p in products.ravel().tolist()])[index]
-    weights[wide] = [float(math.prod(row)) ** a for row in factors[wide].tolist()]
-    return float(np.max(np.hypot(f.coeffs.real, f.coeffs.imag) * weights, initial=0.0))
+    rows, index = _distinct_rows(np.maximum(np.abs(f.keys), 1))
+    with np.errstate(over="ignore"):
+        try:
+            weights = np.array([float(math.prod(row)) ** a for row in rows.tolist()])[index]
+            norm = float(np.max(np.hypot(f.coeffs.real, f.coeffs.imag) * weights, initial=0.0))
+        except OverflowError:  # float() of a product, or its power
+            norm = math.inf
+    if norm == math.inf:
+        raise OverflowError("the Korobov norm overflowed the float range (1.8e308)")
+    return norm

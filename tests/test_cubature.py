@@ -26,6 +26,7 @@ from symquad import (
     riemann_zeta,
     symmetrize,
 )
+import symquad.cubature as cubature
 from symquad.cubature import bench
 from symquad.korobov import zeta_floor
 from symquad.symmetry import binary_orbit_representatives
@@ -381,6 +382,22 @@ def test_wce_asks_zeta_for_at_most_its_floor():
     report = rectangle_worst_case_error(1, 2.0, 2 * floor)  # reachable, but its zeta share tol / 4 is not
     assert report.closed_form == math.expm1(math.log1p(riemann_zeta(2.0, floor) * 0.5))
     assert abs(report.closed_form - report.oracle_value) <= report.tail_bound
+
+
+def test_bench_builds_each_rectangle_rule_once_and_refuses_before_building(monkeypatch):
+    built = []
+    real = cubature.rectangle_rule
+    monkeypatch.setattr(cubature, "rectangle_rule", lambda dim: built.append(dim) or real(dim))
+    with pytest.raises(CapExceededError) as refused:
+        bench([16, 30], [1.0, 0.5], repetitions=1)
+    assert built == []
+    with pytest.raises(CapExceededError) as direct:
+        real(30)
+    assert str(refused.value) == str(direct.value)
+    rows = bench([4, 6], [1.0, 0.5, 0.25], repetitions=1)
+    assert built == [4, 6]
+    assert [(row["dim"], row["invariant_count"], row["nodes_full"]) for row in rows] == [
+        (4, 4, 16), (4, 2, 16), (4, 1, 16), (6, 6, 64), (6, 3, 64), (6, 2, 64)]
 
 
 @pytest.mark.parametrize("repetitions", [0, -2, 1.5])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symquad.fourier as fourier
-from symquad import DimensionMismatchError, FourierPolynomial, evaluate_at_points, korobov_norm, random_polynomial
+from symquad import (
+    DimensionMismatchError,
+    FourierPolynomial,
+    InvariancePattern,
+    evaluate_at_points,
+    korobov_norm,
+    random_polynomial,
+    symmetrize,
+)
 
 
 def mp_eval(f, x):
@@ -374,6 +383,32 @@ def test_korobov_norm_matches_the_dict_loop():
             assert korobov_norm(f, alpha).hex() == reference_korobov_norm(f, alpha).hex()
 
 
+#: a key entry: a weight factor of 1 or up to the magnitude cap
+_NORM_ENTRIES = st.integers(-1, 1) | st.integers(-fourier.MAX_INDEX_MAGNITUDE, fourier.MAX_INDEX_MAGNITUDE)
+_NORM_PARTS = st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+_NORM_COEFFS = st.builds(complex, _NORM_PARTS, _NORM_PARTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.dictionaries(st.tuples(*[_NORM_ENTRIES] * d), _NORM_COEFFS, max_size=20)
+        .map(lambda terms: FourierPolynomial(d, terms))
+    ),
+    st.floats(1.0001, 50.0),
+)
+def test_korobov_norm_is_the_dict_loop_or_refuses_where_it_overflows(f, alpha):
+    try:
+        expected = reference_korobov_norm(f, alpha)
+    except OverflowError:  # a product or its power has no float
+        expected = math.inf
+    if expected == math.inf:
+        with pytest.raises(OverflowError, match="float range"):
+            korobov_norm(f, alpha)
+    else:
+        assert korobov_norm(f, alpha).hex() == expected.hex()
+
+
 # ---------------------------------------------------------------------------
 # grouping equal rows
 
@@ -572,6 +607,29 @@ def test_a_product_whose_keys_pass_the_cap_is_refused():
     assert (p + p).support() == p.support()
     with pytest.raises(ValueError, match=f"^{CAP_MESSAGE}$"):
         p * p
+
+
+_HUGE = FourierPolynomial(1, {(1,): 1e200})
+_HUGE_COMPLEX = FourierPolynomial(1, {(1,): complex(1e200, 1e200)})  # its square's real part is inf - inf
+_HUGE_IMAG = FourierPolynomial(2, {(1, 0): 1.7e308j, (0, 1): 1.7e308j})  # its sums overflow in the imaginary part
+
+
+@pytest.mark.parametrize(
+    "arithmetic, where",
+    [
+        (lambda: _HUGE * _HUGE, r"\(inf\+0j\) at \(2,\)"),
+        (lambda: 1e200 * _HUGE, r"\(inf\+0j\) at \(1,\)"),
+        (lambda: _HUGE_COMPLEX * _HUGE_COMPLEX, r"\(nan\+infj\) at \(2,\)"),
+        (lambda: _HUGE_IMAG + _HUGE_IMAG, r"\(nan\+infj\) at \(0, 1\)"),
+        (lambda: symmetrize(_HUGE_IMAG, InvariancePattern.full(2)), r"\(nan\+infj\) at \(0, 1\)"),
+    ],
+    ids=["product", "scalar", "inf-minus-inf", "sum-imaginary", "symmetrize-imaginary"],
+)
+def test_an_overflowing_product_or_sum_gives_only_the_gate_error(arithmetic, where):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^coefficient {where} is not finite$"):
+            arithmetic()
 
 
 def test_one_column_keys_are_their_own_codes_and_are_sorted_only_out_of_order(monkeypatch):

@@ -1,6 +1,7 @@
 """Norm, weight, and zeta evaluation against analytic and brute-force oracles."""
 
 import math
+import warnings
 
 import mpmath
 import pytest
@@ -55,6 +56,33 @@ def test_weight_overflow():
     big = (2**31 - 1,) * 40
     with pytest.raises(OverflowError):
         korobov_weight(big, 2.0)
+
+
+@pytest.mark.parametrize(
+    "k, alpha",
+    [
+        ((2**31 - 1,) * 40, 2.0),  # the product itself, about 2^1240, has no float
+        ((2**31 - 1,) * 9, 4.0),  # the product, about 2^279, does; its 4th power does not
+    ],
+)
+def test_weight_beyond_the_float_range_names_it(k, alpha):
+    with pytest.raises(OverflowError, match=r"overflowed the float range \(1\.8e308\)"):
+        korobov_weight(k, alpha)
+
+
+@pytest.mark.parametrize(
+    "f, alpha",
+    [
+        (FourierPolynomial(1, {(100000,): 1e300}), 2.0),  # weight 1e10, so the weighted modulus is 1e310
+        (FourierPolynomial(2, {(0, 0): complex(1.7e308, 1.7e308)}), 2.0),  # the modulus alone
+        (FourierPolynomial(2, {(0, 0): 1.0, (2**31 - 1, 2**31 - 1): 1e-300}), 20.0),  # a weight alone, about 2^1240
+    ],
+)
+def test_norm_beyond_the_float_range_is_refused_without_a_warning(f, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"overflowed the float range \(1\.8e308\)"):
+            korobov_norm(f, alpha)
 
 
 @settings(max_examples=200, deadline=None)
