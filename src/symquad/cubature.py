@@ -23,6 +23,7 @@ from .fourier import (
     FourierPolynomial,
     _collect,
     _distinct_rows,
+    _evaluate,
     evaluate_at_points,
     random_polynomial,
     reading,
@@ -146,17 +147,31 @@ def apply_rule(rule: CubatureRule, f: FourierPolynomial) -> complex:
     the result by at most about ``1e-12 * (1 + sum|w_n|) * sum|c_k|``.  An
     overflow on either route raises ``OverflowError``.
     """
+    return _finite(_rule_values(rule, f)[0])
+
+
+def _rule_values(rule: CubatureRule, f: FourierPolynomial, *more) -> list:
+    """``apply_rule`` of ``f`` and of each polynomial in ``more``, before the overflow check (``_finite``).
+
+    Off the grid, polynomials with ``f``'s keys share one set of exponentials (``fourier._evaluate``).
+    """
     if rule.dim != f.dim:
         raise DimensionMismatchError("rule and polynomial dimensions differ")
+    polys = (f, *more)
     if rule.n_nodes == 0 or len(f) == 0:
-        return 0j
+        return [0j for _ in polys]
     half = rule.nodes == 0.5
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite, with no warning
         # the nodes lie in [0, 1), so 2t is whole exactly when t is 0.0 (or -0.0) or 0.5
         if np.count_nonzero(half) + np.count_nonzero(rule.nodes == 0.0) == half.size:
-            value = _apply_by_parity(half, rule.weights, f)
-        else:
-            value = complex(np.dot(rule.weights, evaluate_at_points(f, rule.nodes)))
+            return [_apply_by_parity(half, rule.weights, g) if len(g) else 0j for g in polys]
+        # alone, through the public name that the per-layer trace wraps
+        columns = _evaluate(f, rule.nodes, *more) if more else [evaluate_at_points(f, rule.nodes)]
+        return [complex(np.dot(rule.weights, c)) if len(g) else 0j for g, c in zip(polys, columns)]
+
+
+def _finite(value: complex) -> complex:
+    """A rule's value, refused with ``OverflowError`` unless both parts are finite."""
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OverflowError("the rule value overflowed the float range (1.8e308)")
     return value

@@ -27,7 +27,7 @@ largest deviation, providing an independent route through the algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import (
     RefusalError,
     UnsupportedPatternError,
 )
-from .fourier import FourierPolynomial, MultiIndex, _collect, _distinct_rows, _from_sorted, characters, exp_2pi_i
+from .fourier import FourierPolynomial, MultiIndex, _collect, _distinct_rows, _from_sorted, exp_2pi_i
 from .korobov import korobov_norm, require_alpha, zeta_floor
 from .symmetry import (
     InvariancePattern,
@@ -82,7 +82,25 @@ def constraint_matrix(rule: CubatureRule, pattern: InvariancePattern, psi) -> np
     a vector with free bits ``f`` and ``j_r`` ones in block ``B_r`` is
     ``prod_{f_m=1} z_m * prod_r e_{j_r}(z_{B_r})`` (``e_j`` the elementary
     symmetric polynomials, from ``e_j <- e_j + z_m e_{j-1}``); the free
-    factor is the product of two half-dimension characters.
+    factor is the product of two half-dimension characters.  The result is
+    the view ``B[:, :n].T`` of the ``(n+1) x (n+1)`` buffer ``B`` that
+    ``construct_certificate`` factorizes: row ``j`` of ``B`` is column ``j``
+    of the bordered system ``[A; c^T]`` (``nullspace_solution``).
+    """
+    return _bordered_system(rule, pattern, psi)[1][:, :-1].T
+
+
+#: Buffer entries filled per block of mode rows: 256 kB, so that a block's temporaries stay in cache.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _bordered_system(rule, pattern, psi):
+    """The validated modes and the buffer ``B`` of ``constraint_matrix``, with its finiteness and ``max |A|``.
+
+    Each block of mode rows is formed in place, entry by entry in one fixed
+    order (lower-half character, times upper-half character, times each
+    coordinate block's ``e_j`` factor, divided by the group order), so its
+    bits do not depend on the block size.  The border column is left unset.
     """
     if rule.dim != pattern.dim:
         raise DimensionMismatchError("rule and pattern dimensions differ")
@@ -93,16 +111,53 @@ def constraint_matrix(rule: CubatureRule, pattern: InvariancePattern, psi) -> np
     modes = _validate_mode_order(psi, pattern, n_nodes)
     blocks = [[i - 1 for i in g] for g in pattern.groups]
     free = sorted(set(range(pattern.dim)).difference(*blocks))
-    matrix = characters(rule.nodes[:, free], modes[:, free])  # one row per mode
+    points, keys = rule.nodes[:, free], modes[:, free]
+    s = (len(free) + 1) // 2  # each free character is the product of two half characters
+    lo, lo_of = _distinct_rows(keys[:, :s])  # integer rows group fastest
+    hi, hi_of = _distinct_rows(keys[:, s:])
+    lo = exp_2pi_i(lo.astype(np.float64) @ points[:, :s].T)  # one row per distinct half
+    hi = exp_2pi_i(hi.astype(np.float64) @ points[:, s:].T)
+    factors = []
     for cols in blocks:
         z = exp_2pi_i(rule.nodes[:, cols].T)
         elementary = np.zeros((len(cols) + 1, n_nodes), dtype=np.complex128)
         elementary[0] = 1.0
         for m in range(len(cols)):
             elementary[1 : m + 2] += z[m] * elementary[: m + 1]
-        matrix *= elementary[modes[:, cols].sum(axis=1).astype(np.intp)]
-    matrix /= float(group_order(pattern))
-    return matrix.T
+        factors.append((elementary, modes[:, cols].sum(axis=1).astype(np.intp)))
+    order = float(group_order(pattern))
+
+    def fill(rows, block, spare):
+        lo_rows, hi_rows = spare  # mode="clip" gathers into them in place, where "raise" would buffer
+        np.take(lo, lo_of[rows], axis=0, out=lo_rows, mode="clip")
+        np.multiply(lo_rows, np.take(hi, hi_of[rows], axis=0, out=hi_rows, mode="clip"), out=block)
+        for elementary, ones in factors:
+            block *= np.take(elementary, ones[rows], axis=0, out=lo_rows, mode="clip")
+        block /= order
+
+    return (modes, *_filled(n_nodes, fill))
+
+
+def _filled(n_nodes, fill):
+    """A new ``(n+1) x (n+1)`` buffer ``B`` whose rows ``fill(rows, B[rows, :n], spare)`` writes, block by block.
+
+    ``spare`` holds two block-sized complex arrays, reused by every block (a
+    new array per block would be faulted in again).  Returns ``B``, whether
+    every written entry is finite, and the largest modulus among them, both
+    taken while each block is in cache.
+    """
+    buffer = np.empty((n_nodes + 1, n_nodes + 1), dtype=np.complex128)
+    step = max(1, _BLOCK_ENTRIES // max(1, n_nodes))
+    spare, moduli = np.empty((2, step, n_nodes), dtype=np.complex128), np.empty((step, n_nodes))
+    finite, peaks = True, []
+    for start in range(0, n_nodes + 1, step):
+        rows = slice(start, start + step)
+        block = buffer[rows, :n_nodes]
+        fill(rows, block, spare[:, : len(block)])
+        peak = np.max(np.abs(block, out=moduli[: len(block)]), initial=0.0)  # NaN when an entry is NaN
+        finite = finite and (np.isfinite(peak) or bool(np.isfinite(block).all()))  # |z| overflows for some finite z
+        peaks.append(peak)
+    return buffer, finite, np.max(peaks)
 
 
 def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
@@ -122,7 +177,7 @@ def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
     return modes
 
 
-def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL, *, _scale=None) -> NullspaceSolution:
+def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolution:
     """Nontrivial nullspace vector of an ``n x (n+1)`` complex matrix ``A``.
 
     First one LU solve (LAPACK ``getrf``, partial pivoting; Higham,
@@ -141,18 +196,42 @@ def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL, *, _scale=None) -
     ``pivot_index``.  Raises ``ValueError`` for a non-finite entry, and
     ``NullspaceError`` unless the residual ``max |A v|`` is at most
     ``residual_tol`` (the caller may retry with a different mode order).
-    The private ``_scale`` is ``max |A|`` when the caller has already taken
-    it.
+    ``A`` is copied into the layout of ``constraint_matrix``'s buffer.
     """
     a_mat = np.asarray(matrix, dtype=np.complex128)
     if a_mat.ndim != 2 or a_mat.shape[1] != a_mat.shape[0] + 1:
         raise ValueError(f"expected an n x (n+1) matrix, got shape {a_mat.shape}")
-    if not np.isfinite(a_mat).all():
+    return _solved(a_mat, *_filled(len(a_mat), lambda rows, block, _: np.copyto(block, a_mat[:, rows].T)), residual_tol)
+
+
+#: The bordered solve is trusted while ``max |M^-1 [e_{n+1}, r]| * max |A|`` stays below this.
+_BORDER_LIMIT = 1e8
+
+
+def _solved(a_mat, buffer, finite, scale, residual_tol) -> NullspaceSolution:
+    """``nullspace_solution`` of ``A``, held also as ``buffer[:, :n].T``, given whether it is finite and ``max |A|``.
+
+    The border ``c_j = scale exp(2 pi i j g)`` goes into the last column and
+    the probe is ``r_j = exp(2 pi i j s)`` (``g``, ``s`` the fractional parts
+    of the golden ratio and of ``sqrt 2``), so the result depends on ``A``
+    alone.  ``buffer.T`` is ``M`` in Fortran order, as LAPACK takes it.  The
+    residual is taken on ``a_mat`` as the caller laid it out.
+    """
+    if not finite:
         raise ValueError("the matrix has a non-finite entry")
-    scale = np.max(np.abs(a_mat), initial=0.0) if _scale is None else _scale
-    vec = _bordered_null_vector(a_mat, scale)
+    n_rows = len(buffer) - 1
+    steps = np.arange(n_rows + 1)
+    buffer[:, n_rows] = scale * exp_2pi_i(steps * ((5**0.5 - 1) / 2))
+    rhs = np.zeros((n_rows + 1, 2), dtype=np.complex128)
+    rhs[n_rows, 0] = 1.0
+    rhs[:, 1] = exp_2pi_i(steps * (2**0.5 - 1))
+    try:
+        solved = np.linalg.solve(buffer.T, rhs)
+        vec = solved[:, 0] if np.max(np.abs(solved)) * scale < _BORDER_LIMIT else None  # NaN and inf fail too
+    except np.linalg.LinAlgError:  # an exactly singular M
+        vec = None
     if vec is None:
-        vec = np.linalg.qr(a_mat.T, mode="complete")[0][:, -1].conj()
+        vec = np.linalg.qr(buffer[:, :n_rows], mode="complete")[0][:, -1].conj()
     pivot_index = int(np.argmax(np.abs(vec)))
     vec = vec / vec[pivot_index]
     vec[pivot_index] = 1.0
@@ -164,35 +243,6 @@ def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL, *, _scale=None) -
             residual,
         )
     return NullspaceSolution(vec, pivot_index, residual)
-
-
-#: The bordered solve is trusted while ``max |M^-1 [e_{n+1}, r]| * max |A|`` stays below this.
-_BORDER_LIMIT = 1e8
-
-
-def _bordered_null_vector(a_mat, scale):
-    """``y`` with ``A y = 0`` from one LU solve of ``[A; c^T] y = e_{n+1}``, or None if that is unsafe.
-
-    ``c_j = scale exp(2 pi i j g)`` (``scale`` is ``max |A|``) and the probe
-    ``r_j = exp(2 pi i j s)`` (``g``, ``s`` the fractional parts of the
-    golden ratio and of ``sqrt 2``) are fixed, so the result depends on
-    ``A`` alone.
-    """
-    n_rows = len(a_mat)
-    steps = np.arange(n_rows + 1)
-    bordered = np.empty((n_rows + 1, n_rows + 1), dtype=np.complex128)
-    bordered[:n_rows] = a_mat
-    bordered[n_rows] = scale * exp_2pi_i(steps * ((5**0.5 - 1) / 2))
-    rhs = np.zeros((n_rows + 1, 2), dtype=np.complex128)
-    rhs[n_rows, 0] = 1.0
-    rhs[:, 1] = exp_2pi_i(steps * (2**0.5 - 1))
-    try:
-        solved = np.linalg.solve(bordered, rhs)
-    except np.linalg.LinAlgError:  # an exactly singular M
-        return None
-    if not np.max(np.abs(solved)) * scale < _BORDER_LIMIT:  # a NaN or infinite entry fails too
-        return None
-    return solved[:, 0]
 
 
 @dataclass(frozen=True)
@@ -271,8 +321,8 @@ def construct_certificate(
     alpha : float, > 1
     mode_order : sequence of 0/1 vectors, optional
         The ``n+1`` canonical vectors to combine; defaults to the
-        lexicographic stream.  Weighted certificates pass a reordered
-        prefix here.
+        lexicographic stream.  Weighted certificates use a weight-ordered
+        prefix.
 
     Raises
     ------
@@ -284,6 +334,13 @@ def construct_certificate(
     CertificateError
         If a verification check fails; residuals are attached.
     """
+    cert, limits = _assembled(rule, pattern, alpha, mode_order)
+    return replace(cert, rule_value=_verified(rule, apply_rule(rule, cert.polynomial), cert.residuals, limits))
+
+
+def _assembled(rule, pattern, alpha, mode_order):
+    """``construct_certificate`` short of the rule's value: the certificate (its ``rule_value`` None) and the
+    limits of its residuals."""
     a_smooth = require_alpha(alpha)
     if rule.dim != pattern.dim:
         raise DimensionMismatchError("rule and pattern dimensions differ")
@@ -302,10 +359,9 @@ def construct_certificate(
 
     if mode_order is None:
         mode_order = canonical_binary_vectors(pattern, stop=n_nodes + 1, cap=None)[0]
-    matrix = constraint_matrix(rule, pattern, mode_order)
-    psi = np.asarray(mode_order, dtype=np.int64)  # validated 0/1 rows, so nothing is truncated
-    scale = np.max(np.abs(matrix), initial=0.0)
-    solution = nullspace_solution(matrix, DEFAULT_CHECK_TOL * scale, _scale=scale)
+    psi, buffer, finite, scale = _bordered_system(rule, pattern, mode_order)
+    solution = _solved(buffer[:, :-1].T, buffer, finite, scale, DEFAULT_CHECK_TOL * scale)
+    del buffer  # the (n+1)^2 buffer goes before the checks allocate theirs
     poly = _from_sorted(pattern.dim, *_certificate_terms(pattern, psi, solution.coefficients, solution.pivot_index))
 
     integral_value = poly.integral()
@@ -315,23 +371,22 @@ def construct_certificate(
         "integral_deviation": abs(integral_value - 1.0),
         "norm_excess": max(0.0, norm_value - 1.0),
     }
-    limits = {"integral_deviation": 1e-12, "norm_excess": DEFAULT_CHECK_TOL}
-    rule_value = _verified(rule, poly, residuals, limits, "certificate verification failed")
-    return FoolingCertificate(
+    cert = FoolingCertificate(
         pattern=pattern,
         alpha=a_smooth,
         polynomial=poly,
         mode_order=tuple(map(tuple, psi.tolist())),
         solution=solution,
-        rule_value=rule_value,
+        rule_value=None,
         integral_value=integral_value,
         norm_value=norm_value,
         residuals=residuals,
     )
+    return cert, {"integral_deviation": 1e-12, "norm_excess": DEFAULT_CHECK_TOL}
 
 
-def _verified(rule: CubatureRule, poly: FourierPolynomial, residuals, limits, message) -> complex:
-    """The rule's value ``Q(poly)``, once the certificate's residuals pass their limits.
+def _verified(rule: CubatureRule, value, residuals, limits, message="certificate verification failed") -> complex:
+    """``value``, the rule's value ``Q(poly)`` on a certificate, once the certificate's residuals pass their limits.
 
     Stores ``|Q(poly)|`` as ``residuals["rule_value"]`` and bounds it by
     ``DEFAULT_CHECK_TOL * (1 + sum |w_n|)``; every residual named in
@@ -339,7 +394,6 @@ def _verified(rule: CubatureRule, poly: FourierPolynomial, residuals, limits, me
     ``CertificateError(message, residuals)``.  Both certificate
     constructors end here.
     """
-    value = apply_rule(rule, poly)
     residuals["rule_value"] = abs(value)
     limits = {"rule_value": DEFAULT_CHECK_TOL * (1.0 + rule.weight_abs_sum()), **limits}
     if not all(residuals[name] <= limit for name, limit in limits.items()):  # NaN fails

@@ -278,8 +278,9 @@ def _from_rows(dim, keys, coeffs, out=None) -> FourierPolynomial:
 def _collect(dim, keys, coeffs) -> FourierPolynomial:
     """Polynomial summing ``coeffs`` over equal integer ``keys``: from 0, in array order (``np.bincount``)."""
     rows, slot = _distinct_rows(keys)
-    with np.errstate(invalid="ignore"):  # an infinite imaginary sum makes 1j * inf NaN, which _from_sorted refuses
-        sums = np.bincount(slot, coeffs.real, len(rows)) + 1j * np.bincount(slot, coeffs.imag, len(rows))
+    sums = np.empty(len(rows), dtype=np.complex128)  # the parts apart, so an infinite one leaves the other intact
+    sums.real = np.bincount(slot, coeffs.real, len(rows))
+    sums.imag = np.bincount(slot, coeffs.imag, len(rows))
     return _from_rows(dim, rows, sums)
 
 
@@ -327,13 +328,26 @@ def evaluate_at_points(f: FourierPolynomial, points) -> np.ndarray:
         reassociated relative to ``f(x)``, results differ from it by at most
         about ``1e-12 * sum_k |c_k|``.
     """
+    return _evaluate(f, points)[0]
+
+
+def _evaluate(f, points, *more) -> list:
+    """``evaluate_at_points`` of ``f`` and of each polynomial in ``more``, one array each.
+
+    When every polynomial has ``f``'s keys, they share one set of exponential
+    tables, and each coefficient table is applied to them as it is for ``f``
+    alone, so every value keeps its bits; otherwise each is evaluated alone.
+    """
+    if not all(np.array_equal(g.keys, f.keys) for g in more):
+        return [_evaluate(g, points)[0] for g in (f, *more)]
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != f.dim:
         raise DimensionMismatchError(f"points must have shape (n, {f.dim})")
     n = pts.shape[0]
+    polys = (f, *more)
     if n == 0 or len(f) == 0:
-        return np.zeros(n, dtype=np.complex128)
-    keys, coeffs = f.keys, f.coeffs  # (t, d), (t,)
+        return [np.zeros(n, dtype=np.complex128) for _ in polys]
+    keys = f.keys  # (t, d)
     n_terms, s = len(keys), (f.dim + 1) // 2
     lo, lo_of = _distinct_rows(keys[:, :s])  # integer rows group fastest
     hi, hi_of = _distinct_rows(keys[:, s:])
@@ -342,32 +356,21 @@ def evaluate_at_points(f: FourierPolynomial, points) -> np.ndarray:
         s, lo, lo_of = 0, keys[:1, :0], np.zeros(n_terms, dtype=np.intp)
         hi, hi_of = keys, np.arange(n_terms)
     lo, hi = lo.astype(np.float64), hi.astype(np.float64)  # |k_m| < 2^31: exact
-    table = np.zeros((len(hi), len(lo)), dtype=np.complex128)
-    table[hi_of, lo_of] = coeffs
-    out = np.empty(n, dtype=np.complex128)
+    tables = [np.zeros((len(hi), len(lo)), dtype=np.complex128) for _ in polys]
+    for table, g in zip(tables, polys):
+        table[hi_of, lo_of] = g.coeffs
+    outs = [np.empty(n, dtype=np.complex128) for _ in polys]
     # Chunk the nodes to bound the (nodes x halves) tables.
     chunk = max(1, (1 << 22) // (len(lo) + len(hi)))
     for start in range(0, n, chunk):
         rows = pts[start : start + chunk]
-        partial = exp_2pi_i(rows[:, s:] @ hi.T) @ table
-        out[start : start + chunk] = np.einsum("ij,ij->i", exp_2pi_i(rows[:, :s] @ lo.T), partial)
-    return out
-
-
-def characters(points, keys) -> np.ndarray:
-    """``exp(2*pi*i*k.t)`` for every key ``k`` (row) and point ``t`` (column).
-
-    Each character is the product of two half-dimension characters, one
-    exponential per point and distinct half of the keys, so keys that share
-    their halves (0/1 vectors, for one) cost far less than an exponential each.
-    Key-major, so that both gathers copy whole rows.
-    """
-    s = (keys.shape[1] + 1) // 2
-    lo, lo_of = _distinct_rows(keys[:, :s])  # integer rows group fastest
-    hi, hi_of = _distinct_rows(keys[:, s:])
-    out = exp_2pi_i(lo.astype(np.float64) @ points[:, :s].T)[lo_of]
-    out *= exp_2pi_i(hi.astype(np.float64) @ points[:, s:].T)[hi_of]
-    return out
+        exp_hi = exp_2pi_i(rows[:, s:] @ hi.T)
+        partials = [exp_hi @ table for table in tables]
+        del exp_hi  # before the lower table is formed
+        exp_lo = exp_2pi_i(rows[:, :s] @ lo.T)
+        for out, partial in zip(outs, partials):
+            out[start : start + chunk] = np.einsum("ij,ij->i", exp_lo, partial)
+    return outs
 
 
 def _distinct_rows(block):

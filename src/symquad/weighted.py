@@ -18,14 +18,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cubature import CubatureRule
+from .cubature import CubatureRule, _finite, _rule_values
 from .errors import (
     CertificateError,
     DimensionMismatchError,
     RefusalError,
     UnsupportedPatternError,
 )
-from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, _verified, construct_certificate
+from .fooling import DEFAULT_CHECK_TOL, FoolingCertificate, _assembled, _verified
 from .fourier import MultiIndex, _classes, reading, reject_bools_and_strings, require_dimension, require_integral
 from .fourier import reject_nulls_and_lists, require_positive, validate_multi_index
 from .symmetry import (
@@ -162,22 +162,26 @@ def construct_weighted_certificate(
 ) -> FoolingCertificate:
     """Fooling certificate for the weighted norm.
 
-    Runs the unweighted construction with the weight-ordered mode
+    Assembles the unweighted certificate with the weight-ordered mode
     enumeration, then scales the polynomial by the square root of the
     product of the ``(n+1)``-th ordered weight and the pivot's weight.  The
-    scaled coefficients are verified against the weighted unit ball
-    coefficient-by-coefficient, and the integral is checked against the
-    guaranteed floor.  A failure of the product inequality
-    ``scale**2 <= weight(k)`` on the support is a hard error: it cannot
-    happen for a correct weight implementation.  The result is the
-    verified unweighted certificate with the rescaled fields replaced,
-    checked again by the unweighted constructor's ``_verified``.
+    rule is applied to both polynomials at once (``cubature._rule_values``:
+    one set of exponentials), and the unweighted checks run first, as
+    ``construct_certificate`` runs them.  The scaled coefficients are then
+    verified against the weighted unit ball coefficient-by-coefficient, and
+    the integral is checked against the guaranteed floor.  A failure of the
+    product inequality ``scale**2 <= weight(k)`` on the support is a hard
+    error: it cannot happen for a correct weight implementation.  The
+    result is the unweighted certificate with the rescaled fields replaced,
+    checked again by ``_verified``.
     """
     ordering, ordered = _ranked_weights(pattern, schedule)
-    base = construct_certificate(rule, pattern, alpha, mode_order=ordering[: rule.n_nodes + 1])
+    base, limits = _assembled(rule, pattern, alpha, ordering[: rule.n_nodes + 1])
     floor = float(ordered[rule.n_nodes])
     scale = math.sqrt(floor * float(ordered[base.solution.pivot_index]))
     poly = scale * base.polynomial
+    base_value, value = _rule_values(rule, base.polynomial, poly)  # one set of exponentials for both
+    _verified(rule, _finite(base_value), base.residuals, limits)  # the unweighted checks first
 
     residuals = dict(base.residuals)
     moduli = np.abs(poly.coeffs)
@@ -204,7 +208,7 @@ def construct_weighted_certificate(
         weighted_norm_excess=max(0.0, norm_value - 1.0),
     )
     limits = {"integral_floor_deficit": DEFAULT_CHECK_TOL, "weighted_ball_excess": DEFAULT_CHECK_TOL}
-    rule_value = _verified(rule, poly, residuals, limits, "weighted certificate verification failed")
+    rule_value = _verified(rule, _finite(value), residuals, limits, "weighted certificate verification failed")
     return replace(
         base, polynomial=poly, rule_value=rule_value, integral_value=integral_value, norm_value=norm_value,
         residuals=residuals, weight_scale=scale, weight_floor=floor, gammas=schedule.gammas,

@@ -3,15 +3,20 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symquad import fooling
 from symquad import (
     CapExceededError,
     CubatureRule,
     DimensionMismatchError,
+    FourierPolynomial,
     InvariancePattern,
     NullspaceError,
     RefusalError,
@@ -32,6 +37,7 @@ from symquad import (
     orbit_stats,
     order_weights,
 )
+from symquad.cubature import _rule_values
 from symquad.fooling import DEFAULT_CHECK_TOL, _certificate_terms
 from symquad.fourier import exp_2pi_i
 
@@ -279,6 +285,84 @@ def test_a_duplicated_node_certifies_through_qr(monkeypatch):
         np.abs(constraint_matrix(rule, pattern, cert.mode_order))
     )
     assert cert.solution.coefficients[cert.solution.pivot_index] == 1.0
+
+
+@st.composite
+def certificate_cases(draw):
+    """A pattern of at most one block (d <= 8), a node count below its threshold, a seed and a mode order kind."""
+    dim = draw(st.integers(1, 8))
+    block = draw(st.permutations(range(1, dim + 1)))[: draw(st.integers(0, dim))]
+    pattern = InvariancePattern.single(dim, block)
+    n_nodes = draw(st.integers(0, critical_node_count(pattern) - 1))
+    return pattern, n_nodes, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(certificate_cases())
+def test_certificate_solves_the_system_of_its_constraint_matrix_bit_for_bit(case):
+    pattern, n_nodes, seed, weight_ordered = case
+    rng = np.random.default_rng(seed)
+    rule = random_rule(rng, pattern.dim, n_nodes)
+    if weight_ordered:
+        schedule = WeightSchedule(pattern.dim, tuple(sorted(rng.uniform(0.3, 1.0, pattern.dim), reverse=True)))
+        psi = order_weights(pattern, schedule).ordering[: n_nodes + 1]
+    else:
+        psi = canonical_binary_vectors(pattern, stop=n_nodes + 1)[0]
+    mat = constraint_matrix(rule, pattern, psi)
+    # each entry against its orbit sum, one exponential per orbit member
+    sums = [np.exp(2j * np.pi * np.array(list(orbit(k, pattern))) @ rule.nodes.T).sum(axis=0) for k in psi]
+    reference = np.stack(sums, axis=1) / group_order(pattern)
+    assert np.max(np.abs(mat - reference), initial=0.0) <= 1e-13
+    with pytest.MonkeyPatch.context() as patch:  # one mode row per block: the bits do not depend on the blocks
+        patch.setattr(fooling, "_BLOCK_ENTRIES", 1)
+        assert constraint_matrix(rule, pattern, psi).tobytes() == mat.tobytes()
+    expected = nullspace_solution(mat, DEFAULT_CHECK_TOL * np.max(np.abs(mat), initial=0.0))
+    solution = construct_certificate(rule, pattern, 2.0, mode_order=psi).solution
+    assert solution.pivot_index == expected.pivot_index
+    assert solution.coefficients.tobytes() == expected.coefficients.tobytes()
+    assert np.float64(solution.residual).tobytes() == np.float64(expected.residual).tobytes()
+
+
+def test_a_certificate_holds_one_bordered_system_at_a_time():
+    # 690 nodes at d = 10, block {3, 7}: below the threshold 768.  The (n+1)^2 complex
+    # system is formed in place; LAPACK's copy of it is not traced by tracemalloc.
+    n_nodes = 690
+    rule = random_rule(np.random.default_rng(690), 10, n_nodes)
+    pattern = InvariancePattern.single(10, (3, 7))
+    construct_certificate(rule, pattern, 2.0)  # first calls out of the measurement
+    tracemalloc.start()
+    try:
+        construct_certificate(rule, pattern, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * (n_nodes + 1) ** 2
+
+
+def bits(values):
+    return np.array(values, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("on_grid", [False, True])
+def test_weighted_rule_values_are_those_of_apply_rule_bit_for_bit(on_grid):
+    rng = np.random.default_rng(35)
+    pattern = InvariancePattern.single(6, (2, 4, 5))  # threshold 32
+    rule = random_rule(rng, 6, 30)
+    if on_grid:  # the half-grid route
+        rule = CubatureRule(6, np.floor(2 * rule.nodes) / 2, rule.weights)
+    schedule = WeightSchedule(6, tuple(sorted(rng.uniform(0.3, 1.0, 6), reverse=True)))
+    cert = construct_weighted_certificate(rule, pattern, 2.0, schedule)
+    base = construct_certificate(rule, pattern, 2.0, mode_order=cert.mode_order).polynomial
+    assert cert.weight_scale * base == cert.polynomial
+    values = [apply_rule(rule, base), apply_rule(rule, cert.polynomial)]
+    assert bits(_rule_values(rule, base, cert.polynomial)) == bits(values)
+    assert bits([cert.rule_value]) == bits(values[1:])
+    # a scaled coefficient that underflows drops its key: each polynomial is then evaluated alone
+    tiny = base + FourierPolynomial(6, {(2, 0, 0, 0, 0, 0): 1e-300})
+    for scaled in (1e-30 * tiny, 0.0 * tiny):
+        assert len(scaled) < len(tiny)
+        expected = [apply_rule(rule, tiny), apply_rule(rule, scaled)]
+        assert bits(_rule_values(rule, tiny, scaled)) == bits(expected)
 
 
 # ---------------------------------------------------------------------------

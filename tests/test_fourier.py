@@ -612,6 +612,7 @@ def test_a_product_whose_keys_pass_the_cap_is_refused():
 _HUGE = FourierPolynomial(1, {(1,): 1e200})
 _HUGE_COMPLEX = FourierPolynomial(1, {(1,): complex(1e200, 1e200)})  # its square's real part is inf - inf
 _HUGE_IMAG = FourierPolynomial(2, {(1, 0): 1.7e308j, (0, 1): 1.7e308j})  # its sums overflow in the imaginary part
+_HUGE_MIXED = FourierPolynomial(1, {(1,): 1 + 1.7e308j})  # its sum keeps the real part 2
 
 
 @pytest.mark.parametrize(
@@ -620,10 +621,11 @@ _HUGE_IMAG = FourierPolynomial(2, {(1, 0): 1.7e308j, (0, 1): 1.7e308j})  # its s
         (lambda: _HUGE * _HUGE, r"\(inf\+0j\) at \(2,\)"),
         (lambda: 1e200 * _HUGE, r"\(inf\+0j\) at \(1,\)"),
         (lambda: _HUGE_COMPLEX * _HUGE_COMPLEX, r"\(nan\+infj\) at \(2,\)"),
-        (lambda: _HUGE_IMAG + _HUGE_IMAG, r"\(nan\+infj\) at \(0, 1\)"),
-        (lambda: symmetrize(_HUGE_IMAG, InvariancePattern.full(2)), r"\(nan\+infj\) at \(0, 1\)"),
+        (lambda: _HUGE_IMAG + _HUGE_IMAG, r"infj at \(0, 1\)"),  # the real sum 0 is reported as it is
+        (lambda: symmetrize(_HUGE_IMAG, InvariancePattern.full(2)), r"infj at \(0, 1\)"),
+        (lambda: _HUGE_MIXED + _HUGE_MIXED, r"\(2\+infj\) at \(1,\)"),
     ],
-    ids=["product", "scalar", "inf-minus-inf", "sum-imaginary", "symmetrize-imaginary"],
+    ids=["product", "scalar", "inf-minus-inf", "sum-imaginary", "symmetrize-imaginary", "sum-real-kept"],
 )
 def test_an_overflowing_product_or_sum_gives_only_the_gate_error(arithmetic, where):
     with warnings.catch_warnings():
