@@ -87,6 +87,11 @@ def constraint_matrix(rule: CubatureRule, pattern: InvariancePattern, psi) -> np
     ``construct_certificate`` factorizes: row ``j`` of ``B`` is column ``j``
     of the bordered system ``[A; c^T]`` (``nullspace_solution``).
     """
+    if rule.dim != pattern.dim:
+        raise DimensionMismatchError("rule and pattern dimensions differ")
+    threshold = critical_node_count(pattern)
+    if rule.n_nodes >= threshold:
+        raise RefusalError(rule.n_nodes, threshold)
     return _bordered_system(rule, pattern, psi)[1][:, :-1].T
 
 
@@ -95,19 +100,16 @@ _BLOCK_ENTRIES = 1 << 14
 
 
 def _bordered_system(rule, pattern, psi):
-    """The validated modes and the buffer ``B`` of ``constraint_matrix``, with its finiteness and ``max |A|``.
+    """The validated modes, the buffer ``B`` of ``constraint_matrix`` and ``max |A|``, for a checked rule and pattern.
 
     Each block of mode rows is formed in place, entry by entry in one fixed
     order (lower-half character, times upper-half character, times each
     coordinate block's ``e_j`` factor, divided by the group order), so its
-    bits do not depend on the block size.  The border column is left unset.
+    bits do not depend on the block size.  Two spare arrays serve all blocks
+    (new ones would be faulted in again), and each block's largest modulus is
+    taken while it is in cache.  The border column is left unset.
     """
-    if rule.dim != pattern.dim:
-        raise DimensionMismatchError("rule and pattern dimensions differ")
     n_nodes = rule.n_nodes
-    threshold = critical_node_count(pattern)
-    if n_nodes >= threshold:
-        raise RefusalError(n_nodes, threshold)
     modes = _validate_mode_order(psi, pattern, n_nodes)
     blocks = [[i - 1 for i in g] for g in pattern.groups]
     free = sorted(set(range(pattern.dim)).difference(*blocks))
@@ -126,38 +128,21 @@ def _bordered_system(rule, pattern, psi):
             elementary[1 : m + 2] += z[m] * elementary[: m + 1]
         factors.append((elementary, modes[:, cols].sum(axis=1).astype(np.intp)))
     order = float(group_order(pattern))
-
-    def fill(rows, block, spare):
-        lo_rows, hi_rows = spare  # mode="clip" gathers into them in place, where "raise" would buffer
+    buffer = np.empty((n_nodes + 1, n_nodes + 1), dtype=np.complex128)
+    step = max(1, _BLOCK_ENTRIES // max(1, n_nodes))
+    spare, moduli = np.empty((2, step, n_nodes), dtype=np.complex128), np.empty((step, n_nodes))
+    peaks = []
+    for start in range(0, n_nodes + 1, step):
+        rows = slice(start, start + step)
+        block = buffer[rows, :n_nodes]
+        lo_rows, hi_rows = spare[:, : len(block)]  # mode="clip" gathers into them in place, where "raise" would buffer
         np.take(lo, lo_of[rows], axis=0, out=lo_rows, mode="clip")
         np.multiply(lo_rows, np.take(hi, hi_of[rows], axis=0, out=hi_rows, mode="clip"), out=block)
         for elementary, ones in factors:
             block *= np.take(elementary, ones[rows], axis=0, out=lo_rows, mode="clip")
         block /= order
-
-    return (modes, *_filled(n_nodes, fill))
-
-
-def _filled(n_nodes, fill):
-    """A new ``(n+1) x (n+1)`` buffer ``B`` whose rows ``fill(rows, B[rows, :n], spare)`` writes, block by block.
-
-    ``spare`` holds two block-sized complex arrays, reused by every block (a
-    new array per block would be faulted in again).  Returns ``B``, whether
-    every written entry is finite, and the largest modulus among them, both
-    taken while each block is in cache.
-    """
-    buffer = np.empty((n_nodes + 1, n_nodes + 1), dtype=np.complex128)
-    step = max(1, _BLOCK_ENTRIES // max(1, n_nodes))
-    spare, moduli = np.empty((2, step, n_nodes), dtype=np.complex128), np.empty((step, n_nodes))
-    finite, peaks = True, []
-    for start in range(0, n_nodes + 1, step):
-        rows = slice(start, start + step)
-        block = buffer[rows, :n_nodes]
-        fill(rows, block, spare[:, : len(block)])
-        peak = np.max(np.abs(block, out=moduli[: len(block)]), initial=0.0)  # NaN when an entry is NaN
-        finite = finite and (np.isfinite(peak) or bool(np.isfinite(block).all()))  # |z| overflows for some finite z
-        peaks.append(peak)
-    return buffer, finite, np.max(peaks)
+        peaks.append(np.max(np.abs(block, out=moduli[: len(block)]), initial=0.0))  # NaN when an entry is NaN
+    return modes, buffer, np.max(peaks)
 
 
 def _validate_mode_order(psi, pattern, n_nodes) -> np.ndarray:
@@ -193,23 +178,29 @@ def nullspace_solution(matrix, residual_tol=DEFAULT_CHECK_TOL) -> NullspaceSolut
     5.2): ``R`` has a zero last row, so whatever the rank of ``A`` the last
     column ``q`` of ``Q`` satisfies ``A conj(q) = 0``.  Either vector is
     divided by its first entry of maximal modulus, whose position becomes
-    ``pivot_index``.  Raises ``ValueError`` for a non-finite entry, and
-    ``NullspaceError`` unless the residual ``max |A v|`` is at most
-    ``residual_tol`` (the caller may retry with a different mode order).
-    ``A`` is copied into the layout of ``constraint_matrix``'s buffer.
+    ``pivot_index``.  Raises ``ValueError`` when an entry or its modulus is
+    not finite, and ``NullspaceError`` unless the residual ``max |A v|`` is
+    at most ``residual_tol`` (the caller may retry with a different mode
+    order).  ``A`` is copied into the layout of ``constraint_matrix``'s buffer.
     """
     a_mat = np.asarray(matrix, dtype=np.complex128)
     if a_mat.ndim != 2 or a_mat.shape[1] != a_mat.shape[0] + 1:
         raise ValueError(f"expected an n x (n+1) matrix, got shape {a_mat.shape}")
-    return _solved(a_mat, *_filled(len(a_mat), lambda rows, block, _: np.copyto(block, a_mat[:, rows].T)), residual_tol)
+    n_rows = len(a_mat)
+    buffer = np.empty((n_rows + 1, n_rows + 1), dtype=np.complex128)
+    buffer[:, :n_rows] = a_mat.T
+    step = max(1, _BLOCK_ENTRIES // max(1, n_rows))
+    with np.errstate(over="ignore"):  # a modulus that overflows is inf, refused in _solved
+        peaks = [np.max(np.abs(buffer[i : i + step, :n_rows]), initial=0.0) for i in range(0, n_rows + 1, step)]
+    return _solved(a_mat, buffer, np.max(peaks), residual_tol)
 
 
 #: The bordered solve is trusted while ``max |M^-1 [e_{n+1}, r]| * max |A|`` stays below this.
 _BORDER_LIMIT = 1e8
 
 
-def _solved(a_mat, buffer, finite, scale, residual_tol) -> NullspaceSolution:
-    """``nullspace_solution`` of ``A``, held also as ``buffer[:, :n].T``, given whether it is finite and ``max |A|``.
+def _solved(a_mat, buffer, scale, residual_tol) -> NullspaceSolution:
+    """``nullspace_solution`` of ``A``, held also as ``buffer[:, :n].T``, given ``max |A|``.
 
     The border ``c_j = scale exp(2 pi i j g)`` goes into the last column and
     the probe is ``r_j = exp(2 pi i j s)`` (``g``, ``s`` the fractional parts
@@ -217,8 +208,8 @@ def _solved(a_mat, buffer, finite, scale, residual_tol) -> NullspaceSolution:
     alone.  ``buffer.T`` is ``M`` in Fortran order, as LAPACK takes it.  The
     residual is taken on ``a_mat`` as the caller laid it out.
     """
-    if not finite:
-        raise ValueError("the matrix has a non-finite entry")
+    if not np.isfinite(scale):  # exactly when an entry is NaN or inf, or a finite entry's modulus overflows
+        raise ValueError("the matrix has a non-finite entry or modulus")
     n_rows = len(buffer) - 1
     steps = np.arange(n_rows + 1)
     buffer[:, n_rows] = scale * exp_2pi_i(steps * ((5**0.5 - 1) / 2))
@@ -359,8 +350,8 @@ def _assembled(rule, pattern, alpha, mode_order):
 
     if mode_order is None:
         mode_order = canonical_binary_vectors(pattern, stop=n_nodes + 1, cap=None)[0]
-    psi, buffer, finite, scale = _bordered_system(rule, pattern, mode_order)
-    solution = _solved(buffer[:, :-1].T, buffer, finite, scale, DEFAULT_CHECK_TOL * scale)
+    psi, buffer, scale = _bordered_system(rule, pattern, mode_order)
+    solution = _solved(buffer[:, :-1].T, buffer, scale, DEFAULT_CHECK_TOL * scale)
     del buffer  # the (n+1)^2 buffer goes before the checks allocate theirs
     poly = _from_sorted(pattern.dim, *_certificate_terms(pattern, psi, solution.coefficients, solution.pivot_index))
 

@@ -12,6 +12,7 @@ projection onto invariant polynomials.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -90,16 +91,14 @@ class InvariancePattern:
 def parse_coordinate_set(spec: str) -> tuple[int, ...]:
     """Parse ``"1-3,5"`` into the coordinate tuple ``(1, 2, 3, 5)``."""
     members: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo_s, hi_s = part.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError(f"bad coordinate range {part!r}")
-            members.extend(range(lo, hi + 1))
-        elif part:
-            members.append(int(part))
+    for part in filter(None, map(str.strip, spec.split(","))):
+        bounds = re.fullmatch(r"(\d+)(?:\s*-\s*(\d+))?", part)
+        if bounds is None:
+            raise ValueError(f"bad coordinate {'range ' if '-' in part else ''}{part!r}")
+        lo, hi = int(bounds[1]), int(bounds[2] or bounds[1])
+        if hi < lo:
+            raise ValueError(f"bad coordinate range {part!r}")
+        members.extend(range(lo, hi + 1))
     return tuple(members)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .cubature import CubatureRule, _finite, _rule_values
 from .errors import (
+    CapExceededError,
     CertificateError,
     DimensionMismatchError,
     RefusalError,
@@ -237,9 +238,7 @@ def check_weight_supermultiplicativity(
     ``min_product_weight``.
     """
     if pattern.dim > SUPERMULTIPLICATIVITY_MAX_DIM:
-        raise DimensionMismatchError(
-            f"pattern dimension {pattern.dim} exceeds max_dim {SUPERMULTIPLICATIVITY_MAX_DIM}"
-        )
+        raise CapExceededError(f"supermultiplicativity check limited to dimension <= {SUPERMULTIPLICATIVITY_MAX_DIM}")
     weigh = _product_weights(pattern, schedule)
     vectors, _ = canonical_binary_vectors(pattern)
     members, owner = orbit_members(pattern, vectors)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -337,6 +338,44 @@ def test_a_certificate_holds_one_bordered_system_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 16 * (n_nodes + 1) ** 2
+
+
+def test_nullspace_solution_holds_one_bordered_system_at_a_time():
+    # the 690-node case above: the caller's matrix is copied once, and max |A| is taken block by block
+    n_nodes = 690
+    rule = random_rule(np.random.default_rng(690), 10, n_nodes)
+    pattern = InvariancePattern.single(10, (3, 7))
+    mat = constraint_matrix(rule, pattern, canonical_binary_vectors(pattern, stop=n_nodes + 1)[0])
+    tol = DEFAULT_CHECK_TOL * np.max(np.abs(mat))
+    nullspace_solution(mat, tol)  # first calls out of the measurement
+    tracemalloc.start()
+    try:
+        nullspace_solution(mat, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * (n_nodes + 1) ** 2
+
+
+def test_an_overflowing_modulus_is_refused_without_a_warning():
+    # both parts are finite, but |z| is not: one refusal, as for a NaN entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            nullspace_solution([[1.5e308 + 1.5e308j, 1.0]])
+
+
+def test_a_nan_written_into_the_callers_nodes_is_refused():
+    # a rule keeps a view of the caller's node array, so a later write bypasses its checks
+    nodes = np.random.default_rng(5).random((5, 3))
+    rule = CubatureRule(3, nodes, np.full(5, 0.2))
+    pattern = InvariancePattern.single(3, (1, 2))
+    construct_certificate(rule, pattern, 2.0)
+    nodes[2, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            construct_certificate(rule, pattern, 2.0)
 
 
 def bits(values):

@@ -576,3 +576,20 @@ POLY_2 = FourierPolynomial(2, {(1, 0): 1.0})
 def test_error_branches_raise(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("a", "bad coordinate 'a'"),
+        ("-1", "bad coordinate range '-1'"),
+        ("1-", "bad coordinate range '1-'"),
+        ("1-x", "bad coordinate range '1-x'"),
+    ],
+)
+def test_bad_coordinate_specs_are_named(capsys, spec, message):
+    with pytest.raises(ValueError) as info:
+        symquad.parse_coordinate_set(spec)
+    assert str(info.value) == message
+    for argv in (["nabla", "-d", "3", "--invariant", spec], ["rule", "--folded", "-d", "4", "--groups", spec]):
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")

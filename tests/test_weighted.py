@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from symquad import (
+    CapExceededError,
     CubatureRule,
     InvariancePattern,
     RefusalError,
@@ -264,6 +265,11 @@ def test_supermultiplicativity_guard():
     p = InvariancePattern.full(7)
     with pytest.raises(Exception):
         check_weight_supermultiplicativity(p, WeightSchedule(7, (1.0,) * 7))
+
+
+def test_supermultiplicativity_cap_is_a_cap_error():
+    with pytest.raises(CapExceededError, match=r"^supermultiplicativity check limited to dimension <= 6$"):
+        check_weight_supermultiplicativity(InvariancePattern.full(7), WeightSchedule(7, (1.0,) * 7))
 
 
 # ---------------------------------------------------------------------------
